@@ -273,11 +273,6 @@ class ComplexCdElement:
         """The central imaginary unit **i** itself."""
         return cls(CdElement.zero(level), CdElement.scalar(level, 1.0))
 
-    @classmethod
-    def from_complex_coeffs(cls, level, coeffs) -> "ComplexCdElement":
-        c = np.asarray(coeffs, dtype=np.complex128)
-        return cls(CdElement(level, c.real), CdElement(level, c.imag))
-
     @property
     def complex_coeffs(self) -> np.ndarray:
         return self.re_part.coeffs + 1j * self.im_part.coeffs

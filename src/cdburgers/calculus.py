@@ -37,7 +37,7 @@ from cdburgers.algebra import (
     CdElement,
     ComplexCdElement,
     MAX_LEVEL,
-    _mul_tables,
+    basis_mul_coeffs,
 )
 
 ARITIES = ("x", "xy", "txy")
@@ -184,13 +184,6 @@ class GridField:
 
     def copy(self) -> "GridField":
         return GridField(self.grid, self.arity, self.values.copy(), self.level)
-
-    def scalar_part(self) -> "GridField":
-        """The i_0 component of an algebra-valued field (identity on
-        scalar fields)."""
-        if not self.is_algebra_valued:
-            return self
-        return GridField(self.grid, self.arity, self.values[..., 0])
 
     def component(self, j: int) -> "GridField":
         if not self.is_algebra_valued:
@@ -372,18 +365,6 @@ class DiracSpec:
         return hits[0]
 
 
-def _left_basis_mul_field(j: int, values: np.ndarray, level: int,
-                          conjugate: bool) -> np.ndarray:
-    """i_j * v (or i_j^* v) on a trailing-coefficient-axis array."""
-    idx, sgn = _mul_tables(level)
-    out = np.empty_like(values)
-    s = sgn[j, :].astype(np.float64)
-    if conjugate and j != 0:
-        s = -s
-    out[..., idx[j, :]] = values * s
-    return out
-
-
 def dirac_apply(f: GridField, spec: DiracSpec, slot: str = "x") -> GridField:
     """sigma f = sum_j i_j^* (df/dx_{xi(j)}) psi_j on the chosen point slot.
 
@@ -399,7 +380,11 @@ def dirac_apply(f: GridField, spec: DiracSpec, slot: str = "x") -> GridField:
     for j in spec.active:
         a = spec.axis_for_basis(j, f.grid.n)
         d = diff_axis(g.values, axes[a], h[a]) * spec.weights[j]
-        out += _left_basis_mul_field(j, d, spec.level, conjugate=True)
+        term = basis_mul_coeffs(j, d, spec.level)
+        if j == 0:
+            out += term
+        else:
+            out -= term  # i_j^* = -i_j off the real unit
     return GridField(f.grid, f.arity, out, spec.level)
 
 
@@ -541,9 +526,7 @@ def line_integral(f: GridField, w0: Sequence[float], x: Sequence[float],
         )
         line = vals[sl]  # shape (m_a, 2^level)
         seg = segment_integral(line, grid.spacings[a], i_from[a], i_to[a])
-        total += _left_basis_mul_field(
-            j, seg * scale, level, conjugate=False
-        )
+        total += basis_mul_coeffs(j, seg * scale, level)
         i_from[a] = i_to[a]
     return _as_element(total, level)
 
@@ -584,9 +567,7 @@ def tail_integral(f: GridField, w: Sequence[float], axis: int,
     )
     line = vals[sl]
     seg = segment_integral(line, h, 0, stop - start)
-    value = _as_element(
-        _left_basis_mul_field(j, seg * scale, level, conjugate=False), level
-    )
+    value = _as_element(basis_mul_coeffs(j, seg * scale, level), level)
     s = h * np.arange(stop - start + 1)
     amps = np.sqrt((np.abs(line) ** 2).sum(axis=-1))
     cert = float(np.max(amps * np.exp(decay_rate * s)))

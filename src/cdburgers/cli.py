@@ -63,7 +63,6 @@ from .calculus import Grid, dump_field
 from .kernel import (
     KernelConfig,
     PicardDivergence,
-    _jsonable,
     admissible_kappa,
     report_json,
     run_report,
@@ -125,7 +124,7 @@ def _write_text(out: Path, name: str, text: str) -> None:
 
 
 def _emit(out: Path, name: str, report: dict) -> None:
-    _write_text(out, name, report_json(_jsonable(report)))
+    _write_text(out, name, report_json(report))
 
 
 def _finish(ok: bool, what: str) -> int:

@@ -14,8 +14,10 @@ its weighted terms factor through the same triple integral
 the first term being p_1 pi_1(T(x, y)) and the second p_2 times one more
 line-integral prefix of T(x, .) in the second slot, taken up to y.  In the
 quaternion variant p_1 and p_2 multiply on the right and no projection is
-taken.  Every stage is a cumulative-quadrature sweep, so one application
-costs O(N^{2n+1}) for an N-per-axis grid in n dimensions.
+taken.  Every stage is a cumulative-quadrature sweep over at most the
+N^{2n} pair nodes of an N-per-axis grid in n dimensions (the innermost one,
+with F factored, over N^{n+1} ray nodes), so no stage forms an O(N^{2n+1})
+array.
 
 F comes from the closed family F(x, y) = exp(kappa . (x + y)/2).  Any
 function of the midpoint alone is annihilated by S_1, and membership in the
@@ -314,16 +316,13 @@ def prefix_line_integrals(values: np.ndarray, grid: Grid, w0_idx, spec,
     return out
 
 
-# keep any one temporary of the innermost product field under this many
-# entries; larger fields are swept in chunks over the trailing v axis
-_CHUNK_ENTRIES = 6_000_000
-
-
 def _inner_tail(kvals: np.ndarray, config: KernelConfig, grid: Grid):
     """Innermost stage: I(w, v) = int_w^inf F(z, v) K(w, z) dz.
 
     The ray runs along the most negative kappa axis; off that axis z equals
-    w, so K(w, z) collapses to a paired-diagonal slice.  Returns the value
+    w, so K(w, z) collapses to a paired-diagonal slice.  F(z, v) =
+    exp(kappa . z/2) exp(kappa . v/2) factors, so the ray integral is taken
+    once per w and then multiplied by the v factor.  Returns the value
     table over (w, v) with a trailing coefficient axis, plus the truncation
     bound on the discarded tail beyond the box edge.
     """
@@ -334,40 +333,26 @@ def _inner_tail(kvals: np.ndarray, config: KernelConfig, grid: Grid):
     spec = config.dirac_spec()
     counts = grid.counts
     m = counts[a]
-    kappa = config.kappa
     has_coeff = kvals.ndim == 2 * n + 1
 
-    # K(w, z(w, zeta)): advanced indexing with broadcastable index arrays,
-    # output axes (w_1 .. w_n, zeta [, coeff])
-    ix_w = []
-    for c in range(n):
+    # broadcast axes (w_1 .. w_n, zeta): off the tail axis z equals w, on
+    # it z runs along zeta, so the w_a axis never enters
+    pos = [n if c == a else c for c in range(n)]
+
+    def along(arr, p):
         sh = [1] * (n + 1)
-        sh[c] = counts[c]
-        ix_w.append(np.arange(counts[c]).reshape(sh))
-    sh = [1] * (n + 1)
-    sh[n] = m
-    ix_zeta = np.arange(m).reshape(sh)
-    ix_z = [ix_zeta if c == a else ix_w[c] for c in range(n)]
+        sh[p] = arr.size
+        return arr.reshape(sh)
+
+    ix_w = [along(np.arange(counts[c]), c) for c in range(n)]
+    ix_z = [along(np.arange(counts[c]), pos[c]) for c in range(n)]
     diag = kvals[tuple(ix_w) + tuple(ix_z)]
 
-    # log F((z + v)/2) on broadcast axes (w_1 .. w_n, zeta, v_1 .. v_n);
-    # the w_a axis never enters, F sees zeta there
-    tot = 2 * n + 1
-    log_f = np.zeros((1,) * tot)
-    for c in range(n):
-        if c == a:
-            continue
-        sh = [1] * tot
-        sh[c] = counts[c]
-        log_f = log_f + (0.5 * kappa[c] * grid.axis(c)).reshape(sh)
-    sh = [1] * tot
-    sh[n] = m
-    log_f = log_f + (0.5 * kappa[a] * grid.axis(a)).reshape(sh)
-    for c in range(n):
-        sh = [1] * tot
-        sh[n + 1 + c] = counts[c]
-        log_f = log_f + (0.5 * kappa[c] * grid.axis(c)).reshape(sh)
-    fmid = np.exp(log_f)
+    # F(z, v) = f(z/2) f(v/2) with f the midpoint closed form
+    half = [0.5 * grid.axis(c) for c in range(n)]
+    fz = config.f_midpoint(*[along(half[c], pos[c]) for c in range(n)])
+    fv = config.f_midpoint(*np.ix_(*half))
+    g = (fz[..., None] if has_coeff else fz) * diag
 
     h = grid.spacings[a]
     b, scale = _segment_factor(spec, a, n)
@@ -378,46 +363,29 @@ def _inner_tail(kvals: np.ndarray, config: KernelConfig, grid: Grid):
     starts = np.arange(m)
     ends = np.minimum(starts + cap, m - 1)
 
-    out_shape = tuple(counts) + tuple(counts) + ((dim,) if has_coeff else ())
-    inner = np.empty(out_shape, dtype=np.complex128)
-    cert = 0.0
-
-    # sweep chunks of the last v axis; every reduction below acts on the
-    # zeta axis or pairs it with w_a, never across v
-    full = int(np.prod(counts)) ** 2 * m * (dim if has_coeff else 1)
-    n_chunks = max(1, -(-full // _CHUNK_ENTRIES))
-    step = max(1, -(-counts[-1] // n_chunks))
-    for lo in range(0, counts[-1], step):
-        hi = min(lo + step, counts[-1])
-        fsl = [slice(None)] * tot
-        fsl[tot - 1] = slice(lo, hi)
-        fch = fmid[tuple(fsl)]
-        if has_coeff:
-            g = fch[..., None] * diag[(...,) + (None,) * n + (slice(None),)]
-        else:
-            g = fch * diag[(...,) + (None,) * n]
-        # suffix integrals from zeta = w_a to the (possibly capped) edge
-        cum = cumulative_integral(g, h, axis=n)
-        idx_sh = [1] * g.ndim
-        idx_sh[a] = m
-        top = np.take_along_axis(cum, ends.reshape(idx_sh), axis=n)
-        bot = np.take_along_axis(cum, starts.reshape(idx_sh), axis=n)
-        suf = np.squeeze(top - bot, axis=n) * scale
-        osl = [slice(None)] * inner.ndim
-        osl[2 * n - 1] = slice(lo, hi)
-        inner[tuple(osl)] = suf
-        # decay certificate measured at the outgoing edge slice
-        esl = [slice(None)] * g.ndim
-        esl[n] = m - 1
-        cert = max(cert, float(np.max(np.abs(g[tuple(esl)]))))
-
-    rate = config.decay_rate
-    bound = abs(scale) * cert / rate if rate > 0 else float("inf")
+    # suffix integrals from zeta = w_a to the (possibly capped) edge
+    cum = cumulative_integral(g, h, axis=n)
+    idx_sh = [1] * g.ndim
+    idx_sh[a] = m
+    top = np.take_along_axis(cum, ends.reshape(idx_sh), axis=n)
+    bot = np.take_along_axis(cum, starts.reshape(idx_sh), axis=n)
+    ray = np.squeeze(top - bot, axis=n) * scale
     if has_coeff:
-        return basis_mul_coeffs(b, inner, level), bound
-    out = np.zeros(inner.shape + (dim,), dtype=np.complex128)
-    out[..., b] = inner
-    return out, bound
+        ray = basis_mul_coeffs(b, ray, level)
+    else:
+        lifted = np.zeros(ray.shape + (dim,), dtype=np.complex128)
+        lifted[..., b] = ray
+        ray = lifted
+
+    inner = ray[(slice(None),) * n + (None,) * n] * fv[..., None]
+
+    # decay certificate measured at the outgoing edge slice; the v factor
+    # is positive, so its maximum scales the edge maximum exactly
+    rate = config.decay_rate
+    cert = float(np.max(np.abs(g[(slice(None),) * n + (m - 1,)])))
+    cert *= float(np.max(fv))
+    bound = abs(scale) * cert / rate if rate > 0 else float("inf")
+    return inner, bound
 
 
 def apply_A(K: GridField, F, config: KernelConfig, grid: Grid,
@@ -762,6 +730,7 @@ def run_report(kf: KernelField, grid: Grid) -> dict:
 
 
 def report_json(report: dict) -> str:
-    """Canonical serialization (sorted keys, fixed separators), so equal
-    runs produce byte-identical reports."""
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))
+    """Canonical serialization (JSON-ready values, sorted keys, fixed
+    separators), so equal runs produce byte-identical reports."""
+    return json.dumps(_jsonable(report), sort_keys=True,
+                      separators=(",", ":"))

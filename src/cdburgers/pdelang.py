@@ -41,7 +41,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class PdeSyntaxError(ValueError):
@@ -66,9 +65,6 @@ class UndeclaredSymbolError(PdeSyntaxError):
 @dataclass(frozen=True)
 class Num:
     text: str
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.text)
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,6 @@ from .kernel import (
     admissible_kappa,
     aux_residual,
     midpoint_pair_field,
-    report_json,
     s2a_apply,
     solve_K,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "residual_suite",
     "refinement_study",
     "study_csv",
-    "report_json",
 ]
 
 

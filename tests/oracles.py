@@ -2,12 +2,18 @@
 
 These are deliberately written in the most literal style possible (recursive
 pairs, no tables, no vectorization) so they can serve as oracles for the
-optimized library code.
+optimized library code.  The one exception is the reference inner tail,
+which keeps the product F(z, v) K(w, z) whole on its full broadcast grid
+instead of factoring F.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+import numpy as np
+
+from cdburgers.calculus import segment_integral
 
 
 class PairNumber:
@@ -111,3 +117,60 @@ def oracle_mul(level, xs, ys):
     prod = PairNumber.from_coeffs(list(xs)) * PairNumber.from_coeffs(list(ys))
     assert prod.depth == level
     return prod.coeffs()
+
+
+def reference_inner_tail(kvals, config, grid):
+    """Innermost stage of the kernel operator, I(w, v) = int_w^inf F(z, v)
+    K(w, z) dz, with F(z, v) = exp(kappa . (z + v)/2) left unfactored.
+
+    The ray runs along the tail axis a of the config from z_a = w_a to the
+    box edge, or to the last node within r_inf (at least one cell); off
+    that axis z equals w.  The product F K is formed on the full broadcast
+    (w_1 .. w_n, zeta, v_1 .. v_n, coeff), each ray is integrated on its
+    own, and the segment factor i_b psi_b^-1 N^-1 comes from the pair
+    product.  Returns the table over (w, v) with a trailing coefficient
+    axis, and the tail bound |psi_b^-1 N^-1| max |F K| at the outgoing edge
+    divided by the decay rate -kappa_a / 2.
+    """
+    n, a, level = config.n, config.tail_axis, config.level
+    counts, m, h = grid.counts, grid.counts[a], grid.spacings[a]
+    spec = config.dirac_spec()
+    b = spec.basis_for_axis(a, n)
+    scale = 1.0 / (spec.weights[b] * spec.n_active)
+    coeffs = kvals if kvals.ndim == 2 * n + 1 else kvals[..., None]
+
+    # K(w, z) on (w_1 .. w_n, zeta, 1 .. 1, coeff)
+    ix = [np.arange(counts[c]).reshape([-1 if d == c else 1
+                                        for d in range(n + 1)])
+          for c in range(n)]
+    zeta = np.arange(m).reshape([1] * n + [-1])
+    kz = coeffs[tuple(ix) + tuple(zeta if c == a else ix[c]
+                                  for c in range(n))]
+    kz = kz.reshape(kz.shape[:n + 1] + (1,) * n + kz.shape[-1:])
+
+    # F(z, v) on (w_1 .. w_n, zeta, v_1 .. v_n)
+    tot = 2 * n + 1
+    expo = np.zeros((1,) * tot)
+    for c in range(n):
+        x = grid.axis(c)
+        z = x.reshape([-1 if d == (n if c == a else c) else 1
+                       for d in range(tot)])
+        v = x.reshape([-1 if d == n + 1 + c else 1 for d in range(tot)])
+        expo = expo + config.kappa[c] * (z + v) / 2
+    fk = np.exp(expo)[..., None] * kz
+
+    rays = np.zeros(counts + counts + kz.shape[-1:], dtype=np.complex128)
+    for i in range(m):
+        end = m - 1
+        if config.r_inf is not None:
+            end = min(end, i + max(int(np.floor(config.r_inf / h + 1e-9)), 1))
+        at_w = (slice(None),) * a + (slice(i, i + 1),)
+        rays[at_w] = segment_integral(fk[at_w], h, i, end, axis=n)
+
+    out = np.zeros(rays.shape[:-1] + (1 << level,), dtype=np.complex128)
+    for k in range(rays.shape[-1]):
+        j, sign = oracle_basis_product(level, b, k)
+        out[..., j] += sign * scale * rays[..., k]
+    edge = np.max(np.abs(fk[(slice(None),) * n + (m - 1,)]))
+    bound = abs(scale) * edge / (-0.5 * config.kappa[a])
+    return out, float(bound)

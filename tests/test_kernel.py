@@ -18,6 +18,7 @@ from cdburgers.calculus import DiracSpec, Grid, GridField, interior_slices, line
 from cdburgers.kernel import (
     KernelConfig,
     PicardDivergence,
+    _inner_tail,
     admissible_kappa,
     apply_A,
     aux_diagnostics,
@@ -33,6 +34,7 @@ from cdburgers.kernel import (
     s2a_apply,
     solve_K,
 )
+from oracles import reference_inner_tail
 
 
 # -- symbolic oracle for the admissibility condition ---------------------------
@@ -212,6 +214,24 @@ def test_prefix_line_integrals_match_pointwise_routine():
         want = z.re_part.coeffs + 1j * z.im_part.coeffs
         got = pref[g.node_index(target)]
         assert np.max(np.abs(got - want)) < 1e-13
+
+
+@pytest.mark.parametrize("algebra", [False, True])
+@pytest.mark.parametrize("r_inf", [None, 1.3])
+def test_inner_tail_matches_unfactored_reference(r_inf, algebra):
+    # tail on axis 1 with a nonzero off-axis kappa, so the off-axis factor
+    # exp(kappa_0 w_0 / 2) rides along every ray; unequal axes catch mixups
+    cfg = KernelConfig(a=(1.0, 0.0, -1.0), p=(0.2, 0.1), kappa=(-0.5, -2.0),
+                       w0=(0.0, 0.0), r_inf=r_inf)
+    g = Grid(((-0.5, 2.0), (-0.75, 2.25)), (8, 11))
+    rng = np.random.default_rng(17)
+    shape = g.shape("xy", 2) if algebra else g.shape("xy")
+    K = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got, bound = _inner_tail(K, cfg, g)
+    want, want_bound = reference_inner_tail(K, cfg, g)
+    assert got.shape == want.shape == g.shape("xy", 2)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert bound == pytest.approx(want_bound, rel=1e-13)
 
 
 # -- applying the integral operator --------------------------------------------
