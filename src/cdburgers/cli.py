@@ -17,7 +17,7 @@ kernel
      "grid": {"n": 2, "lo": 0.0, "hi": 1.0, "count": 9},       (required)
      "kappa": [...],        default: smallest admissible root
      "r_inf": null, "tol": 1e-10, "max_iter": 40, "level": 2,
-     "probes": 16, "force": false}
+     "force": false}
 ode
     flags --m, --lambda (comma separated), --c, --horizon, --tau; or the
     same keys in a config file ("lambda" as a list)
@@ -32,13 +32,15 @@ assemble
      "atoms": [[lam, ...], ...] or "matched": [[lam_prime], ...],
      "p": [...], "w0": [...],                                  (required)
      "grid": {"count": .., "t_count": ..},                     (required)
-     "seed": 0, "tol": 1e-10, "probes": 16, "samples": 0}
+     "seed": 0, "tol": 1e-10, "samples": 0}
 verify
     {"problem": {...},                                         (required)
      "lam_prime": [...], "w0": [...],                          (required)
      "levels": [[count, t_count], ...],                        (required)
      "collar": 2.0, "t_collar": null,
-     "seed": 0, "tol": 1e-10, "probes": 16, "samples": 0}
+     "seed": 0, "tol": 1e-10, "samples": 0}
+
+Keys a stage does not read are ignored.
 
 Artifacts are written into --out (default "."): JSON manifests through the
 canonical serializer (sorted keys, fixed separators), CSV tables, and
@@ -78,7 +80,6 @@ from .randmeasure import (
     xi_from_rule,
 )
 from .temporal import CauchySpec, solve_cauchy, trajectory_csv
-from .translate import translate_system
 from .workbench import (
     SobolevBurgersSpec,
     SpectralPoint,
@@ -223,6 +224,8 @@ def _run_translate(args) -> int:
         source = Path(cfg["source_file"]).read_text()
     else:
         raise ValueError("translate config needs 'source' or 'source_file'")
+    from .translate import translate_system  # sympy: only this stage
+
     program = parse_pde(source)
     tp = translate_system(program)
     _emit(_outdir(args), "translate_report.json", {
@@ -242,6 +245,15 @@ def _run_translate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _write_trace(out: Path, trace: list) -> None:
+    keys = ("iter", "diff", "diff_l2", "ratio", "ratio_l2")
+    rows = [",".join(keys)]
+    for t in trace:
+        rows.append(",".join("" if t[k] is None else repr(t[k])
+                             for k in keys))
+    _write_text(out, "kernel_trace.csv", "\n".join(rows) + "\n")
+
+
 def _run_kernel(args) -> int:
     cfg = _load_config(args)
     for key in ("a", "p", "w0", "grid"):
@@ -257,16 +269,14 @@ def _run_kernel(args) -> int:
         a=a, p=tuple(cfg["p"]), kappa=kappa, w0=tuple(cfg["w0"]),
         r_inf=cfg.get("r_inf"), max_iter=int(cfg.get("max_iter", 40)),
         tol=float(cfg.get("tol", 1e-10)), level=int(cfg.get("level", 2)))
-    kf = solve_K(config, grid, force=bool(cfg.get("force", False)),
-                 probes=int(cfg.get("probes", 16)))
+    try:
+        kf = solve_K(config, grid, force=bool(cfg.get("force", False)))
+    except PicardDivergence as exc:
+        _write_trace(_outdir(args), exc.trace)
+        raise
     out = _outdir(args)
     _emit(out, "kernel_report.json", run_report(kf, grid))
-    rows = ["iter,diff,diff_l2,ratio,ratio_l2"]
-    for t in kf.trace:
-        rows.append(",".join(
-            "" if t[k] is None else repr(t[k])
-            for k in ("iter", "diff", "diff_l2", "ratio", "ratio_l2")))
-    _write_text(out, "kernel_trace.csv", "\n".join(rows) + "\n")
+    _write_trace(out, kf.trace)
     dump_field(kf.F, str(out / "F.cdgf"))
     print(f"wrote {out / 'F.cdgf'}")
     if kf.K is not None:
@@ -427,8 +437,7 @@ def _run_assemble(args) -> int:
     measure = measure_for_atoms(atoms, spec, tuple(cfg["p"]),
                                 seed=int(cfg.get("seed", 0)))
     sol = assemble_u(atoms, measure, grid, spec, tuple(cfg["w0"]),
-                     tol=float(cfg.get("tol", 1e-10)),
-                     probes=int(cfg.get("probes", 16)))
+                     tol=float(cfg.get("tol", 1e-10)))
     out = _outdir(args)
     report = {
         "atoms": [list(a.lam) for a in atoms],
@@ -464,8 +473,7 @@ def _run_verify(args) -> int:
         t_collar=(None if cfg.get("t_collar") is None
                   else float(cfg["t_collar"])),
         seed=int(cfg.get("seed", 0)), tol=float(cfg.get("tol", 1e-10)),
-        samples=int(cfg.get("samples", 0)),
-        probes=int(cfg.get("probes", 16)))
+        samples=int(cfg.get("samples", 0)))
     out = _outdir(args)
     csv_text = study_csv(rows)
     _write_text(out, "refinement.csv", csv_text)

@@ -316,6 +316,26 @@ def prefix_line_integrals(values: np.ndarray, grid: Grid, w0_idx, spec,
     return out
 
 
+def _tail_ray(config: KernelConfig, grid: Grid):
+    """The tail ray, shared by the tail stage and the norm: the pair node
+    (w, z(w, zeta)) of every ray node over the broadcast axes (w_1 .. w_n,
+    zeta) (off the tail axis z equals w, so the w_a axis never enters),
+    f(z/2) on those nodes, and the first and last ray node of each tail
+    window: the box edge, or r_inf when it caps the ray earlier."""
+    n = config.n
+    a = config.tail_axis
+    m = grid.counts[a]
+    ix = np.ix_(*[np.arange(k) for k in grid.counts], np.arange(m))
+    iz = [ix[n] if c == a else ix[c] for c in range(n)]
+    fz = config.f_midpoint(*[0.5 * grid.axis(c)[iz[c]] for c in range(n)])
+    if config.r_inf is not None:
+        cap = max(int(np.floor(config.r_inf / grid.spacings[a] + 1e-9)), 1)
+    else:
+        cap = m - 1
+    starts = np.arange(m)
+    return ix[:n] + tuple(iz), fz, starts, np.minimum(starts + cap, m - 1)
+
+
 def _inner_tail(kvals: np.ndarray, config: KernelConfig, grid: Grid):
     """Innermost stage: I(w, v) = int_w^inf F(z, v) K(w, z) dz.
 
@@ -331,37 +351,17 @@ def _inner_tail(kvals: np.ndarray, config: KernelConfig, grid: Grid):
     level = config.level
     dim = 1 << level
     spec = config.dirac_spec()
-    counts = grid.counts
-    m = counts[a]
+    m = grid.counts[a]
     has_coeff = kvals.ndim == 2 * n + 1
 
-    # broadcast axes (w_1 .. w_n, zeta): off the tail axis z equals w, on
-    # it z runs along zeta, so the w_a axis never enters
-    pos = [n if c == a else c for c in range(n)]
-
-    def along(arr, p):
-        sh = [1] * (n + 1)
-        sh[p] = arr.size
-        return arr.reshape(sh)
-
-    ix_w = [along(np.arange(counts[c]), c) for c in range(n)]
-    ix_z = [along(np.arange(counts[c]), pos[c]) for c in range(n)]
-    diag = kvals[tuple(ix_w) + tuple(ix_z)]
-
     # F(z, v) = f(z/2) f(v/2) with f the midpoint closed form
-    half = [0.5 * grid.axis(c) for c in range(n)]
-    fz = config.f_midpoint(*[along(half[c], pos[c]) for c in range(n)])
-    fv = config.f_midpoint(*np.ix_(*half))
+    index, fz, starts, ends = _tail_ray(config, grid)
+    diag = kvals[index]
+    fv = config.f_midpoint(*np.ix_(*[0.5 * grid.axis(c) for c in range(n)]))
     g = (fz[..., None] if has_coeff else fz) * diag
 
     h = grid.spacings[a]
     b, scale = _segment_factor(spec, a, n)
-    if config.r_inf is not None:
-        cap = max(int(np.floor(config.r_inf / h + 1e-9)), 1)
-    else:
-        cap = m - 1
-    starts = np.arange(m)
-    ends = np.minimum(starts + cap, m - 1)
 
     # suffix integrals from zeta = w_a to the (possibly capped) edge
     cum = cumulative_integral(g, h, axis=n)
@@ -386,6 +386,28 @@ def _inner_tail(kvals: np.ndarray, config: KernelConfig, grid: Grid):
     cert *= float(np.max(fv))
     bound = abs(scale) * cert / rate if rate > 0 else float("inf")
     return inner, bound
+
+
+def _weigh(T: np.ndarray, Q, config: KernelConfig, scalar_out: bool):
+    """Turn T and the optional Q sweep (None when p_2 = 0) into A K under
+    the variant's weights: p_1 pi_1(T) + p_2 Q in the complex variant,
+    right multiplication by p_1 and p_2 in the quaternion one."""
+    p1, level = config.p[0], config.level
+    if scalar_out:
+        return _scalar_weight(p1) * T[..., 1]
+    out = np.zeros_like(T)
+    if _pnorm(p1) > 0 and config.variant == "complex":
+        out[..., 0] = _scalar_weight(p1) * T[..., 1]
+    elif _pnorm(p1) > 0:
+        out += mul_coeffs(T, _p_coeffs(p1, level), level)
+    return out if Q is None else out + _weigh_q(Q, config)
+
+
+def _weigh_q(Q: np.ndarray, config: KernelConfig) -> np.ndarray:
+    """The p_2 term of A K from the Q sweep, under the variant's weight."""
+    if config.variant == "complex":
+        return _scalar_weight(config.p[1]) * Q
+    return mul_coeffs(Q, _p_coeffs(config.p[1], config.level), config.level)
 
 
 def apply_A(K: GridField, F, config: KernelConfig, grid: Grid,
@@ -431,25 +453,10 @@ def apply_A(K: GridField, F, config: KernelConfig, grid: Grid,
     mid = prefix_line_integrals(inner, grid, w0_idx, spec, group_offset=n)
     T = prefix_line_integrals(mid, grid, w0_idx, spec, group_offset=0)
 
-    if config.variant == "complex":
-        if scalar_out:
-            return GridField(
-                grid, "xy", _scalar_weight(config.p[0]) * T[..., 1])
-        out = np.zeros_like(T)
-        if p1n > 0:
-            out[..., 0] = _scalar_weight(config.p[0]) * T[..., 1]
-        if p2n > 0:
-            Q = prefix_line_integrals(T, grid, w0_idx, spec, group_offset=n)
-            out += _scalar_weight(config.p[1]) * Q
-        return GridField(grid, "xy", out, level=level)
-
-    out = np.zeros_like(T)
-    if p1n > 0:
-        out += mul_coeffs(T, _p_coeffs(config.p[0], level), level)
-    if p2n > 0:
-        Q = prefix_line_integrals(T, grid, w0_idx, spec, group_offset=n)
-        out += mul_coeffs(Q, _p_coeffs(config.p[1], level), level)
-    return GridField(grid, "xy", out, level=level)
+    Q = (prefix_line_integrals(T, grid, w0_idx, spec, group_offset=n)
+         if p2n > 0 else None)
+    out = _weigh(T, Q, config, scalar_out)
+    return GridField(grid, "xy", out, level=None if scalar_out else level)
 
 
 # ---------------------------------------------------------------------------
@@ -457,47 +464,74 @@ def apply_A(K: GridField, F, config: KernelConfig, grid: Grid,
 # ---------------------------------------------------------------------------
 
 
-def estimate_A_norm(F, config: KernelConfig, grid: Grid,
-                    probes: int = 64, seed: int = 0) -> float:
-    """Upper bound on the operator norm of the discretized operator.
+def estimate_A_norm(config: KernelConfig, grid: Grid) -> float:
+    """Frobenius norm of the discretized operator, computed exactly.
 
-    Estimates the Frobenius norm of the assembled linear map by averaging
-    ||A w||^2 over fixed unit-variance complex Gaussian probes; the mean is
-    exactly the squared Frobenius norm, which dominates the spectral norm
-    and hence every step ratio of the Picard iteration in the grid l2
-    sense.  The discrete operator here is strongly nonnormal (its spectral
-    radius undershoots transient growth by large factors), so a radius
-    estimate would not bound the iteration; this one does.  The returned
-    value scales exactly linearly in each weight p_j for a fixed seed.
+    A = B R: the ray stage R reads each input node once, with weight
+    scale W(w_a, zeta) f(z/2) (W the tail-window rows of the cumulative
+    rule), so R R* = D is diagonal; B is separable, A K(x, y) =
+    sum_{c', s} L_{c', s}[X_{c'}[R K](x)] V_s(y), with X_{c'} the x-prefix
+    segment along axis c', V_s the y-prefix sweep of f(v/2) (and the Q
+    sweep of it when p_2 != 0), L_{c', s} the basis products and weights.
+    So ||A||_F^2 = sum Sx[c', d'] Gy[s, t] sum_k <L_{c's} e_k, L_{d't} e_k>,
+    Sx = sum_w d_w <X_{c'} delta_w, X_{d'} delta_w>, Gy the Gram matrix of
+    the V_s, k over the input slots.  The Frobenius norm dominates the
+    spectral norm and hence every l2 step ratio of the Picard iteration
+    (the operator is strongly nonnormal, so its spectral radius would
+    not), so a gate on it is a certificate.  Fixed-order numpy sums only.
     """
     if config.p_total == 0.0:
         return 0.0
-    rng = np.random.default_rng(seed)
-    if config.scalar_closed():
-        shape = grid.shape("xy")
-        lev = None
-    else:
-        shape = grid.shape("xy", config.level)
-        lev = config.level
-    acc = 0.0
-    inv_sqrt2 = 2.0 ** -0.5
-    for _ in range(probes):
-        w = (rng.standard_normal(shape)
-             + 1j * rng.standard_normal(shape)) * inv_sqrt2
-        out = apply_A(GridField(grid, "xy", w, level=lev), F, config,
-                      grid).values
-        acc += float(np.sum(np.abs(out) ** 2))
-    return float(np.sqrt(acc / probes))
+    n, a, level = config.n, config.tail_axis, config.level
+    spec = config.dirac_spec()
+    w0_idx = grid.node_index(config.w0)
+    counts = grid.counts
+    bs = [spec.basis_for_axis(c, n) for c in range(n)]
+    scalar_out = config.scalar_closed()
+
+    _, fz, starts, ends = _tail_ray(config, grid)
+    rule = cumulative_integral(np.eye(counts[a]), grid.spacings[a])
+    W = (rule[ends] - rule[starts]).reshape(
+        [counts[a] if c in (a, n) else 1 for c in range(n + 1)])
+    b, scale = _segment_factor(spec, a, n)
+    d = abs(scale) ** 2 * np.sum(np.abs(W * fz) ** 2, axis=n).ravel()
+
+    nw = d.size
+    # a unit last axis, never read as coefficients (a count may be 2^level)
+    X = prefix_line_integrals(np.eye(nw).reshape(counts + (nw, 1)), grid,
+                              w0_idx, spec, group_offset=0)
+    X = X[..., bs].reshape(nw, nw, n)
+    Sx = np.einsum("xwc,w,xwe->ce", X.conj(), d, X)
+
+    fv = config.f_midpoint(*np.ix_(*[0.5 * grid.axis(c) for c in range(n)]))
+    Y = np.moveaxis(prefix_line_integrals(fv, grid, w0_idx, spec,
+                                          group_offset=0)[..., bs], -1, 0)
+    V = [Y.reshape(n, -1)]
+    E = np.eye(1 << level, dtype=np.complex128)[[b] if scalar_out else ...]
+    U = np.stack([basis_mul_coeffs(j, E, level) for j in bs])
+    U = np.stack([basis_mul_coeffs(j, U, level) for j in bs])
+    L = _weigh(U, None, config, scalar_out).reshape(n, n, len(E), -1)
+    if _pnorm(config.p[1]) > 0:
+        Q = prefix_line_integrals(Y, grid, w0_idx, spec, group_offset=1)
+        V.append(np.moveaxis(Q[..., bs], -1, 0).reshape(n * n, -1))
+        UQ = np.stack([basis_mul_coeffs(j, U, level) for j in bs])
+        LQ = np.moveaxis(_weigh_q(UQ, config), 0, 1)
+        L = np.concatenate([L, LQ.reshape(n, n * n, len(E), -1)], axis=1)
+    V = np.concatenate(V)
+    Gy = np.einsum("sy,ty->st", V.conj(), V)
+    total = np.einsum("cske,dtke,cd,st->", L.conj(), L, Sx, Gy)
+    return float(np.sqrt(total.real))
 
 
-def solve_K(config: KernelConfig, grid: Grid, force: bool = False,
-            probes: int = 32, seed: int = 0) -> KernelField:
+def solve_K(config: KernelConfig, grid: Grid,
+            force: bool = False) -> KernelField:
     """Picard iteration K_0 = F, K_{m+1} = F + A K_m, to the fixed point.
 
     Stops when the sup-norm step falls under config.tol; raises
-    PicardDivergence after three consecutive non-contracting steps (in the
-    grid l2 norm, which the norm estimate bounds), and refuses to start
-    when the norm estimate reaches 1 unless forced.
+    PicardDivergence after three consecutive non-contracting steps in the
+    grid l2 norm.  Refuses to start, unless forced, when the exact
+    Frobenius norm of A reaches 1; below 1 it bounds the spectral norm and
+    so certifies that every l2 step contracts by at least that factor.
 
     The l2 step is a fixed-order numpy reduction, not a BLAS dot (whose
     summation order follows the BLAS thread count), so the trace and the
@@ -505,8 +539,7 @@ def solve_K(config: KernelConfig, grid: Grid, force: bool = False,
     """
     kf = build_F(config, grid)
     base_field = midpoint_pair_field(config, grid)
-    est = estimate_A_norm(kf.F, config, grid, probes=probes,
-                          seed=seed) if config.p_total > 0 else 0.0
+    est = estimate_A_norm(config, grid)
     if est >= 1.0 and not force:
         raise ValueError(
             f"operator norm estimate {est:.4f} >= 1: Picard iteration "

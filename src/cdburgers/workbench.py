@@ -365,7 +365,7 @@ class SolutionField:
 
 def assemble_u(atoms, measure: AtomicRandomMeasure, grid: Grid,
                spec: SobolevBurgersSpec, w0, *, r_inf=None, max_iter=40,
-               tol=1e-10, force=False, probes: int = 16) -> SolutionField:
+               tol=1e-10, force=False) -> SolutionField:
     """Solve the temporal and kernel factors for every atom and bundle the
     assembled random field."""
     atoms = tuple(atoms)
@@ -397,7 +397,7 @@ def assemble_u(atoms, measure: AtomicRandomMeasure, grid: Grid,
         trajectories.append(tr)
         cfg = atom_kernel_config(point, spec, w0, r_inf=r_inf,
                                  max_iter=max_iter, tol=tol)
-        kernels.append(solve_K(cfg, grid, force=force, probes=probes))
+        kernels.append(solve_K(cfg, grid, force=force))
     return SolutionField(spec=spec, grid=grid, atoms=atoms,
                          params=tuple(params), measure=measure,
                          trajectories=tuple(trajectories),
@@ -642,7 +642,7 @@ _STUDY_KEYS = ("linear", "pair", "expectation", "diagonal_mean",
 def refinement_study(spec: SobolevBurgersSpec, lam_prime, levels, w0, *,
                      collar: float, t_collar: float | None = None,
                      seed: int = 0, tol: float = 1e-10,
-                     samples: int = 0, probes: int = 16) -> list:
+                     samples: int = 0) -> list:
     """Assemble a single-atom solution on a ladder of (count, t_count)
     grids and tabulate the residual suite on a fixed physical window.
 
@@ -655,8 +655,7 @@ def refinement_study(spec: SobolevBurgersSpec, lam_prime, levels, w0, *,
     prev = None
     for count, t_count in levels:
         grid = spec.grid(count, t_count)
-        sol = assemble_u([point], measure, grid, spec, w0, tol=tol,
-                         probes=probes)
+        sol = assemble_u([point], measure, grid, spec, w0, tol=tol)
         res = residual_suite(sol, collar=collar, t_collar=t_collar)
         row = {"count": count, "t_count": t_count, **res}
         mom = moment_identity(sol, samples=samples)

@@ -28,7 +28,6 @@ from cdburgers.calculus import (
 from cdburgers.kernel import (
     KernelConfig,
     admissible_kappa,
-    build_F,
     characteristic_lhs,
     estimate_A_norm,
     midpoint_pair_field,
@@ -308,7 +307,7 @@ def test_4_kernel_solver():
     g = Grid.box(1, -0.5, 3.0, 8)
     ref = KernelConfig(a=(1.0, 0.0, -1.0), p=(0.35, 0.0), kappa=(-2.0,),
                        w0=(0.0,))
-    est = estimate_A_norm(build_F(ref, g).F, ref, g, probes=32)
+    est = estimate_A_norm(ref, g)
     cfg = KernelConfig(a=(1.0, 0.0, -1.0), p=(0.35 * 0.5 / est, 0.0),
                        kappa=(-2.0,), w0=(0.0,))
     kf = solve_K(cfg, g)
@@ -468,7 +467,7 @@ def test_6_random_measure_identities():
     grid = BURGERS.grid(11, 7)
     one = [SpectralPoint.matched(BURGERS, (1.0, -0.5))]
     m1 = measure_for_atoms(one, BURGERS, (1.0,), seed=0)
-    sol1 = assemble_u(one, m1, grid, BURGERS, (0.0, 0.0), probes=4)
+    sol1 = assemble_u(one, m1, grid, BURGERS, (0.0, 0.0))
     mom1 = moment_identity(sol1, samples=100000)
     _check(failures, mom1["structure_gap"] == 0.0,
            "single-atom second-moment structure is not exact")
@@ -477,7 +476,7 @@ def test_6_random_measure_identities():
     two = [SpectralPoint.matched(BURGERS, (1.0, -0.5)),
            SpectralPoint.matched(BURGERS, (1.0, -1.0))]
     m2 = measure_for_atoms(two, BURGERS, (0.25, 0.75), seed=0)
-    sol2 = assemble_u(two, m2, grid, BURGERS, (0.0, 0.0), probes=4)
+    sol2 = assemble_u(two, m2, grid, BURGERS, (0.0, 0.0))
     mom2 = moment_identity(sol2, samples=100000)
     _check(failures, mom2["structure_ok"],
            "mixture second-moment structure beyond rearrangement error")
@@ -493,7 +492,7 @@ def test_7_end_to_end_refinement_study():
     failures = []
     rows = refinement_study(BURGERS, (1.0, -0.5),
                             [(21, 9), (31, 13), (41, 17)], (0.0, 0.0),
-                            collar=2.0, t_collar=0.25, probes=8, seed=0)
+                            collar=2.0, t_collar=0.25, seed=0)
     hs = [row["h"] for row in rows]
     for i in (1, 2):
         order = _order(rows[i - 1]["linear"], rows[i]["linear"],

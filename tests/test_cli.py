@@ -138,6 +138,11 @@ def test_kernel_divergence_exits_two(tmp_path, capsys):
     assert cli_run(["kernel", "--config", path,
                     "--out", str(tmp_path)]) == 2
     assert "numerical failure" in capsys.readouterr().err
+    # the failure still leaves its trace, and no solved kernel
+    rows = (tmp_path / "kernel_trace.csv").read_text().splitlines()
+    assert rows[0] == "iter,diff,diff_l2,ratio,ratio_l2"
+    assert len(rows) >= 2
+    assert not (tmp_path / "K.cdgf").exists()
 
 
 def test_kernel_refuses_noncontractive_weight(tmp_path, capsys):
@@ -242,3 +247,12 @@ def test_module_invocation_round_trip(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert (out / "trajectory.csv").exists()
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    # only the translate stage needs sympy; it imports it on first use
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import cdburgers.cli, sys; assert 'sympy' not in sys.modules"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

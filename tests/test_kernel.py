@@ -351,14 +351,15 @@ def test_quaternion_variant_overlaps_complex_routes():
 
 
 def _dense_operator(cfg, g):
-    F = build_F(cfg, g).F
-    m = int(np.prod(g.shape("xy")))
+    lev = None if cfg.scalar_closed() else cfg.level
+    shape = g.shape("xy", lev)
+    m = int(np.prod(shape))
     M = np.zeros((m, m), dtype=complex)
     for k in range(m):
         e = np.zeros(m, dtype=complex)
         e[k] = 1.0
-        col = apply_A(GridField(g, "xy", e.reshape(g.shape("xy"))), F, cfg,
-                      g).values
+        col = apply_A(GridField(g, "xy", e.reshape(shape), level=lev), None,
+                      cfg, g).values
         M[:, k] = col.ravel()
     return M
 
@@ -367,7 +368,7 @@ def test_norm_estimate_vanishes_without_coupling():
     cfg = KernelConfig(a=(1.0, 0.0, -1.0), p=(0.0, 0.0), kappa=(-2.0,),
                        w0=(0.0,))
     g = Grid.box(1, -0.5, 3.0, 8)
-    assert estimate_A_norm(build_F(cfg, g).F, cfg, g) == 0.0
+    assert estimate_A_norm(cfg, g) == 0.0
 
 
 def test_norm_estimate_scales_linearly_in_the_weights():
@@ -376,18 +377,37 @@ def test_norm_estimate_scales_linearly_in_the_weights():
     for fac in (1.0, 2.0):
         cfg = KernelConfig(a=(1.0, 0.0, -1.0), p=(fac * 0.35, 0.0),
                            kappa=(-2.0,), w0=(0.0,))
-        vals.append(estimate_A_norm(build_F(cfg, g).F, cfg, g, probes=16))
+        vals.append(estimate_A_norm(cfg, g))
     assert vals[1] == pytest.approx(2.0 * vals[0], rel=1e-12)
 
 
-def test_norm_estimate_matches_dense_frobenius_norm():
-    cfg = KernelConfig(a=(1.0, 0.0, -1.0), p=(0.35, 0.0), kappa=(-2.0,),
-                       w0=(0.0,))
-    g = Grid.box(1, -0.5, 3.0, 8)
+_QP = ((0.3, 0.1, -0.2, 0.05), (0.1, 0.0, 0.2, -0.1))
+_N1 = dict(a=(1.0, 0.0, -1.0), kappa=(-2.0,), w0=(0.0,))
+_N2 = dict(a=(1.0, 0.0, -1.0), kappa=(-0.5, -2.0), w0=(0.0, 0.0))
+
+
+_G1 = Grid.box(1, -0.5, 3.0, 8)
+_G2 = Grid.box(2, -0.5, 1.5, 5)
+
+
+@pytest.mark.parametrize("kw, g", [
+    (dict(p=(0.35, 0.0)), _G1),
+    (dict(p=(0.35, 0.0), r_inf=1.3), _G1),
+    (dict(p=(0.35, 0.2)), _G1),
+    (dict(p=_QP, variant="quaternion"), _G1),
+    (dict(p=(0.35, 0.0)), _G2),
+    (dict(p=(0.35, 0.2), r_inf=1.3), _G2),
+    (dict(p=_QP, variant="quaternion"), _G2),
+    # a count equal to 2^level, the algebra dimension
+    (dict(p=(0.35, 0.2)), Grid.box(1, -0.5, 1.0, 4)),
+], ids=["scalar", "r_inf", "p2", "quaternion", "n2-tail-axis1",
+        "n2-p2-r_inf", "n2-quaternion", "count4"])
+def test_norm_estimate_matches_dense_frobenius_norm(kw, g):
+    cfg = KernelConfig(**kw, **(_N1 if g.n == 1 else _N2))
     M = _dense_operator(cfg, g)
     fro = np.linalg.norm(M, "fro")
-    est = estimate_A_norm(build_F(cfg, g).F, cfg, g, probes=64, seed=0)
-    assert abs(est - fro) / fro < 0.05
+    est = estimate_A_norm(cfg, g)
+    assert abs(est - fro) / fro < 1e-12
     # the estimate must dominate the spectral norm, which is what bounds
     # every Picard step ratio
     assert est >= np.linalg.norm(M, 2) * (1.0 - 1e-9)
@@ -407,10 +427,20 @@ def test_solver_returns_f_without_coupling():
     assert kf.report["norm_estimate"] == 0.0
 
 
-def _half_contraction_config(g, probes=32):
+def test_solver_converges_when_the_count_equals_the_algebra_dimension():
+    cfg = KernelConfig(a=(1.0, 0.0, -1.0), p=(0.2, 0.0), kappa=(-2.0,),
+                       w0=(0.0,))
+    g = Grid.box(1, -0.5, 1.0, 4)
+    assert g.counts[0] == 1 << cfg.level
+    kf = solve_K(cfg, g)
+    assert kf.report["converged"]
+    assert 0.0 < kf.report["norm_estimate"] < 1.0
+
+
+def _half_contraction_config(g):
     ref = KernelConfig(a=(1.0, 0.0, -1.0), p=(0.35, 0.0), kappa=(-2.0,),
                        w0=(0.0,))
-    est = estimate_A_norm(build_F(ref, g).F, ref, g, probes=probes)
+    est = estimate_A_norm(ref, g)
     return KernelConfig(a=(1.0, 0.0, -1.0), p=(0.35 * 0.5 / est, 0.0),
                         kappa=(-2.0,), w0=(0.0,))
 

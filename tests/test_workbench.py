@@ -341,7 +341,7 @@ def single_atom():
     point = SpectralPoint.matched(_SPEC, (1.0, -0.5))
     measure = measure_for_atoms([point], _SPEC, (1.0,))
     grid = _SPEC.grid(21, 9)
-    sol = assemble_u([point], measure, grid, _SPEC, _W0, probes=8)
+    sol = assemble_u([point], measure, grid, _SPEC, _W0)
     return sol
 
 
@@ -351,7 +351,7 @@ def two_atoms():
     a1 = SpectralPoint.matched(_SPEC, (1.0, -1.0))
     measure = measure_for_atoms([a0, a1], _SPEC, (0.25, 0.75), seed=5)
     grid = _SPEC.grid(11, 7)
-    sol = assemble_u([a0, a1], measure, grid, _SPEC, _W0, probes=4)
+    sol = assemble_u([a0, a1], measure, grid, _SPEC, _W0)
     return sol
 
 
@@ -487,7 +487,7 @@ def test_pair_residual_agrees_with_kernel_route(single_atom):
 
 def test_refinement_study_repeated_level_is_deterministic():
     rows = refinement_study(_SPEC, (1.0, -0.5), [(21, 9), (21, 9)], _W0,
-                            collar=2.0, t_collar=0.25, probes=4)
+                            collar=2.0, t_collar=0.25)
     assert len(rows) == 2
     first, second = rows
     for key in ("linear", "pair", "expectation", "diagonal_mean",
