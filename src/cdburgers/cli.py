@@ -87,7 +87,6 @@ from .workbench import (
     measure_for_atoms,
     moment_identity,
     refinement_study,
-    residual_suite,
     study_csv,
 )
 

@@ -33,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 import sympy as sp
 
-from .algebra import MAX_LEVEL, CdElement, ComplexCdElement, EmbeddingMap, \
-    conj_coeffs, _mul_tables
+from .algebra import MAX_LEVEL, EmbeddingMap, conj_coeffs, _mul_tables
 from .calculus import GridField, diff_axis
 from .pdelang import (
     Add,

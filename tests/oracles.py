@@ -2,9 +2,11 @@
 
 These are deliberately written in the most literal style possible (recursive
 pairs, no tables, no vectorization) so they can serve as oracles for the
-optimized library code.  The one exception is the reference inner tail,
-which keeps the product F(z, v) K(w, z) whole on its full broadcast grid
-instead of factoring F.
+optimized library code.  Two references instead keep a library
+computation in its unreduced form: the reference inner tail keeps the
+product F(z, v) K(w, z) whole on its full broadcast grid instead of
+factoring F, and the reference expectation residual rebuilds the full
+pair fields and applies the operators once per time row.
 """
 
 from __future__ import annotations
@@ -13,7 +15,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from cdburgers.calculus import segment_integral
+from cdburgers.calculus import (
+    DiracSpec,
+    GridField,
+    dirac_apply,
+    segment_integral,
+)
+from cdburgers.kernel import _diagonal_pair, s2a_apply
+from cdburgers.workbench import _q_time_apply
 
 
 class PairNumber:
@@ -174,3 +183,50 @@ def reference_inner_tail(kvals, config, grid):
     edge = np.max(np.abs(fk[(slice(None),) * n + (m - 1,)]))
     bound = abs(scale) * edge / (-0.5 * config.kappa[a])
     return out, float(bound)
+
+
+def reference_expectation_residual(sol, margin, t_rows):
+    """Max norm over the diagonal window of the expectation residual
+
+        E{ Q(d/dt) S_0 u + gamma pi_1 (sigma_x + sigma_y)(u^2)
+           + sigma u^2 } |_{x=y},
+
+    one time row at a time: the pair fields sum_j xi_j p_j Q(d/dt)phi_j(t)
+    S_0 K_j and sum_j xi_j^2 p_j phi_j(t)^2 K_j^2 are formed on all of V^2,
+    sigma_x + sigma_y is applied to the second, and only then is the
+    diagonal window taken.
+    """
+    spec = sol.spec
+    grid = sol.grid
+    n = grid.n
+    dirac = DiracSpec.standard(n, spec.level)
+    base_a = (-1.0, -spec.alpha, spec.beta)
+
+    s0k = []
+    qphi = []
+    k2 = []
+    for j in range(sol.size):
+        s0k.append(s2a_apply(sol.kernels[j].K, dirac, base_a).values)
+        qphi.append(_q_time_apply(sol._phi[j], grid.tau, spec.c))
+        k2.append(sol.kernels[j].K.values * sol.kernels[j].K.values)
+
+    worst = 0.0
+    for ti in range(t_rows, grid.t_count - t_rows):
+        acc = None
+        for j in range(sol.size):
+            w = (sol.measure.xi[j] * sol.measure.p[j]) * qphi[j][ti]
+            term = w * s0k[j]
+            acc = term if acc is None else acc + term
+        w2 = None
+        for j in range(sol.size):
+            cj = (sol.measure.xi[j] ** 2 * sol.measure.p[j]
+                  * sol._phi[j][ti] ** 2)
+            term = cj * k2[j]
+            w2 = term if w2 is None else w2 + term
+        w2f = GridField(grid, "xy", w2)
+        sig = (dirac_apply(w2f, dirac, slot="x").values
+               + dirac_apply(w2f, dirac, slot="y").values)
+        acc[..., 0] += spec.gamma * sig[..., 1] + spec.varsigma * w2
+        diag = _diagonal_pair(acc, n, margin, grid.counts)
+        worst = max(worst, float(np.max(np.abs(diag))))
+    return worst

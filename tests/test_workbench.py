@@ -10,6 +10,9 @@ import numpy as np
 import pytest
 import sympy as sp
 
+import cdburgers.calculus
+import cdburgers.kernel
+import cdburgers.workbench
 from cdburgers.calculus import Grid
 from cdburgers.kernel import admissible_kappa, aux_residual
 from cdburgers.randmeasure import expectation, sample_H
@@ -27,6 +30,8 @@ from cdburgers.workbench import (
     residual_suite,
     study_csv,
 )
+from cdburgers.workbench import _expectation_residual
+from oracles import reference_expectation_residual
 
 
 # -- symbolic oracle for the diagonal-restriction scaling chain ----------------
@@ -472,6 +477,43 @@ def test_residual_suite_values(single_atom):
     # the coupling scale, so both diagonal residuals must be close
     assert res["diagonal_expect"] == pytest.approx(res["diagonal_mean"],
                                                    rel=1e-6)
+
+
+@pytest.mark.parametrize("fixture, margin, t_rows", [
+    ("single_atom", 8, 2),
+    ("two_atoms", 2, 2),
+])
+def test_expectation_residual_matches_per_row_reference(request, fixture,
+                                                        margin, t_rows):
+    sol = request.getfixturevalue(fixture)
+    want = reference_expectation_residual(sol, margin, t_rows)
+    got = _expectation_residual(sol, margin, t_rows)
+    assert want > 0.0
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_residual_suite_dirac_calls_do_not_grow_with_time_rows(
+        single_atom, monkeypatch):
+    point = single_atom.atoms[0]
+    longer = assemble_u([point], single_atom.measure, _SPEC.grid(21, 13),
+                        _SPEC, _W0)
+    calls = []
+    original = cdburgers.calculus.dirac_apply
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (cdburgers.calculus, cdburgers.kernel,
+                   cdburgers.workbench):
+        monkeypatch.setattr(module, "dirac_apply", counted)
+    counts = []
+    for sol in (single_atom, longer):
+        calls.clear()
+        residual_suite(sol)
+        counts.append(len(calls))
+    assert counts[0] > 0
+    assert counts[0] == counts[1]
 
 
 def test_pair_residual_agrees_with_kernel_route(single_atom):
