@@ -185,11 +185,6 @@ class GridField:
     def copy(self) -> "GridField":
         return GridField(self.grid, self.arity, self.values.copy(), self.level)
 
-    def component(self, j: int) -> "GridField":
-        if not self.is_algebra_valued:
-            raise ValueError("scalar field has no basis components")
-        return GridField(self.grid, self.arity, self.values[..., j])
-
     def as_algebra(self, level: int) -> "GridField":
         """View a scalar field as algebra-valued (coefficient on i_0)."""
         if self.is_algebra_valued:
@@ -372,9 +367,7 @@ def dirac_apply(f: GridField, spec: DiracSpec, slot: str = "x") -> GridField:
     promoted to its i_0 component first).
     """
     axes = f._spatial_axes(slot)
-    g = f.as_algebra(spec.level) if not f.is_algebra_valued else f
-    if g.level != spec.level:
-        raise ValueError("field level does not match DiracSpec level")
+    g = f.as_algebra(spec.level)
     h = f.grid.spacings
     out = np.zeros_like(g.values)
     for j in spec.active:

@@ -48,6 +48,7 @@ from .calculus import (
     GridField,
     cumulative_integral,
     dirac_apply,
+    _d1,
     _segment_factor,
 )
 
@@ -71,7 +72,7 @@ __all__ = [
     "prefix_line_integrals",
 ]
 
-# S_{2,a} stacks four Dirac applications per slot; its stencil reaches 8
+# S_{2,a} stacks four first differences per axis; its stencil reaches 8
 # cells, which dominates every other operator in this module.
 S2_REACH = 8
 
@@ -254,23 +255,38 @@ def midpoint_pair_field(config: KernelConfig, grid: Grid) -> GridField:
 # ---------------------------------------------------------------------------
 
 
+def _sigma_sq(f: GridField, spec: DiracSpec, slot: str) -> np.ndarray:
+    """sigma_slot^2 f = -sum_j psi_j^2 D_j D_j f, coefficient by coefficient.
+
+    Generators square to -1 and anticommute, and i_j (i_k u) + i_k (i_j u)
+    = (i_j i_k + i_k i_j) u in an alternative algebra, so the mixed terms
+    cancel: on scalar fields at any level and on algebra-valued ones up to
+    level 3 (octonions), with no active real unit; elsewhere ValueError.  D
+    is dirac_apply's stencil, in its operation order; values keep f's shape.
+    """
+    if (f.is_algebra_valued and f.level > 3) or 0 in spec.active:
+        raise ValueError("sigma^2 identity needs level <= 3, no real unit")
+    axes, h = f._spatial_axes(slot), f.grid.spacings
+    out = np.zeros_like(f.values)
+    for j in spec.active:
+        a, psi = spec.axis_for_basis(j, f.grid.n), spec.weights[j]
+        out -= _d1(_d1(f.values, axes[a], h[a]) * psi, axes[a], h[a]) * psi
+    return out
+
+
 def s1_apply(f: GridField, spec: DiracSpec) -> GridField:
     """S_1 f = sigma_x^2 f - sigma_y^2 f on a pair field."""
-    sx = dirac_apply(dirac_apply(f, spec, slot="x"), spec, slot="x")
-    sy = dirac_apply(dirac_apply(f, spec, slot="y"), spec, slot="y")
-    return GridField(f.grid, f.arity, sx.values - sy.values, level=sx.level)
+    vals = _sigma_sq(f, spec, "x") - _sigma_sq(f, spec, "y")
+    return GridField(f.grid, f.arity, vals, f.level).as_algebra(spec.level)
 
 
 def s2a_apply(f: GridField, spec: DiracSpec, a) -> GridField:
     """S_{2,a} f = a_1 (sigma_x^2 + sigma_y^2)^2 f + a_2 (...) f + a_3 f."""
-    sx = dirac_apply(dirac_apply(f, spec, slot="x"), spec, slot="x")
-    sy = dirac_apply(dirac_apply(f, spec, slot="y"), spec, slot="y")
-    s = GridField(f.grid, f.arity, sx.values + sy.values, level=sx.level)
-    sx2 = dirac_apply(dirac_apply(s, spec, slot="x"), spec, slot="x")
-    sy2 = dirac_apply(dirac_apply(s, spec, slot="y"), spec, slot="y")
-    base = f.as_algebra(spec.level).values
-    vals = a[0] * (sx2.values + sy2.values) + a[1] * s.values + a[2] * base
-    return GridField(f.grid, f.arity, vals, level=spec.level)
+    s = GridField(f.grid, f.arity,
+                  _sigma_sq(f, spec, "x") + _sigma_sq(f, spec, "y"), f.level)
+    s2 = _sigma_sq(s, spec, "x") + _sigma_sq(s, spec, "y")
+    vals = a[0] * s2 + a[1] * s.values + a[2] * f.values
+    return GridField(f.grid, f.arity, vals, f.level).as_algebra(spec.level)
 
 
 # ---------------------------------------------------------------------------
@@ -621,23 +637,14 @@ def _scalar_weight(q_j) -> complex:
 def _lhs_field(K: GridField, config: KernelConfig) -> np.ndarray:
     """The auxiliary-equation left side on V^2, as algebra coefficients:
     S_{2,a} v + q_1 pi_1 (sigma_x + sigma_y)(v^2) + q_2 v^2."""
-    spec = config.dirac_spec()
-    q1, q2 = config.q
-    if K.is_algebra_valued:
-        v2 = mul_coeffs(K.values, K.values, config.level)
-        v2f = GridField(K.grid, "xy", v2, level=config.level)
-    else:
-        v2 = K.values * K.values
-        v2f = GridField(K.grid, "xy", v2)
-    s2 = s2a_apply(K, spec, config.a).values
+    spec, level = config.dirac_spec(), config.level
+    v = K.as_algebra(level).values
+    v2f = GridField(K.grid, "xy", mul_coeffs(v, v, level), level=level)
+    out = s2a_apply(K, spec, config.a).values
     sig = (dirac_apply(v2f, spec, slot="x").values
            + dirac_apply(v2f, spec, slot="y").values)
-    out = s2.copy()
-    out[..., 0] += _scalar_weight(q1) * sig[..., 1]
-    if K.is_algebra_valued:
-        out += mul_coeffs(v2, _p_coeffs(q2, config.level), config.level)
-    else:
-        out[..., 0] += _scalar_weight(q2) * v2
+    out[..., 0] += _scalar_weight(config.q[0]) * sig[..., 1]
+    out += mul_coeffs(v2f.values, _p_coeffs(config.q[1], level), level)
     return out
 
 

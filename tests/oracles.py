@@ -2,11 +2,13 @@
 
 These are deliberately written in the most literal style possible (recursive
 pairs, no tables, no vectorization) so they can serve as oracles for the
-optimized library code.  Two references instead keep a library
+optimized library code.  The other references instead keep a library
 computation in its unreduced form: the reference inner tail keeps the
 product F(z, v) K(w, z) whole on its full broadcast grid instead of
-factoring F, and the reference expectation residual rebuilds the full
-pair fields and applies the operators once per time row.
+factoring F, the reference expectation residual rebuilds the full pair
+fields and applies the operators once per time row, and the reference
+S_1 and S_{2,a} compose Dirac applications instead of using the sigma^2
+identity.
 """
 
 from __future__ import annotations
@@ -230,3 +232,22 @@ def reference_expectation_residual(sol, margin, t_rows):
         diag = _diagonal_pair(acc, n, margin, grid.counts)
         worst = max(worst, float(np.max(np.abs(diag))))
     return worst
+
+
+def reference_s1_apply(f, spec):
+    """S_1 f = sigma_x^2 f - sigma_y^2 f on a pair field."""
+    sx = dirac_apply(dirac_apply(f, spec, slot="x"), spec, slot="x")
+    sy = dirac_apply(dirac_apply(f, spec, slot="y"), spec, slot="y")
+    return GridField(f.grid, f.arity, sx.values - sy.values, level=sx.level)
+
+
+def reference_s2a_apply(f, spec, a):
+    """S_{2,a} f = a_1 (sigma_x^2 + sigma_y^2)^2 f + a_2 (...) f + a_3 f."""
+    sx = dirac_apply(dirac_apply(f, spec, slot="x"), spec, slot="x")
+    sy = dirac_apply(dirac_apply(f, spec, slot="y"), spec, slot="y")
+    s = GridField(f.grid, f.arity, sx.values + sy.values, level=sx.level)
+    sx2 = dirac_apply(dirac_apply(s, spec, slot="x"), spec, slot="x")
+    sy2 = dirac_apply(dirac_apply(s, spec, slot="y"), spec, slot="y")
+    base = f.as_algebra(spec.level).values
+    vals = a[0] * (sx2.values + sy2.values) + a[1] * s.values + a[2] * base
+    return GridField(f.grid, f.arity, vals, level=spec.level)

@@ -34,7 +34,12 @@ from cdburgers.kernel import (
     s2a_apply,
     solve_K,
 )
-from oracles import reference_inner_tail
+import oracles
+from oracles import (
+    reference_inner_tail,
+    reference_s1_apply,
+    reference_s2a_apply,
+)
 
 
 # -- symbolic oracle for the admissibility condition ---------------------------
@@ -196,6 +201,66 @@ def test_s2a_annihilates_admissible_midpoint_field_at_stencil_order():
     assert order >= 3.5
 
 
+# "promoted" is a scalar field viewed as algebra-valued at level 2
+@pytest.mark.parametrize("level, field_level, n", [
+    (2, None, 1), (2, None, 2), (2, "promoted", 2), (2, 2, 2), (3, 3, 3),
+], ids=["scalar-n1", "scalar-n2", "promoted-n2", "quaternion-n2",
+        "octonion-n3"])
+def test_pair_operators_match_composed_dirac_reference(level, field_level, n):
+    g = Grid.box(n, -0.5, 1.5, {1: 9, 2: 7, 3: 5}[n])
+    lev = field_level if isinstance(field_level, int) else None
+    shape = g.shape("xy", lev)
+    rng = np.random.default_rng(11)
+    f = GridField(g, "xy", rng.standard_normal(shape)
+                  + 1j * rng.standard_normal(shape), level=lev)
+    if field_level == "promoted":
+        f = f.as_algebra(2)
+    spec = DiracSpec.standard(n, level)
+    a = (1.0, -0.7, 0.3)
+    for got, want in ((s1_apply(f, spec), reference_s1_apply(f, spec)),
+                      (s2a_apply(f, spec, a),
+                       reference_s2a_apply(f, spec, a))):
+        assert got.level == want.level == level
+        err = np.max(np.abs(got.values - want.values))
+        assert err <= 1e-13 * np.max(np.abs(want.values))
+
+
+def test_pair_operators_make_no_dirac_calls(monkeypatch):
+    calls = []
+    original = cdburgers.calculus.dirac_apply
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (cdburgers.calculus, cdburgers.kernel, oracles):
+        monkeypatch.setattr(module, "dirac_apply", counted)
+    g = Grid.box(2, -0.5, 1.5, 6)
+    f = GridField.from_function(g, "xy", lambda *c: np.exp(c[0] - c[3]))
+    spec = DiracSpec.standard(2)
+    counts = []
+    for op in (s1_apply, reference_s1_apply):
+        calls.clear()
+        op(f, spec)
+        counts.append(len(calls))
+    for op in (s2a_apply, reference_s2a_apply):
+        calls.clear()
+        op(f, spec, (1.0, 0.0, -1.0))
+        counts.append(len(calls))
+    assert counts == [0, 4, 0, 8]
+
+
+def test_s2a_rejects_fields_outside_the_sigma_sq_identity():
+    g = Grid.box(1, -0.5, 1.5, 9)
+    a = (1.0, 0.0, -1.0)
+    with pytest.raises(ValueError, match="sigma\\^2 identity"):
+        s2a_apply(GridField.zeros(g, "xy", level=4),
+                  DiracSpec.standard(1, 4), a)
+    real_unit = DiracSpec(2, (1.0, 1.0, 0.0, 0.0), xi=(1, 1, 2, 3))
+    with pytest.raises(ValueError, match="sigma\\^2 identity"):
+        s2a_apply(GridField.zeros(g, "xy"), real_unit, a)
+
+
 # -- quadrature stages ---------------------------------------------------------
 
 
@@ -353,14 +418,26 @@ def test_quaternion_variant_overlaps_complex_routes():
 def _dense_operator(cfg, g):
     lev = None if cfg.scalar_closed() else cfg.level
     shape = g.shape("xy", lev)
+
+    def A(v):
+        return apply_A(GridField(g, "xy", v, level=lev), None, cfg, g).values
+
+    # A reads its input only on the paired-diagonal slice x_c = y_c of every
+    # axis c off the tail axis; the columns off it are exactly zero
+    idx = np.indices(shape)
+    read = np.ones(shape, dtype=bool)
+    for c in range(g.n):
+        if c != cfg.tail_axis:
+            read &= idx[c] == idx[g.n + c]
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert np.array_equal(A(v), A(np.where(read, v, 0.0)))
     m = int(np.prod(shape))
     M = np.zeros((m, m), dtype=complex)
-    for k in range(m):
+    for k in np.flatnonzero(read):
         e = np.zeros(m, dtype=complex)
         e[k] = 1.0
-        col = apply_A(GridField(g, "xy", e.reshape(shape), level=lev), None,
-                      cfg, g).values
-        M[:, k] = col.ravel()
+        M[:, k] = A(e.reshape(shape)).ravel()
     return M
 
 
