@@ -278,9 +278,8 @@ def _run_kernel(args) -> int:
     _write_trace(out, kf.trace)
     dump_field(kf.F, str(out / "F.cdgf"))
     print(f"wrote {out / 'F.cdgf'}")
-    if kf.K is not None:
-        dump_field(kf.K, str(out / "K.cdgf"))
-        print(f"wrote {out / 'K.cdgf'}")
+    dump_field(kf.K, str(out / "K.cdgf"))
+    print(f"wrote {out / 'K.cdgf'}")
     return 0
 
 

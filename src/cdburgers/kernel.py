@@ -14,10 +14,14 @@ its weighted terms factor through the same triple integral
 the first term being p_1 pi_1(T(x, y)) and the second p_2 times one more
 line-integral prefix of T(x, .) in the second slot, taken up to y.  In the
 quaternion variant p_1 and p_2 multiply on the right and no projection is
-taken.  Every stage is a cumulative-quadrature sweep over at most the
-N^{2n} pair nodes of an N-per-axis grid in n dimensions (the innermost one,
-with F factored, over N^{n+1} ray nodes), so no stage forms an O(N^{2n+1})
-array.
+taken.
+
+F(z, v) = f(z/2) f(v/2), f(s) = exp(kappa . s), so A K(x, y) = sum_s
+g_s(x) V_s(y): the y factors V_s, prefix sweeps of f(v/2), do not depend
+on K, and the x factors g_s are prefix sweeps of a ray table that reads K
+only on its N^n x N tail-ray slice.  So every sweep acts on N^n nodes (the
+ray stage on N^{n+1}), none on the N^{2n} pair nodes; the Picard solve
+iterates on the x factors and forms V x V arrays only elementwise.
 
 F comes from the closed family F(x, y) = exp(kappa . (x + y)/2).  Any
 function of the midpoint alone is annihilated by S_1, and membership in the
@@ -37,7 +41,7 @@ exponential decay certificate, mirroring calculus.tail_integral.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -207,7 +211,6 @@ class KernelField:
     F: GridField
     K: GridField | None
     config: KernelConfig
-    f_symmetric: bool = True
     trace: list = field(default_factory=list)
     report: dict = field(default_factory=dict)
 
@@ -309,26 +312,18 @@ def prefix_line_integrals(values: np.ndarray, grid: Grid, w0_idx, spec,
     n = grid.n
     level = spec.level
     dim = 1 << level
-    has_coeff = values.ndim > group_offset + n and values.shape[-1] == dim
-    out_shape = values.shape if has_coeff else values.shape + (dim,)
-    out = np.zeros(out_shape, dtype=np.complex128)
+    if not (values.ndim > group_offset + n and values.shape[-1] == dim):
+        values = values[..., None] * np.eye(dim)[0]  # scalars: coefficient 0
+    out = np.zeros(values.shape, dtype=np.complex128)
     for c in range(n):
         ax = group_offset + c
         b, scale = _segment_factor(spec, c, n)
-        cum = cumulative_integral(values, grid.spacings[c], axis=ax)
-        sel = [slice(None)] * values.ndim
-        for b2 in range(c + 1, n):
-            sel[group_offset + b2] = slice(w0_idx[b2], w0_idx[b2] + 1)
-        cum = cum[tuple(sel)]
-        base_sel = [slice(None)] * cum.ndim
-        base_sel[ax] = slice(w0_idx[c], w0_idx[c] + 1)
-        seg = (cum - cum[tuple(base_sel)]) * scale
-        if has_coeff:
-            out += np.broadcast_to(basis_mul_coeffs(b, seg, level), out_shape)
-        else:
-            contrib = np.zeros(seg.shape + (dim,), dtype=np.complex128)
-            contrib[..., b] = seg
-            out += np.broadcast_to(contrib, out_shape)
+        part = values
+        for b2 in range(c + 1, n):  # axes after c still at w0
+            part = np.take(part, [w0_idx[b2]], axis=group_offset + b2)
+        cum = cumulative_integral(part, grid.spacings[c], axis=ax)
+        seg = (cum - np.take(cum, [w0_idx[c]], axis=ax)) * scale
+        out += np.broadcast_to(basis_mul_coeffs(b, seg, level), out.shape)
     return out
 
 
@@ -352,29 +347,25 @@ def _tail_ray(config: KernelConfig, grid: Grid):
     return ix[:n] + tuple(iz), fz, starts, np.minimum(starts + cap, m - 1)
 
 
-def _inner_tail(kvals: np.ndarray, config: KernelConfig, grid: Grid):
-    """Innermost stage: I(w, v) = int_w^inf F(z, v) K(w, z) dz.
+def _inner_tail(diag: np.ndarray, config: KernelConfig, grid: Grid):
+    """Innermost stage: I(w, v) = int_w^inf F(z, v) K(w, z) dz = ray(w) f(v/2).
 
-    The ray runs along the most negative kappa axis; off that axis z equals
-    w, so K(w, z) collapses to a paired-diagonal slice.  F(z, v) =
-    exp(kappa . z/2) exp(kappa . v/2) factors, so the ray integral is taken
-    once per w and then multiplied by the v factor.  Returns the value
-    table over (w, v) with a trailing coefficient axis, plus the truncation
-    bound on the discarded tail beyond the box edge.
+    Off the tail axis z equals w, so the stage reads only `diag`, K on the
+    _tail_ray nodes (w, z(w, zeta)), coefficients last.  F(z, v) = f(z/2)
+    f(v/2) factors, so the ray integral is taken once per w and f(v/2) is
+    left to _y_factors.  Returns ray(w), coefficients last, plus the
+    truncation bound on the discarded tail beyond the box edge.
     """
     n = config.n
     a = config.tail_axis
     level = config.level
-    dim = 1 << level
     spec = config.dirac_spec()
     m = grid.counts[a]
-    has_coeff = kvals.ndim == 2 * n + 1
+    if diag.ndim == n + 1:  # a scalar K is coefficient 0
+        diag = diag[..., None] * np.eye(1 << level)[0]
 
-    # F(z, v) = f(z/2) f(v/2) with f the midpoint closed form
-    index, fz, starts, ends = _tail_ray(config, grid)
-    diag = kvals[index]
-    fv = config.f_midpoint(*np.ix_(*[0.5 * grid.axis(c) for c in range(n)]))
-    g = (fz[..., None] if has_coeff else fz) * diag
+    _, fz, starts, ends = _tail_ray(config, grid)
+    g = fz[..., None] * diag
 
     h = grid.spacings[a]
     b, scale = _segment_factor(spec, a, n)
@@ -385,38 +376,29 @@ def _inner_tail(kvals: np.ndarray, config: KernelConfig, grid: Grid):
     idx_sh[a] = m
     top = np.take_along_axis(cum, ends.reshape(idx_sh), axis=n)
     bot = np.take_along_axis(cum, starts.reshape(idx_sh), axis=n)
-    ray = np.squeeze(top - bot, axis=n) * scale
-    if has_coeff:
-        ray = basis_mul_coeffs(b, ray, level)
-    else:
-        lifted = np.zeros(ray.shape + (dim,), dtype=np.complex128)
-        lifted[..., b] = ray
-        ray = lifted
-
-    inner = ray[(slice(None),) * n + (None,) * n] * fv[..., None]
+    ray = basis_mul_coeffs(b, np.squeeze(top - bot, axis=n) * scale, level)
 
     # decay certificate measured at the outgoing edge slice; the v factor
     # is positive, so its maximum scales the edge maximum exactly
+    fv = config.f_midpoint(*np.ix_(*[0.5 * grid.axis(c) for c in range(n)]))
     rate = config.decay_rate
     cert = float(np.max(np.abs(g[(slice(None),) * n + (m - 1,)])))
     cert *= float(np.max(fv))
     bound = abs(scale) * cert / rate if rate > 0 else float("inf")
-    return inner, bound
+    return ray, bound
 
 
-def _weigh(T: np.ndarray, Q, config: KernelConfig, scalar_out: bool):
-    """Turn T and the optional Q sweep (None when p_2 = 0) into A K under
-    the variant's weights: p_1 pi_1(T) + p_2 Q in the complex variant,
-    right multiplication by p_1 and p_2 in the quaternion one."""
+def _weigh(T: np.ndarray, config: KernelConfig, scalar_out: bool):
+    """The p_1 term of A K from the T sweep: p_1 pi_1(T) in the complex
+    variant, right multiplication by p_1 in the quaternion one."""
     p1, level = config.p[0], config.level
+    if config.variant == "quaternion":
+        return mul_coeffs(T, _p_coeffs(p1, level), level)
     if scalar_out:
         return _scalar_weight(p1) * T[..., 1]
     out = np.zeros_like(T)
-    if _pnorm(p1) > 0 and config.variant == "complex":
-        out[..., 0] = _scalar_weight(p1) * T[..., 1]
-    elif _pnorm(p1) > 0:
-        out += mul_coeffs(T, _p_coeffs(p1, level), level)
-    return out if Q is None else out + _weigh_q(Q, config)
+    out[..., 0] = _scalar_weight(p1) * T[..., 1]
+    return out
 
 
 def _weigh_q(Q: np.ndarray, config: KernelConfig) -> np.ndarray:
@@ -426,53 +408,93 @@ def _weigh_q(Q: np.ndarray, config: KernelConfig) -> np.ndarray:
     return mul_coeffs(Q, _p_coeffs(config.p[1], config.level), config.level)
 
 
+def _y_factors(config: KernelConfig, grid: Grid) -> np.ndarray:
+    """The y factors V_s of A K = sum_s g_s(x) V_s(y), shape (r,) + counts:
+    the n y-prefix segments Y_c of f(v/2), and when p_2 != 0 the n^2
+    segments Q_{c'' c} of their second y sweep (s = n + c'' n + c)."""
+    n = config.n
+    spec = config.dirac_spec()
+    w0_idx = grid.node_index(config.w0)
+    bs = [spec.basis_for_axis(c, n) for c in range(n)]
+    fv = config.f_midpoint(*np.ix_(*[0.5 * grid.axis(c) for c in range(n)]))
+    Y = np.moveaxis(prefix_line_integrals(fv, grid, w0_idx, spec,
+                                          group_offset=0)[..., bs], -1, 0)
+    if _pnorm(config.p[1]) == 0:
+        return Y
+    Q = prefix_line_integrals(Y, grid, w0_idx, spec, group_offset=1)
+    Q = np.moveaxis(Q[..., bs], -1, 0).reshape((n * n,) + Y.shape[1:])
+    return np.concatenate([Y, Q])
+
+
+def _x_factors(diag: np.ndarray, config: KernelConfig, grid: Grid):
+    """The x factors g_s of A K = sum_s g_s(x) V_s(y), in _y_factors' order,
+    from K's ray slice `diag` (see _inner_tail), plus the tail bound.
+
+    The y sweep of ray(w) f(v/2) falls on the scalar Y_c, so T = sum_c
+    G_c(x) Y_c(y), G_c the x-prefix sweep of i_{b_c} ray; the Q sweep of
+    T(x, .) pairs Q_{c'' c} with i_{b_c''} G_c.  No factors when p = 0.
+    """
+    if min(grid.counts) < 4:
+        raise ValueError("quadrature nodes exhausted: need at least 4 nodes "
+                         "per axis")
+    if config.p_total == 0.0:
+        return [], 0.0
+    if min(config.kappa) >= 0:
+        raise ValueError("decay certificate missing: kappa has no decaying "
+                         "ray")
+    n, level = config.n, config.level
+    spec = config.dirac_spec()
+    w0_idx = grid.node_index(config.w0)
+    scalar_out = config.scalar_closed() and diag.ndim == n + 1
+    bs = [spec.basis_for_axis(c, n) for c in range(n)]
+    ray, bound = _inner_tail(diag, config, grid)
+    G = [prefix_line_integrals(basis_mul_coeffs(b, ray, level), grid,
+                               w0_idx, spec, group_offset=0) for b in bs]
+    gs = [_weigh(Gc, config, scalar_out) for Gc in G]
+    if _pnorm(config.p[1]) > 0:
+        gs += [_weigh_q(basis_mul_coeffs(b, Gc, level), config)
+               for b in bs for Gc in G]
+    return gs, bound
+
+
+def _separated(gs, V: np.ndarray, index):
+    """sum_s g_s(x) V_s(y) on the pair nodes index = (x indices, y indices),
+    elementwise in a fixed order; 0.0 when there are no factors."""
+    n = len(index) // 2
+    out = 0.0
+    for g, v in zip(gs, V):
+        vy = v[index[n:]]
+        out = out + g[index[:n]] * (vy[..., None] if g.ndim > n else vy)
+    return out
+
+
 def apply_A(K: GridField, F, config: KernelConfig, grid: Grid,
             info: dict | None = None) -> GridField:
     """One application of the integral operator to a pair field.
 
-    Returns a scalar pair field when the operator is scalar-closed (complex
-    variant with p_2 = 0) and the input is scalar, an algebra-valued one
-    otherwise.  The `info` dict, when given, receives the tail truncation
-    bound.
+    Reads K on its tail-ray slice, forms the x factors there and expands
+    sum_s g_s(x) V_s(y) on V x V.  Returns a scalar pair field when the
+    operator is scalar-closed (complex variant with p_2 = 0) and the input
+    is scalar, an algebra-valued one otherwise.  The `info` dict, when
+    given, receives the tail truncation bound.
     """
     if K.arity != "xy":
         raise ValueError("apply_A expects a pair field over V^2")
     if K.grid.counts != grid.counts or K.grid.bounds != grid.bounds:
         raise ValueError("field grid does not match")
-    if min(grid.counts) < 4:
-        raise ValueError(
-            "quadrature nodes exhausted: need at least 4 nodes per axis"
-        )
-    level = config.level
-    if K.is_algebra_valued and K.level != level:
+    if K.is_algebra_valued and K.level != config.level:
         raise ValueError("field level does not match the config")
-    n = config.n
-    p1n, p2n = _pnorm(config.p[0]), _pnorm(config.p[1])
-    scalar_out = config.scalar_closed() and not K.is_algebra_valued
-
-    if p1n == 0.0 and p2n == 0.0:
-        if info is not None:
-            info["tail_bound"] = 0.0
-        if scalar_out:
-            return GridField.zeros(grid, "xy")
-        return GridField.zeros(grid, "xy", level=level)
-    if min(config.kappa) >= 0:
-        raise ValueError(
-            "decay certificate missing: kappa has no decaying ray"
-        )
-
-    spec = config.dirac_spec()
-    w0_idx = grid.node_index(config.w0)
-    inner, bound = _inner_tail(K.values, config, grid)
+    lev = (None if config.scalar_closed() and not K.is_algebra_valued
+           else config.level)
+    gs, bound = _x_factors(K.values[_tail_ray(config, grid)[0]], config,
+                           grid)
     if info is not None:
         info["tail_bound"] = bound
-    mid = prefix_line_integrals(inner, grid, w0_idx, spec, group_offset=n)
-    T = prefix_line_integrals(mid, grid, w0_idx, spec, group_offset=0)
-
-    Q = (prefix_line_integrals(T, grid, w0_idx, spec, group_offset=n)
-         if p2n > 0 else None)
-    out = _weigh(T, Q, config, scalar_out)
-    return GridField(grid, "xy", out, level=None if scalar_out else level)
+    if not gs:
+        return GridField.zeros(grid, "xy", level=lev)
+    pairs = np.ix_(*[np.arange(k) for k in grid.counts * 2])
+    out = _separated(gs, _y_factors(config, grid), pairs)
+    return GridField(grid, "xy", out, level=lev)
 
 
 # ---------------------------------------------------------------------------
@@ -487,14 +509,15 @@ def estimate_A_norm(config: KernelConfig, grid: Grid) -> float:
     scale W(w_a, zeta) f(z/2) (W the tail-window rows of the cumulative
     rule), so R R* = D is diagonal; B is separable, A K(x, y) =
     sum_{c', s} L_{c', s}[X_{c'}[R K](x)] V_s(y), with X_{c'} the x-prefix
-    segment along axis c', V_s the y-prefix sweep of f(v/2) (and the Q
-    sweep of it when p_2 != 0), L_{c', s} the basis products and weights.
-    So ||A||_F^2 = sum Sx[c', d'] Gy[s, t] sum_k <L_{c's} e_k, L_{d't} e_k>,
-    Sx = sum_w d_w <X_{c'} delta_w, X_{d'} delta_w>, Gy the Gram matrix of
-    the V_s, k over the input slots.  The Frobenius norm dominates the
-    spectral norm and hence every l2 step ratio of the Picard iteration
-    (the operator is strongly nonnormal, so its spectral radius would
-    not), so a gate on it is a certificate.  Fixed-order numpy sums only.
+    segment along axis c', V_s the y factors of _y_factors, L_{c', s} the
+    basis products and weights.  So ||A||_F^2 =
+    sum Sx[c', d'] Gy[s, t] sum_k <L_{c's} e_k, L_{d't} e_k>, with
+    Sx = sum_w d_w <X_{c'} delta_w, X_{d'} delta_w> (X_c delta_w is a product
+    of 1-D factors, so each inner product is a product of 1-D sums), Gy the
+    Gram matrix of the V_s, k over the input slots.  The Frobenius norm
+    dominates the spectral norm and hence every l2 step ratio of the Picard
+    iteration (the operator is strongly nonnormal, so its spectral radius
+    would not), so a gate on it is a certificate.  Fixed-order numpy sums.
     """
     if config.p_total == 0.0:
         return 0.0
@@ -510,30 +533,31 @@ def estimate_A_norm(config: KernelConfig, grid: Grid) -> float:
     W = (rule[ends] - rule[starts]).reshape(
         [counts[a] if c in (a, n) else 1 for c in range(n + 1)])
     b, scale = _segment_factor(spec, a, n)
-    d = abs(scale) ** 2 * np.sum(np.abs(W * fz) ** 2, axis=n).ravel()
+    d = abs(scale) ** 2 * np.sum(np.abs(W * fz) ** 2, axis=n)
 
-    nw = d.size
-    # a unit last axis, never read as coefficients (a count may be 2^level)
-    X = prefix_line_integrals(np.eye(nw).reshape(counts + (nw, 1)), grid,
-                              w0_idx, spec, group_offset=0)
-    X = X[..., bs].reshape(nw, nw, n)
-    Sx = np.einsum("xwc,w,xwe->ce", X.conj(), d, X)
+    # X_c delta_w along axis ax as an (x_ax, w_ax) matrix: the identity
+    # for ax < c, the scaled rule rows from w0 for ax = c, and
+    # [w_ax = w0_ax] for ax > c
+    term = d
+    for ax, k in enumerate(counts):
+        R = cumulative_integral(np.eye(k), grid.spacings[ax])
+        R = _segment_factor(spec, ax, n)[1] * (R - R[w0_idx[ax]])
+        X = np.stack([np.eye(k)[[w0_idx[ax]] * k] if ax > c else
+                      R if ax == c else np.eye(k) for c in range(n)])
+        term = term * np.einsum("cxw,exw->cew", X.conj(), X).reshape(
+            (n, n) + tuple(k if j == ax else 1 for j in range(n)))
+    Sx = np.sum(term.reshape(n, n, -1), axis=2)
 
-    fv = config.f_midpoint(*np.ix_(*[0.5 * grid.axis(c) for c in range(n)]))
-    Y = np.moveaxis(prefix_line_integrals(fv, grid, w0_idx, spec,
-                                          group_offset=0)[..., bs], -1, 0)
-    V = [Y.reshape(n, -1)]
     E = np.eye(1 << level, dtype=np.complex128)[[b] if scalar_out else ...]
     U = np.stack([basis_mul_coeffs(j, E, level) for j in bs])
     U = np.stack([basis_mul_coeffs(j, U, level) for j in bs])
-    L = _weigh(U, None, config, scalar_out).reshape(n, n, len(E), -1)
+    L = _weigh(U, config, scalar_out).reshape(n, n, len(E), -1)
     if _pnorm(config.p[1]) > 0:
-        Q = prefix_line_integrals(Y, grid, w0_idx, spec, group_offset=1)
-        V.append(np.moveaxis(Q[..., bs], -1, 0).reshape(n * n, -1))
         UQ = np.stack([basis_mul_coeffs(j, U, level) for j in bs])
         LQ = np.moveaxis(_weigh_q(UQ, config), 0, 1)
         L = np.concatenate([L, LQ.reshape(n, n * n, len(E), -1)], axis=1)
-    V = np.concatenate(V)
+    V = _y_factors(config, grid)
+    V = V.reshape(len(V), -1)
     Gy = np.einsum("sy,ty->st", V.conj(), V)
     total = np.einsum("cske,dtke,cd,st->", L.conj(), L, Sx, Gy)
     return float(np.sqrt(total.real))
@@ -543,49 +567,50 @@ def solve_K(config: KernelConfig, grid: Grid,
             force: bool = False) -> KernelField:
     """Picard iteration K_0 = F, K_{m+1} = F + A K_m, to the fixed point.
 
+    Iterates on the x factors of K_m = F + sum_s g_s(x) V_s(y), reading
+    K_m on its ray slice only; the step sum_s dg_s V_s is formed
+    elementwise on V x V for the trace, the dense K once at the end.
+
     Stops when the sup-norm step falls under config.tol; raises
     PicardDivergence after three consecutive non-contracting steps in the
     grid l2 norm.  Refuses to start, unless forced, when the exact
-    Frobenius norm of A reaches 1; below 1 it bounds the spectral norm and
-    so certifies that every l2 step contracts by at least that factor.
+    Frobenius norm q of A reaches 1; below 1 it bounds the spectral norm,
+    so every l2 step contracts by q and fixed_point_bound = q / (1 - q)
+    times the last l2 step bounds the l2 distance to the fixed point.
 
     The l2 step is a fixed-order numpy reduction, not a BLAS dot (whose
     summation order follows the BLAS thread count), so the trace and the
     divergence decision do not depend on the thread count.
     """
     kf = build_F(config, grid)
-    base_field = midpoint_pair_field(config, grid)
     est = estimate_A_norm(config, grid)
     if est >= 1.0 and not force:
         raise ValueError(
             f"operator norm estimate {est:.4f} >= 1: Picard iteration "
             "is not a contraction here (pass force=True to try anyway)"
         )
-    scalar_closed = config.scalar_closed()
-    lev = None if scalar_closed else config.level
-    base = (base_field.values if scalar_closed
-            else base_field.as_algebra(config.level).values)
-    K = base.copy()
-    trace = []
-    info: dict = {}
-    prev_diff = None
-    prev_l2 = None
+    lev = None if config.scalar_closed() else config.level
+    base = midpoint_pair_field(config, grid)
+    base = (base if lev is None else base.as_algebra(lev)).values
+    ray_index = _tail_ray(config, grid)[0]
+    pairs = np.ix_(*[np.arange(k) for k in grid.counts * 2])
+    V = _y_factors(config, grid)
+    gs, trace = [], []
+    prev_diff = prev_l2 = None
     consec = 0
-    converged = False
     for it in range(config.max_iter):
-        AK = apply_A(GridField(grid, "xy", K, level=lev), kf.F, config,
-                     grid, info=info).values
-        Knew = base + AK
-        step = Knew - K
+        diag = base[ray_index] + _separated(gs, V, ray_index)
+        new, _ = _x_factors(diag, config, grid)
+        step = _separated([u - w for u, w in zip(new, gs or [0.0] * len(new))],
+                          V, pairs)
         diff = float(np.max(np.abs(step)))
         diff_l2 = float(np.sqrt(np.sum(np.abs(step) ** 2)))
         ratio = None if prev_diff in (None, 0.0) else diff / prev_diff
         ratio_l2 = None if prev_l2 in (None, 0.0) else diff_l2 / prev_l2
         trace.append({"iter": it, "diff": diff, "diff_l2": diff_l2,
                       "ratio": ratio, "ratio_l2": ratio_l2})
-        K = Knew
+        gs = new
         if diff < config.tol:
-            converged = True
             break
         consec = (consec + 1
                   if (ratio_l2 is not None and ratio_l2 >= 1.0) else 0)
@@ -595,13 +620,13 @@ def solve_K(config: KernelConfig, grid: Grid,
                 f"iterations (last diff {diff:.3e})", trace)
         prev_diff = diff
         prev_l2 = diff_l2
-    if not converged:
+    else:
         raise PicardDivergence(
             f"no convergence within {config.max_iter} iterations "
             f"(last diff {trace[-1]['diff']:.3e})", trace)
-    AK = apply_A(GridField(grid, "xy", K, level=lev), kf.F, config,
-                 grid, info=info).values
-    residual = float(np.max(np.abs(K - base - AK)))
+    K = base + _separated(gs, V, pairs)
+    AK, bound = _x_factors(K[ray_index], config, grid)
+    residual = float(np.max(np.abs(K - base - _separated(AK, V, pairs))))
     kf.K = GridField(grid, "xy", K, level=lev)
     kf.trace = trace
     kf.report = {
@@ -609,9 +634,11 @@ def solve_K(config: KernelConfig, grid: Grid,
             characteristic_lhs(config.a, config.ksq)),
         "norm_estimate": est,
         "iterations": len(trace),
-        "converged": converged,
+        "converged": True,
         "final_residual": residual,
-        "tail_bound": info.get("tail_bound", 0.0),
+        "tail_bound": bound,
+        "fixed_point_bound": (est / (1.0 - est) * trace[-1]["diff_l2"]
+                              if est < 1.0 else None),
     }
     return kf
 
@@ -748,22 +775,8 @@ def run_report(kf: KernelField, grid: Grid) -> dict:
     """JSON-ready record of one solve: config echo, gates, trace."""
     c = kf.config
     return _jsonable({
-        "config": {
-            "a": list(c.a),
-            "p": list(c.p),
-            "q": list(c.q),
-            "kappa": list(c.kappa),
-            "w0": list(c.w0),
-            "r_inf": c.r_inf,
-            "max_iter": c.max_iter,
-            "tol": c.tol,
-            "variant": c.variant,
-            "level": c.level,
-        },
-        "grid": {
-            "bounds": [list(b) for b in grid.bounds],
-            "counts": list(grid.counts),
-        },
+        "config": {**asdict(c), "q": c.q},
+        "grid": {"bounds": grid.bounds, "counts": grid.counts},
         "trace": kf.trace,
         **kf.report,
     })

@@ -57,9 +57,9 @@ from .kernel import (
     KernelConfig,
     _collar_cells,
     _diagonal_pair,
+    _sigma_sq,
     admissible_kappa,
     aux_residual,
-    midpoint_pair_field,
     s2a_apply,
     solve_K,
 )
@@ -593,11 +593,20 @@ def residual_suite(sol: SolutionField, *, collar: float | None = None,
     dirac = DiracSpec.standard(grid.n, spec.level)
     base_a = (-1.0, -spec.alpha, spec.beta)
 
-    # F depends on kappa alone, and every atom shares characteristic_kappa
-    fpair = midpoint_pair_field(sol.kernels[0].config, grid)
-    s0f = s2a_apply(fpair, dirac, base_a).values
-    win = interior_slices(s0f.shape[:-1], range(2 * grid.n), margin)
-    s_norm = float(np.max(np.abs(s0f[win + (slice(None),)])))
+    # F = f(x) f(y), f = exp(kappa . x/2) with kappa shared by every atom,
+    # so on the window S_0 F = a_1 (s2 f + 2 s s + f s2) + a_2 (s f + f s)
+    # + a_3 f f, with s = sigma^2 f and s2 = sigma^2 s
+    cfg = sol.kernels[0].config
+    f = GridField.from_function(
+        grid, "x", lambda *c: cfg.f_midpoint(*[0.5 * v for v in c]))
+    s = _sigma_sq(f, dirac, "x")
+    s2 = _sigma_sq(GridField(grid, "x", s), dirac, "x")
+    win = interior_slices(s.shape, range(grid.n), margin)
+    f, s, s2 = f.values[win], s[win], s2[win]
+    fx, sx, s2x = (u[(...,) + (None,) * grid.n] for u in (f, s, s2))
+    a1, a2, a3 = base_a
+    s_norm = float(np.max(np.abs(a1 * (s2x * f + 2 * sx * s + fx * s2)
+                                 + a2 * (sx * f + fx * s) + a3 * fx * f)))
     linear = 0.0
     pair = 0.0
     for j in range(sol.size):

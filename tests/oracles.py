@@ -6,9 +6,12 @@ optimized library code.  The other references instead keep a library
 computation in its unreduced form: the reference inner tail keeps the
 product F(z, v) K(w, z) whole on its full broadcast grid instead of
 factoring F, the reference expectation residual rebuilds the full pair
-fields and applies the operators once per time row, and the reference
+fields and applies the operators once per time row, the reference
 S_1 and S_{2,a} compose Dirac applications instead of using the sigma^2
-identity.
+identity, the reference kernel operator and Picard solve sweep dense
+pair fields over all of V x V instead of carrying separated factors, and
+the reference linear residual applies S_{2,a} to the dense midpoint pair
+field F instead of to the factors of F = f(x) f(y).
 """
 
 from __future__ import annotations
@@ -21,9 +24,18 @@ from cdburgers.calculus import (
     DiracSpec,
     GridField,
     dirac_apply,
+    interior_slices,
     segment_integral,
 )
-from cdburgers.kernel import _diagonal_pair, s2a_apply
+from cdburgers.kernel import (
+    _diagonal_pair,
+    _pnorm,
+    _weigh,
+    _weigh_q,
+    midpoint_pair_field,
+    prefix_line_integrals,
+    s2a_apply,
+)
 from cdburgers.workbench import _q_time_apply
 
 
@@ -187,6 +199,52 @@ def reference_inner_tail(kvals, config, grid):
     return out, float(bound)
 
 
+def reference_apply_A(K, config, grid, info=None):
+    """The kernel operator on dense pair fields: reference_inner_tail's
+    table over (w, v), then the line-integral prefix sweeps over all of
+    V x V, in the y slot, the x slot and (p_2 != 0) the y slot again, each
+    weighted as in the library.  `info` receives the tail bound."""
+    n, level = config.n, config.level
+    scalar_out = config.scalar_closed() and not K.is_algebra_valued
+    lev = None if scalar_out else level
+    if config.p_total == 0.0:
+        return GridField.zeros(grid, "xy", level=lev)
+    spec = config.dirac_spec()
+    w0_idx = grid.node_index(config.w0)
+    inner, bound = reference_inner_tail(K.values, config, grid)
+    if info is not None:
+        info["tail_bound"] = bound
+    mid = prefix_line_integrals(inner, grid, w0_idx, spec, group_offset=n)
+    T = prefix_line_integrals(mid, grid, w0_idx, spec, group_offset=0)
+    out = _weigh(T, config, scalar_out)
+    if _pnorm(config.p[1]) > 0:
+        out = out + _weigh_q(prefix_line_integrals(
+            T, grid, w0_idx, spec, group_offset=n), config)
+    return GridField(grid, "xy", out, level=lev)
+
+
+def reference_solve_K(config, grid):
+    """Dense Picard iteration K_0 = F, K_{m+1} = F + A K_m on all of
+    V x V with reference_apply_A, until the sup-norm step falls under
+    config.tol or max_iter runs out.  Returns K and the report entries
+    (iterations, converged, tail_bound, final_residual)."""
+    lev = None if config.scalar_closed() else config.level
+    base = midpoint_pair_field(config, grid)
+    base = (base if lev is None else base.as_algebra(lev)).values
+    K, info = base.copy(), {"tail_bound": 0.0}
+    iterations, converged = 0, False
+    while iterations < config.max_iter and not converged:
+        Knew = base + reference_apply_A(GridField(grid, "xy", K, level=lev),
+                                        config, grid, info).values
+        converged = float(np.max(np.abs(Knew - K))) < config.tol
+        K, iterations = Knew, iterations + 1
+    AK = reference_apply_A(GridField(grid, "xy", K, level=lev), config, grid,
+                           info).values
+    return K, {"iterations": iterations, "converged": converged,
+               "tail_bound": info["tail_bound"],
+               "final_residual": float(np.max(np.abs(K - base - AK)))}
+
+
 def reference_expectation_residual(sol, margin, t_rows):
     """Max norm over the diagonal window of the expectation residual
 
@@ -232,6 +290,25 @@ def reference_expectation_residual(sol, margin, t_rows):
         diag = _diagonal_pair(acc, n, margin, grid.counts)
         worst = max(worst, float(np.max(np.abs(diag))))
     return worst
+
+
+def reference_linear_residual(sol, margin, t_rows):
+    """The linear residual max_j |xi_j p_j| max_t |Q(d/dt) phi_j(t)| times
+    the window max of |S_0 F|, with S_0 = S_{2,a} at a = (-1, -alpha, beta)
+    applied to the midpoint pair field F on all of V x V."""
+    spec, grid = sol.spec, sol.grid
+    dirac = DiracSpec.standard(grid.n, spec.level)
+    fpair = midpoint_pair_field(sol.kernels[0].config, grid)
+    s0f = s2a_apply(fpair, dirac, (-1.0, -spec.alpha, spec.beta)).values
+    win = interior_slices(s0f.shape[:-1], range(2 * grid.n), margin)
+    s_norm = float(np.max(np.abs(s0f[win + (slice(None),)])))
+    linear = 0.0
+    for j in range(sol.size):
+        qphi = _q_time_apply(sol._phi[j], grid.tau, spec.c)
+        q_norm = float(np.max(np.abs(qphi[t_rows:-t_rows])))
+        weight = abs(sol.measure.xi[j] * sol.measure.p[j])
+        linear = max(linear, weight * q_norm * s_norm)
+    return linear
 
 
 def reference_s1_apply(f, spec):

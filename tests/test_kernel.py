@@ -19,6 +19,7 @@ from cdburgers.kernel import (
     KernelConfig,
     PicardDivergence,
     _inner_tail,
+    _tail_ray,
     admissible_kappa,
     apply_A,
     aux_diagnostics,
@@ -36,9 +37,11 @@ from cdburgers.kernel import (
 )
 import oracles
 from oracles import (
+    reference_apply_A,
     reference_inner_tail,
     reference_s1_apply,
     reference_s2a_apply,
+    reference_solve_K,
 )
 
 
@@ -292,7 +295,9 @@ def test_inner_tail_matches_unfactored_reference(r_inf, algebra):
     rng = np.random.default_rng(17)
     shape = g.shape("xy", 2) if algebra else g.shape("xy")
     K = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    got, bound = _inner_tail(K, cfg, g)
+    ray, bound = _inner_tail(K[_tail_ray(cfg, g)[0]], cfg, g)
+    fv = cfg.f_midpoint(*np.ix_(*[0.5 * g.axis(c) for c in range(2)]))
+    got = ray[:, :, None, None] * fv[..., None]
     want, want_bound = reference_inner_tail(K, cfg, g)
     assert got.shape == want.shape == g.shape("xy", 2)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -410,6 +415,90 @@ def test_quaternion_variant_overlaps_complex_routes():
         q2 = apply_A(K, None, KernelConfig(p=(0.0, 0.2), variant="quaternion",
                                            **base), g).values
         assert np.max(np.abs(c2 - q2)) <= 1e-10
+
+
+# -- the separated operator against the dense oracles --------------------------
+
+_QS = ((0.015, 0.005, -0.01, 0.0025), (0.005, 0.0, 0.01, -0.005))
+# admissible kappa for these grids; in 2-D the tail runs along axis 1
+_SOLVE = {1: (dict(a=(1.0, 0.0, -1.0), kappa=(-2.0,), w0=(0.0,)),
+              Grid.box(1, -0.5, 4.5, 11)),
+          2: (dict(a=(1.0, 0.0, -1.0), kappa=(-1.2, -1.6), w0=(0.0, 0.0)),
+              Grid.box(2, -0.5, 1.5, 9))}
+_PARITY = pytest.mark.parametrize("kw, n", [
+    (dict(p=(0.1, 0.0)), 1),
+    (dict(p=(0.03, 0.015)), 1),
+    (dict(p=_QS, variant="quaternion"), 1),
+    (dict(p=(0.1, 0.05), r_inf=1.3), 2),
+    (dict(p=(0.2, 0.0)), 2),
+    (dict(p=_QS, variant="quaternion"), 2),
+], ids=["scalar", "p2", "quaternion", "n2-p2-r_inf", "n2-tail-axis1",
+        "n2-quaternion"])
+
+
+@_PARITY
+def test_apply_a_matches_dense_reference(kw, n):
+    base, g = _SOLVE[n]
+    cfg = KernelConfig(**kw, **base)
+    lev = None if cfg.scalar_closed() else cfg.level
+    shape = g.shape("xy", lev)
+    rng = np.random.default_rng(23)
+    K = GridField(g, "xy", rng.standard_normal(shape)
+                  + 1j * rng.standard_normal(shape), level=lev)
+    info, want_info = {}, {}
+    got = apply_A(K, None, cfg, g, info=info)
+    want = reference_apply_A(K, cfg, g, want_info)
+    assert got.level == want.level
+    err = np.max(np.abs(got.values - want.values))
+    assert err <= 1e-13 * np.max(np.abs(want.values))
+    assert info["tail_bound"] == pytest.approx(want_info["tail_bound"],
+                                               rel=1e-13)
+
+
+@_PARITY
+def test_solver_matches_dense_picard_reference(kw, n):
+    base, g = _SOLVE[n]
+    cfg = KernelConfig(**kw, **base)
+    kf = solve_K(cfg, g)
+    K, report = reference_solve_K(cfg, g)
+    assert np.max(np.abs(kf.K.values - K)) <= 1e-13 * np.max(np.abs(K))
+    assert kf.report["iterations"] == report["iterations"]
+    assert kf.report["converged"] == report["converged"]
+    assert kf.report["tail_bound"] == pytest.approx(report["tail_bound"],
+                                                    rel=1e-13)
+
+
+@pytest.mark.parametrize("p", [(5e-6, 0.0), (5e-6, 2e-6)],
+                         ids=["p2-zero", "p2"])
+def test_solver_sweeps_no_pair_sized_array(p, monkeypatch):
+    # the solve carries A K as separated factors, so no quadrature sweep
+    # (ray stage, prefix sweeps, norm) acts on N^{2n} nodes or more
+    sizes = []
+    original = cdburgers.kernel.cumulative_integral
+
+    def recorded(values, *args, **kwargs):
+        sizes.append(values.size)
+        return original(values, *args, **kwargs)
+
+    monkeypatch.setattr(cdburgers.kernel, "cumulative_integral", recorded)
+    a = (-1.0, -1.0, 0.0)
+    cfg = KernelConfig(a=a, p=p, kappa=admissible_kappa(a, 2), w0=(0.0, 0.0))
+    kf = solve_K(cfg, Grid.box(2, -0.5, 4.5, 11))
+    assert kf.report["converged"]
+    assert sizes and max(sizes) < 11 ** 4
+
+
+@pytest.mark.parametrize("kw, n", [(dict(p=(0.1, 0.0)), 1),
+                                   (dict(p=(0.1, 0.05), r_inf=1.3), 2)],
+                         ids=["scalar", "n2-p2-r_inf"])
+def test_fixed_point_bound_covers_the_distance_to_a_tight_solve(kw, n):
+    base, g = _SOLVE[n]
+    loose = solve_K(KernelConfig(**kw, **base, tol=1e-6), g)
+    tight = solve_K(KernelConfig(**kw, **base, tol=1e-14), g)
+    bound = loose.report["fixed_point_bound"]
+    dist = np.sqrt(np.sum(np.abs(loose.K.values - tight.K.values) ** 2))
+    scale = np.sqrt(np.sum(np.abs(tight.K.values) ** 2))
+    assert 0.0 < dist <= bound + 1e-14 * scale
 
 
 # -- operator norm estimate ----------------------------------------------------
@@ -551,6 +640,7 @@ def test_solver_refuses_above_unit_estimate_unless_forced():
     kf = solve_K(cfg, g, force=True)
     assert kf.report["converged"]
     assert kf.report["final_residual"] <= 10.0 * cfg.tol
+    assert kf.report["fixed_point_bound"] is None
 
 
 def test_solver_divergence_carries_the_trace():

@@ -31,7 +31,7 @@ from cdburgers.workbench import (
     study_csv,
 )
 from cdburgers.workbench import _expectation_residual
-from oracles import reference_expectation_residual
+from oracles import reference_expectation_residual, reference_linear_residual
 
 
 # -- symbolic oracle for the diagonal-restriction scaling chain ----------------
@@ -490,6 +490,22 @@ def test_expectation_residual_matches_per_row_reference(request, fixture,
     got = _expectation_residual(sol, margin, t_rows)
     assert want > 0.0
     assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("atoms", [1, 2])
+def test_linear_residual_matches_dense_s0f_reference(single_atom, atoms):
+    # the suite forms S_0 F from the factors of F = f(x) f(y); the reference
+    # applies S_{2,a} to the dense midpoint pair field on all of V x V
+    sol = single_atom
+    if atoms == 2:
+        points = [SpectralPoint.matched(_SPEC, lam)
+                  for lam in ((1.0, -0.5), (1.0, -1.0))]
+        measure = measure_for_atoms(points, _SPEC, (0.25, 0.75), seed=5)
+        sol = assemble_u(points, measure, _SPEC.grid(21, 9), _SPEC, _W0)
+    res = residual_suite(sol, collar=2.0, t_collar=0.25)
+    want = reference_linear_residual(sol, res["collar_cells"], res["t_rows"])
+    assert want > 0.0
+    assert abs(res["linear"] - want) <= 1e-8 * want
 
 
 def test_residual_suite_dirac_calls_do_not_grow_with_time_rows(
