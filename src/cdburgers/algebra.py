@@ -363,13 +363,6 @@ class EmbeddingMap:
             level = max(2, (n - 1).bit_length())
         return cls(tuple(range(n)), level)
 
-    @classmethod
-    def imaginary(cls, n: int, level: int | None = None) -> "EmbeddingMap":
-        """l_j = j, the all-imaginary embedding used by the Dirac machinery."""
-        if level is None:
-            level = max(2, n.bit_length())
-        return cls(tuple(range(1, n + 1)), level)
-
     def embed(self, x: Sequence[float]) -> CdElement:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):

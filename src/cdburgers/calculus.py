@@ -219,9 +219,6 @@ class GridField:
 # finite-difference stencils
 # ---------------------------------------------------------------------------
 
-BOUNDARY_REACH_PER_DERIVATIVE = 2
-
-
 def _moved(values: np.ndarray, axis: int):
     return np.moveaxis(values, axis, 0)
 

@@ -70,7 +70,6 @@ from .kernel import (
     run_report,
     solve_K,
 )
-from .pdelang import parse_pde
 from .randmeasure import (
     AtomicRandomMeasure,
     Partition,
@@ -223,6 +222,7 @@ def _run_translate(args) -> int:
         source = Path(cfg["source_file"]).read_text()
     else:
         raise ValueError("translate config needs 'source' or 'source_file'")
+    from .pdelang import parse_pde
     from .translate import translate_system  # sympy: only this stage
 
     program = parse_pde(source)

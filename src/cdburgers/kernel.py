@@ -21,7 +21,9 @@ g_s(x) V_s(y): the y factors V_s, prefix sweeps of f(v/2), do not depend
 on K, and the x factors g_s are prefix sweeps of a ray table that reads K
 only on its N^n x N tail-ray slice.  So every sweep acts on N^n nodes (the
 ray stage on N^{n+1}), none on the N^{2n} pair nodes; the Picard solve
-iterates on the x factors and forms V x V arrays only elementwise.
+iterates on the x factors and forms V x V arrays only elementwise.  The
+residual at x = y is evaluated from K's separated terms f(x/2) f(y/2) and
+g_s(x) V_s(y), one V factor at a time (Beylkin & Mohlenkamp, 2005).
 
 F comes from the closed family F(x, y) = exp(kappa . (x + y)/2).  Any
 function of the midpoint alone is annihilated by S_1, and membership in the
@@ -52,6 +54,7 @@ from .calculus import (
     GridField,
     cumulative_integral,
     dirac_apply,
+    interior_slices,
     _d1,
     _segment_factor,
 )
@@ -206,13 +209,15 @@ class KernelConfig:
 
 @dataclass
 class KernelField:
-    """F (midpoint samples over V) with the solved K over V^2."""
+    """F (midpoint samples over V) with the solved K over V^2, and K's
+    separated terms (u_t, v_t) on V, K = sum_t u_t(x) v_t(y)."""
 
     F: GridField
     K: GridField | None
     config: KernelConfig
     trace: list = field(default_factory=list)
     report: dict = field(default_factory=dict)
+    terms: list = field(default_factory=list)
 
 
 class PicardDivergence(RuntimeError):
@@ -240,6 +245,12 @@ def build_F(config: KernelConfig, grid: Grid) -> KernelField:
             raise ValueError("w0 must lie in the interior of V")
     F = GridField.from_function(grid, "x", config.f_midpoint)
     return KernelField(F=F, K=None, config=config)
+
+
+def _f_half(config: KernelConfig, grid: Grid) -> np.ndarray:
+    """f(x/2) = exp(kappa . x/2) on V, so F(x, y) = f(x/2) f(y/2)."""
+    n = config.n
+    return config.f_midpoint(*np.ix_(*[0.5 * grid.axis(c) for c in range(n)]))
 
 
 def midpoint_pair_field(config: KernelConfig, grid: Grid) -> GridField:
@@ -380,10 +391,9 @@ def _inner_tail(diag: np.ndarray, config: KernelConfig, grid: Grid):
 
     # decay certificate measured at the outgoing edge slice; the v factor
     # is positive, so its maximum scales the edge maximum exactly
-    fv = config.f_midpoint(*np.ix_(*[0.5 * grid.axis(c) for c in range(n)]))
     rate = config.decay_rate
     cert = float(np.max(np.abs(g[(slice(None),) * n + (m - 1,)])))
-    cert *= float(np.max(fv))
+    cert *= float(np.max(_f_half(config, grid)))
     bound = abs(scale) * cert / rate if rate > 0 else float("inf")
     return ray, bound
 
@@ -416,9 +426,9 @@ def _y_factors(config: KernelConfig, grid: Grid) -> np.ndarray:
     spec = config.dirac_spec()
     w0_idx = grid.node_index(config.w0)
     bs = [spec.basis_for_axis(c, n) for c in range(n)]
-    fv = config.f_midpoint(*np.ix_(*[0.5 * grid.axis(c) for c in range(n)]))
-    Y = np.moveaxis(prefix_line_integrals(fv, grid, w0_idx, spec,
-                                          group_offset=0)[..., bs], -1, 0)
+    Y = np.moveaxis(prefix_line_integrals(_f_half(config, grid), grid, w0_idx,
+                                          spec, group_offset=0)[..., bs],
+                    -1, 0)
     if _pnorm(config.p[1]) == 0:
         return Y
     Q = prefix_line_integrals(Y, grid, w0_idx, spec, group_offset=1)
@@ -569,7 +579,8 @@ def solve_K(config: KernelConfig, grid: Grid,
 
     Iterates on the x factors of K_m = F + sum_s g_s(x) V_s(y), reading
     K_m on its ray slice only; the step sum_s dg_s V_s is formed
-    elementwise on V x V for the trace, the dense K once at the end.
+    elementwise on V x V for the trace, the dense K once at the end, and
+    kf.terms keeps K's separated terms (f(x/2), f(y/2)), final (g_s, V_s).
 
     Stops when the sup-norm step falls under config.tol; raises
     PicardDivergence after three consecutive non-contracting steps in the
@@ -628,6 +639,8 @@ def solve_K(config: KernelConfig, grid: Grid,
     AK, bound = _x_factors(K[ray_index], config, grid)
     residual = float(np.max(np.abs(K - base - _separated(AK, V, pairs))))
     kf.K = GridField(grid, "xy", K, level=lev)
+    f = _f_half(config, grid)
+    kf.terms = [(f, f)] + list(zip(gs, V))
     kf.trace = trace
     kf.report = {
         "characteristic_residual": abs(
@@ -661,23 +674,52 @@ def _scalar_weight(q_j) -> complex:
     return complex(arr.reshape(-1)[0])
 
 
-def _lhs_field(K: GridField, config: KernelConfig) -> np.ndarray:
-    """The auxiliary-equation left side on V^2, as algebra coefficients:
-    S_{2,a} v + q_1 pi_1 (sigma_x + sigma_y)(v^2) + q_2 v^2."""
-    spec, level = config.dirac_spec(), config.level
-    v = K.as_algebra(level).values
-    v2f = GridField(K.grid, "xy", mul_coeffs(v, v, level), level=level)
-    out = s2a_apply(K, spec, config.a).values
-    sig = (dirac_apply(v2f, spec, slot="x").values
-           + dirac_apply(v2f, spec, slot="y").values)
-    out[..., 0] += _scalar_weight(config.q[0]) * sig[..., 1]
-    out += mul_coeffs(v2f.values, _p_coeffs(config.q[1], level), level)
-    return out
+def _diagonal_terms(kf: KernelField, grid: Grid, margin: int) -> tuple:
+    """K, L K, L^2 K and pi_1 (sigma_x + sigma_y)(K^2) at x = y on the
+    window, L = sigma_x^2 + sigma_y^2, from K = sum_t u_t(x) v_t(y) by
+    L (u v) = s u v + u s v, L^2 (u v) = s^2 u v + 2 s u s v + u s^2 v
+    (s = sigma^2 on V), K^2 = sum_{s,t} (u_s u_t)(x) (v_s v_t)(y) and
+    sigma_x (a(x) b(y)) = (sigma a)(x) b(y): every operator acts on V, with
+    the pair operators' stencils.  Algebra-valued factors raise ValueError.
+    """
+    n, spec = grid.n, kf.config.dirac_spec()
+    if any(np.ndim(u) > n for u, _ in kf.terms):
+        raise ValueError("the factored residual needs scalar factors")
+    win = interior_slices(grid.counts, range(n), margin)
+
+    def sq(u):
+        return _sigma_sq(GridField(grid, "x", u), spec, "x")
+
+    def sig(u):
+        return dirac_apply(GridField(grid, "x", u), spec).values[win + (1,)]
+
+    k = lk = l2k = sk2 = 0.0
+    for u, v in kf.terms:
+        su, sv = sq(u), sq(v)
+        s2u, s2v = sq(su)[win], sq(sv)[win]
+        u, v, su, sv = u[win], v[win], su[win], sv[win]
+        k = k + u * v
+        lk = lk + (su * v + u * sv)
+        l2k = l2k + (s2u * v + 2 * su * sv + u * s2v)
+    for us, vs in kf.terms:
+        for ut, vt in kf.terms:
+            uu, vv = us * ut, vs * vt
+            sk2 = sk2 + (sig(uu) * vv[win] + uu[win] * sig(vv))
+    return k, lk, l2k, sk2
+
+
+def _aux_lhs(d: tuple, a, q=(0.0, 0.0)) -> np.ndarray:
+    """S_{2,a} K + q_1 pi_1 (sigma_x + sigma_y)(K^2) + q_2 K^2 on the
+    window, from the _diagonal_terms d."""
+    k, lk, l2k, sk2 = d
+    q1, q2 = (_scalar_weight(w) for w in q)
+    return a[0] * l2k + a[1] * lk + a[2] * k + q1 * sk2 + q2 * (k * k)
 
 
 def _collar_cells(grid: Grid, collar: float | None) -> int:
     """Interior margin in cells: at least the composed stencil reach, and
-    at least ``collar`` physical units when given.
+    at least ``collar`` physical units when given; ValueError when the
+    grid leaves no node inside it.
 
     Refinement studies should pass the same ``collar`` at every level so
     the residual is compared over an identical physical window; the
@@ -687,31 +729,26 @@ def _collar_cells(grid: Grid, collar: float | None) -> int:
     if collar is not None:
         h = min(grid.spacings)
         cells = max(cells, int(np.ceil(collar / h - 1e-9)))
+    if min(grid.counts) <= 2 * cells + 1:
+        raise ValueError("grid too coarse for the fourth-order stencil: "
+                         f"need more than {2 * cells + 1} nodes per axis")
     return cells
 
 
-def aux_residual(K: GridField, F: GridField, config: KernelConfig,
-                 grid: Grid, collar: float | None = None) -> float:
+def aux_residual(kf: KernelField, grid: Grid,
+                 collar: float | None = None) -> float:
     """Max-norm of the auxiliary-equation left side on diagonal nodes.
 
-    Evaluates S_{2,a} v + q_1 pi_1 (sigma_x + sigma_y)(v^2) + q_2 v^2 at
+    Evaluates S_{2,a} K + q_1 pi_1 (sigma_x + sigma_y)(K^2) + q_2 K^2 at
     x = y, inside the stencil collar of the fourth-order operator (or a
-    wider window of ``collar`` physical units).
+    wider window of ``collar`` physical units), from kf.terms on V only.
     """
-    n = config.n
-    margin = _collar_cells(grid, collar)
-    if min(grid.counts) <= 2 * margin + 1:
-        raise ValueError(
-            "grid too coarse for the fourth-order stencil: need more than "
-            f"{2 * margin + 1} nodes per axis"
-        )
-    lhs = _lhs_field(K, config)
-    diag = _diagonal_pair(lhs, n, margin, grid.counts)
-    return float(np.max(np.abs(diag)))
+    d = _diagonal_terms(kf, grid, _collar_cells(grid, collar))
+    return float(np.max(np.abs(_aux_lhs(d, kf.config.a, kf.config.q))))
 
 
-def aux_diagnostics(K: GridField, F: GridField, config: KernelConfig,
-                    grid: Grid, collar: float | None = None) -> dict:
+def aux_diagnostics(kf: KernelField, grid: Grid,
+                    collar: float | None = None) -> dict:
     """Residual plus the first-order consistency diagnostic, whose right
     side is -2 F(x, y) K(x, x).
 
@@ -720,9 +757,10 @@ def aux_diagnostics(K: GridField, F: GridField, config: KernelConfig,
     re-evaluating the closed form at the same node coordinates.  Both
     routes feed identical floats to exp, so they agree exactly.
     """
+    config = kf.config
     n = config.n
     counts = grid.counts
-    resid = aux_residual(K, F, config, grid, collar=collar)
+    resid = aux_residual(kf, grid, collar=collar)  # K is scalar past here
 
     idx = [np.arange(c) for c in counts]
     mid_ok = None
@@ -734,12 +772,10 @@ def aux_diagnostics(K: GridField, F: GridField, config: KernelConfig,
         mid_ok = ok if mid_ok is None else (mid_ok & ok)
         mids.append((i + j) // 2)
     mids = np.broadcast_arrays(*mids)
-    lookup = F.values[tuple(mids)]
+    lookup = kf.F.values[tuple(mids)]
     formula = config.f_midpoint(*[grid.axis(c)[mids[c]] for c in range(n)])
 
-    kx = _diagonal_pair(K.values, n, 0, counts)
-    if K.is_algebra_valued:
-        kx = kx[..., 0]
+    kx = _diagonal_pair(kf.K.values, n, 0, counts)
     kx = kx.reshape(tuple(counts) + (1,) * n)
     route_lookup = -2.0 * lookup * kx
     route_formula = -2.0 * formula * kx

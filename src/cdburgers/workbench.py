@@ -46,21 +46,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import (
-    DiracSpec,
     Grid,
     GridField,
     diff_axis,
-    dirac_apply,
     interior_slices,
 )
 from .kernel import (
     KernelConfig,
     _collar_cells,
     _diagonal_pair,
+    _aux_lhs,
+    _diagonal_terms,
     _sigma_sq,
     admissible_kappa,
-    aux_residual,
-    s2a_apply,
     solve_K,
 )
 from .randmeasure import (
@@ -324,25 +322,6 @@ class SolutionField:
                                         * self.atom_diag[j])
         return out
 
-    def mean_pair(self, t_index: int) -> np.ndarray:
-        """E u(t, x, y) at one time sample, on the full pair grid."""
-        out = None
-        for j in range(self.size):
-            w = self.measure.xi[j] * self._phi[j][t_index]
-            term = self.measure.p[j] * (w * self.kernels[j].K.values)
-            out = term if out is None else out + term
-        return out
-
-    def second_pair(self, t_index: int) -> np.ndarray:
-        """E u^2(t, x, y) at one time sample, on the full pair grid."""
-        out = None
-        for j in range(self.size):
-            w = self.measure.xi[j] * self._phi[j][t_index]
-            field = w * self.kernels[j].K.values
-            term = self.measure.p[j] * (field * field)
-            out = term if out is None else out + term
-        return out
-
     def sample_node(self, real: Realizations, t_index: int,
                     node) -> np.ndarray:
         """Per-sample values of u at one diagonal node, for Monte Carlo
@@ -526,8 +505,8 @@ def _scalar_residual(mean: np.ndarray, quad: np.ndarray, sol: SolutionField,
     return float(np.max(np.abs(resid[window])))
 
 
-def _expectation_residual(sol: SolutionField, margin: int,
-                          t_rows: int) -> float:
+def _expectation_residual(sol: SolutionField, margin: int, t_rows: int,
+                          terms: list | None = None) -> float:
     """Max norm over the diagonal window of the analytic expectation of
     the doubled-variable equation:
 
@@ -537,35 +516,30 @@ def _expectation_residual(sol: SolutionField, margin: int,
     The linear term uses E c_j = xi_j p_j per atom; the quadratic terms
     use the second-moment structure E c_j^2 = xi_j^2 p_j.  Every operator
     is linear and every time weight is a scalar, so each atom's S_0 K_j,
-    (sigma_x + sigma_y)(K_j^2) and K_j^2 are formed once and cut to the
-    diagonal window; the time weights Q(d/dt) phi_j (linear term) and
-    phi_j^2 (quadratic terms) then scale them for all rows in one
-    broadcast.
+    pi_1 (sigma_x + sigma_y)(K_j^2) and K_j^2 come once on the diagonal
+    window from kernel._diagonal_terms (or the caller's per-atom `terms`);
+    the time weights Q(d/dt) phi_j and phi_j^2 then scale them for all rows
+    in one broadcast.
     """
     spec = sol.spec
     grid = sol.grid
     n = grid.n
-    dirac = DiracSpec.standard(n, spec.level)
     base_a = (-1.0, -spec.alpha, spec.beta)
     rows = slice(t_rows, grid.t_count - t_rows)
     tshape = (-1,) + (1,) * n
-
-    def diag(values):
-        return _diagonal_pair(values, n, margin, grid.counts)[None]
+    if terms is None:
+        terms = [_diagonal_terms(kf, grid, margin) for kf in sol.kernels]
 
     lin = sig = quad = 0.0
-    for j, kf in enumerate(sol.kernels):
+    for j, d in enumerate(terms):
         xi, p = sol.measure.xi[j], sol.measure.p[j]
         qphi = _q_time_apply(sol._phi[j], grid.tau, spec.c)[rows]
         w2 = (xi ** 2 * p * sol._phi[j][rows] ** 2).reshape(tshape)
-        k2 = GridField(grid, "xy", kf.K.values * kf.K.values)
-        sig_k2 = (dirac_apply(k2, dirac, slot="x").values
-                  + dirac_apply(k2, dirac, slot="y").values)
-        lin = lin + ((xi * p) * qphi).reshape(tshape + (1,)) * diag(
-            s2a_apply(kf.K, dirac, base_a).values)
-        sig = sig + w2 * diag(sig_k2[..., 1])
-        quad = quad + w2 * diag(k2.values)
-    lin[..., 0] += spec.gamma * sig + spec.varsigma * quad
+        lin = lin + ((xi * p) * qphi).reshape(tshape) * _aux_lhs(
+            d, base_a)[None]
+        sig = sig + w2 * d[3][None]
+        quad = quad + w2 * (d[0] * d[0])[None]
+    lin += spec.gamma * sig + spec.varsigma * quad
     return float(np.max(np.abs(lin)))
 
 
@@ -578,6 +552,8 @@ def residual_suite(sol: SolutionField, *, collar: float | None = None,
       condition and the product separates); F is the same for every atom.
     pair: the auxiliary pair-equation diagonal residual of each kernel.
     expectation: the doubled-variable equation in expectation, diagonal.
+      Both take each kernel's window values of K, L K, L^2 K and
+      pi_1 (sigma_x + sigma_y)(K^2) from one kernel._diagonal_terms call.
     diagonal_mean: the scalar equation with effective coefficients for the
       deterministic mean, with (E u)^2 in the nonlinear terms.
     diagonal_expect: same linear part, with E(u^2) in the nonlinear terms.
@@ -586,19 +562,16 @@ def residual_suite(sol: SolutionField, *, collar: float | None = None,
     spec = sol.spec
     margin = _collar_cells(grid, collar)
     t_rows = _t_margin_rows(grid, t_collar)
-    if min(grid.counts) <= 2 * margin + 1:
-        raise ValueError("grid too coarse for the stencil collar")
     if grid.t_count < max(5, 2 * t_rows + 1):
         raise ValueError("too few time samples for the window")
-    dirac = DiracSpec.standard(grid.n, spec.level)
+    dirac = sol.kernels[0].config.dirac_spec()
     base_a = (-1.0, -spec.alpha, spec.beta)
 
-    # F = f(x) f(y), f = exp(kappa . x/2) with kappa shared by every atom,
-    # so on the window S_0 F = a_1 (s2 f + 2 s s + f s2) + a_2 (s f + f s)
-    # + a_3 f f, with s = sigma^2 f and s2 = sigma^2 s
-    cfg = sol.kernels[0].config
-    f = GridField.from_function(
-        grid, "x", lambda *c: cfg.f_midpoint(*[0.5 * v for v in c]))
+    # F = f(x) f(y), f = exp(kappa . x/2) with kappa shared by every atom
+    # (the first separated term of every kernel), so on the window S_0 F =
+    # a_1 (s2 f + 2 s s + f s2) + a_2 (s f + f s) + a_3 f f, with
+    # s = sigma^2 f and s2 = sigma^2 s
+    f = GridField(grid, "x", sol.kernels[0].terms[0][0])
     s = _sigma_sq(f, dirac, "x")
     s2 = _sigma_sq(GridField(grid, "x", s), dirac, "x")
     win = interior_slices(s.shape, range(grid.n), margin)
@@ -609,14 +582,15 @@ def residual_suite(sol: SolutionField, *, collar: float | None = None,
                                  + a2 * (sx * f + fx * s) + a3 * fx * f)))
     linear = 0.0
     pair = 0.0
+    terms = [_diagonal_terms(kf, grid, margin) for kf in sol.kernels]
     for j in range(sol.size):
         qphi = _q_time_apply(sol._phi[j], grid.tau, spec.c)
         q_norm = float(np.max(np.abs(qphi[t_rows:-t_rows])))
         weight = abs(sol.measure.xi[j] * sol.measure.p[j])
         linear = max(linear, weight * q_norm * s_norm)
-        pair = max(pair, aux_residual(sol.kernels[j].K, sol.kernels[j].F,
-                                      sol.kernels[j].config, grid,
-                                      collar=collar))
+        cfg = sol.kernels[j].config
+        pair = max(pair, float(np.max(np.abs(_aux_lhs(terms[j], cfg.a,
+                                                      cfg.q)))))
 
     mean = sol.mean_diagonal()
     second = sol.second_moment_diagonal()
@@ -627,7 +601,7 @@ def residual_suite(sol: SolutionField, *, collar: float | None = None,
         "tau": grid.tau,
         "linear": linear,
         "pair": pair,
-        "expectation": _expectation_residual(sol, margin, t_rows),
+        "expectation": _expectation_residual(sol, margin, t_rows, terms),
         "diagonal_mean": _scalar_residual(mean, mean * mean, sol, margin,
                                           t_rows),
         "diagonal_expect": _scalar_residual(mean, second, sol, margin,

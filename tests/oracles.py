@@ -11,7 +11,10 @@ S_1 and S_{2,a} compose Dirac applications instead of using the sigma^2
 identity, the reference kernel operator and Picard solve sweep dense
 pair fields over all of V x V instead of carrying separated factors, and
 the reference linear residual applies S_{2,a} to the dense midpoint pair
-field F instead of to the factors of F = f(x) f(y).
+field F instead of to the factors of F = f(x) f(y), the reference
+auxiliary residual applies S_{2,a} and the Dirac operators to the dense,
+algebra-promoted K on all of V x V instead of to K's separated terms, and
+the reference pair moments form E u and E u^2 on all of V x V.
 """
 
 from __future__ import annotations
@@ -27,9 +30,12 @@ from cdburgers.calculus import (
     interior_slices,
     segment_integral,
 )
+from cdburgers.algebra import mul_coeffs
 from cdburgers.kernel import (
     _diagonal_pair,
+    _p_coeffs,
     _pnorm,
+    _scalar_weight,
     _weigh,
     _weigh_q,
     midpoint_pair_field,
@@ -290,6 +296,50 @@ def reference_expectation_residual(sol, margin, t_rows):
         diag = _diagonal_pair(acc, n, margin, grid.counts)
         worst = max(worst, float(np.max(np.abs(diag))))
     return worst
+
+
+def reference_lhs_field(K, config):
+    """The auxiliary-equation left side on all of V^2, as algebra
+    coefficients: S_{2,a} v + q_1 pi_1 (sigma_x + sigma_y)(v^2) + q_2 v^2,
+    with v = K promoted to the config's algebra."""
+    spec, level = config.dirac_spec(), config.level
+    v = K.as_algebra(level).values
+    v2f = GridField(K.grid, "xy", mul_coeffs(v, v, level), level=level)
+    out = s2a_apply(K, spec, config.a).values
+    sig = (dirac_apply(v2f, spec, slot="x").values
+           + dirac_apply(v2f, spec, slot="y").values)
+    out[..., 0] += _scalar_weight(config.q[0]) * sig[..., 1]
+    out += mul_coeffs(v2f.values, _p_coeffs(config.q[1], level), level)
+    return out
+
+
+def reference_aux_residual(kf, grid, margin):
+    """Max norm of reference_lhs_field on the diagonal x = y over the
+    window that drops `margin` cells at each end of every axis."""
+    lhs = reference_lhs_field(kf.K, kf.config)
+    return float(np.max(np.abs(_diagonal_pair(lhs, grid.n, margin,
+                                              grid.counts))))
+
+
+def reference_mean_pair(sol, t_index):
+    """E u(t, x, y) at one time sample, on the full pair grid."""
+    out = None
+    for j in range(sol.size):
+        w = sol.measure.xi[j] * sol._phi[j][t_index]
+        term = sol.measure.p[j] * (w * sol.kernels[j].K.values)
+        out = term if out is None else out + term
+    return out
+
+
+def reference_second_pair(sol, t_index):
+    """E u^2(t, x, y) at one time sample, on the full pair grid."""
+    out = None
+    for j in range(sol.size):
+        w = sol.measure.xi[j] * sol._phi[j][t_index]
+        field = w * sol.kernels[j].K.values
+        term = sol.measure.p[j] * (field * field)
+        out = term if out is None else out + term
+    return out
 
 
 def reference_linear_residual(sol, margin, t_rows):

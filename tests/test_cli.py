@@ -250,9 +250,11 @@ def test_module_invocation_round_trip(tmp_path):
 
 
 def test_cli_import_leaves_sympy_unloaded():
-    # only the translate stage needs sympy; it imports it on first use
+    # only the translate stage needs sympy and the PDE parser; it imports
+    # them on first use
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import cdburgers.cli, sys; assert 'sympy' not in sys.modules"],
+         "import cdburgers.cli, sys; assert 'sympy' not in sys.modules; "
+         "assert 'cdburgers.pdelang' not in sys.modules"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

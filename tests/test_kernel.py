@@ -18,6 +18,7 @@ from cdburgers.calculus import DiracSpec, Grid, GridField, interior_slices, line
 from cdburgers.kernel import (
     KernelConfig,
     PicardDivergence,
+    _collar_cells,
     _inner_tail,
     _tail_ray,
     admissible_kappa,
@@ -38,6 +39,7 @@ from cdburgers.kernel import (
 import oracles
 from oracles import (
     reference_apply_A,
+    reference_aux_residual,
     reference_inner_tail,
     reference_s1_apply,
     reference_s2a_apply,
@@ -671,8 +673,8 @@ def test_residual_is_exactly_zero_for_the_flat_configuration():
                        w0=(0.0,))
     g = Grid.box(1, -0.4, 3.4, 20)
     kf = solve_K(cfg, g)
-    assert aux_residual(kf.K, kf.F, cfg, g) == 0.0
-    diag = aux_diagnostics(kf.K, kf.F, cfg, g)
+    assert aux_residual(kf, g) == 0.0
+    diag = aux_diagnostics(kf, g)
     assert diag["first_order_rhs_gap"] == 0.0
     assert diag["first_order_rhs_max"] == 2.0
 
@@ -685,7 +687,7 @@ def test_residual_refines_at_stencil_order_without_coupling():
     for count in (20, 39):
         g = Grid.box(1, -0.4, 3.4, count)
         kf = solve_K(cfg, g)
-        resid.append(aux_residual(kf.K, kf.F, cfg, g, collar=1.6))
+        resid.append(aux_residual(kf, g, collar=1.6))
         hs.append(g.spacings[0])
     order = math.log(resid[0] / resid[1]) / math.log(hs[0] / hs[1])
     assert order >= 3.5
@@ -702,7 +704,7 @@ def test_residual_level_stabilizes_under_refinement_with_coupling():
     for count in (33, 65):
         g = Grid.box(1, -0.5, 7.5, count)
         kf = solve_K(cfg, g)
-        vals.append(aux_residual(kf.K, kf.F, cfg, g, collar=2.0))
+        vals.append(aux_residual(kf, g, collar=2.0))
     assert abs(vals[0] - vals[1]) / vals[1] < 0.05
     assert vals[1] < 0.1
 
@@ -713,7 +715,7 @@ def test_residual_rejects_grids_thinner_than_the_stencil():
     g = Grid.box(1, -0.5, 3.0, 8)
     kf = solve_K(cfg, g)
     with pytest.raises(ValueError, match="too coarse"):
-        aux_residual(kf.K, kf.F, cfg, g)
+        aux_residual(kf, g)
 
 
 def test_diagnostic_routes_agree_exactly():
@@ -721,9 +723,43 @@ def test_diagnostic_routes_agree_exactly():
                        w0=(0.0,))
     g = Grid.box(1, -0.5, 7.5, 33)
     kf = solve_K(cfg, g)
-    diag = aux_diagnostics(kf.K, kf.F, cfg, g)
+    diag = aux_diagnostics(kf, g)
     assert diag["first_order_rhs_gap"] == 0.0
     assert diag["first_order_rhs_max"] > 0.0
+
+
+@pytest.mark.parametrize("a, p, kappa, box, collar", [
+    ((1.0, 0.0, 0.0), (0.0, 0.0), (0.0,), (-0.4, 3.4, 20), None),
+    ((1.0, 0.0, -1.0), (0.04, 0.0), (-2.0,), (-0.5, 7.5, 33), 2.0),
+], ids=["flat", "coupled"])
+def test_residual_matches_dense_reference_in_one_dimension(a, p, kappa, box,
+                                                           collar):
+    # aux_residual works on K's separated terms; the reference applies the
+    # pair operators to the dense, algebra-promoted K on all of V x V
+    cfg = KernelConfig(a=a, p=p, kappa=kappa, w0=(0.0,))
+    g = Grid.box(1, *box)
+    kf = solve_K(cfg, g)
+    got = aux_residual(kf, g, collar=collar)
+    want = reference_aux_residual(kf, g, _collar_cells(g, collar))
+    if cfg.p_total == 0.0:  # the flat configuration: both exactly 0
+        assert got == want == 0.0
+    else:
+        assert want > 0.0
+        assert abs(got - want) <= 1e-8 * want
+
+
+@pytest.mark.parametrize("p, variant", [
+    ((0.01, 0.005), "complex"),
+    (((0.01, 0.0, 0.0, 0.002), 0.0), "quaternion"),
+], ids=["p2", "quaternion"])
+def test_residual_rejects_algebra_valued_factors(p, variant):
+    cfg = KernelConfig(a=(1.0, 0.0, -1.0), p=p, kappa=(-2.0,), w0=(0.0,),
+                       variant=variant)
+    g = Grid.box(1, -0.5, 7.5, 33)
+    kf = solve_K(cfg, g)
+    assert kf.K.is_algebra_valued
+    with pytest.raises(ValueError, match="scalar factors"):
+        aux_residual(kf, g)
 
 
 # -- reports -------------------------------------------------------------------
