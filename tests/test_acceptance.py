@@ -521,30 +521,34 @@ def test_8_byte_identical_artifacts(tmp_path):
     failures = []
     kernel_cfg = {
         "a": [-1.0, -1.0, 0.0], "p": [5e-06, 0.0], "w0": [0.0, 0.0],
-        "grid": {"n": 2, "lo": -0.5, "hi": 4.5, "count": 11}, "probes": 4,
+        "grid": {"n": 2, "lo": -0.5, "hi": 4.5, "count": 11},
     }
+    # p_2 != 0: the algebra-valued factors, Gram matrices and sup search
+    kernel_p2_cfg = {**kernel_cfg, "p": [5e-06, 2e-06]}
     assemble_cfg = {
         "problem": {"alpha": 1.0, "beta": 0.0, "gamma": 1e-5,
                     "varsigma": 0.0, "c": [0.0], "n": 2, "lo": -0.5,
                     "hi": 4.5, "horizon": 1.0},
         "matched": [[1.0, -0.5], [1.0, -1.0]], "p": [0.25, 0.75],
         "w0": [0.0, 0.0], "grid": {"count": 11, "t_count": 7},
-        "probes": 4, "samples": 512,
+        "samples": 512,
     }
-    kpath = tmp_path / "kernel.json"
-    apath = tmp_path / "assemble.json"
-    kpath.write_text(json.dumps(kernel_cfg))
-    apath.write_text(json.dumps(assemble_cfg))
+    stages = (("kernel", "kernel", kernel_cfg),
+              ("kernel", "kernel-p2", kernel_p2_cfg),
+              ("assemble", "assemble", assemble_cfg))
+    for _, name, cfg in stages:
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
 
     def run(outdir, threads):
         env = dict(os.environ)
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
             env[var] = str(threads)
-        for stage, cfg in (("kernel", kpath), ("assemble", apath)):
+        for stage, name, _ in stages:
             res = subprocess.run(
                 [sys.executable, "-m", "cdburgers.cli", stage,
-                 "--config", str(cfg), "--out", str(outdir / stage)],
+                 "--config", str(tmp_path / f"{name}.json"),
+                 "--out", str(outdir / name)],
                 capture_output=True, text=True, env=env)
             assert res.returncode == 0, res.stderr
 

@@ -20,7 +20,11 @@ from cdburgers.kernel import (
     PicardDivergence,
     _collar_cells,
     _inner_tail,
+    _separated,
+    _separated_norms,
     _tail_ray,
+    _x_factors,
+    _y_factors,
     admissible_kappa,
     apply_A,
     aux_diagnostics,
@@ -474,20 +478,88 @@ def test_solver_matches_dense_picard_reference(kw, n):
                          ids=["p2-zero", "p2"])
 def test_solver_sweeps_no_pair_sized_array(p, monkeypatch):
     # the solve carries A K as separated factors, so no quadrature sweep
-    # (ray stage, prefix sweeps, norm) acts on N^{2n} nodes or more
-    sizes = []
+    # (ray stage, prefix sweeps, norm) acts on N^{2n} nodes or more, and
+    # the only expansion on all of V x V is the returned K
+    sizes, shapes = [], []
     original = cdburgers.kernel.cumulative_integral
+    separated = cdburgers.kernel._separated
 
     def recorded(values, *args, **kwargs):
         sizes.append(values.size)
         return original(values, *args, **kwargs)
 
+    def expanded(gs, V, index):
+        shapes.append(np.broadcast_shapes(*(i.shape for i in index)))
+        return separated(gs, V, index)
+
     monkeypatch.setattr(cdburgers.kernel, "cumulative_integral", recorded)
+    monkeypatch.setattr(cdburgers.kernel, "_separated", expanded)
     a = (-1.0, -1.0, 0.0)
     cfg = KernelConfig(a=a, p=p, kappa=admissible_kappa(a, 2), w0=(0.0, 0.0))
     kf = solve_K(cfg, Grid.box(2, -0.5, 4.5, 11))
     assert kf.report["converged"]
     assert sizes and max(sizes) < 11 ** 4
+    assert len(shapes) > 1 and shapes.count((11,) * 4) == 1
+
+
+def _picard_steps(cfg, g):
+    """The factor steps dg_s of solve_K's iteration, until the step's sup
+    norm falls under 1e-13, with the y factors V_s."""
+    lev = None if cfg.scalar_closed() else cfg.level
+    base = midpoint_pair_field(cfg, g)
+    base = (base if lev is None else base.as_algebra(lev)).values
+    ray, V = _tail_ray(cfg, g)[0], _y_factors(cfg, g)
+    pairs = np.ix_(*[np.arange(k) for k in g.counts * 2])
+    gs, steps, sup = [], [], 1.0
+    while sup >= 1e-13:
+        new, _ = _x_factors(base[ray] + _separated(gs, V, ray), cfg, g)
+        steps.append([u - w for u, w in zip(new, gs or [0.0] * len(new))])
+        gs = new
+        sup = np.max(np.abs(_separated(steps[-1], V, pairs)))
+    return steps, V, pairs
+
+
+# the _PARITY configs on count-11 grids
+@pytest.mark.parametrize("kw, n", [
+    (dict(p=(0.1, 0.0)), 1),
+    (dict(p=(0.03, 0.015)), 1),
+    (dict(p=_QS, variant="quaternion"), 2),
+    (dict(p=(0.1, 0.05), r_inf=1.3), 2),
+], ids=["scalar", "p2", "quaternion", "n2-p2-r_inf"])
+def test_separated_norms_match_the_dense_expansion(kw, n):
+    base = _SOLVE[n][0]
+    g = Grid.box(1, -0.5, 4.5, 11) if n == 1 else Grid.box(2, -0.5, 2.0, 11)
+    steps, V, pairs = _picard_steps(KernelConfig(**kw, **base), g)
+    assert len(steps) > 2
+    for ds in (steps[0], steps[-1]):  # the first step and a late one
+        dense = _separated(ds, V, pairs)
+        sup, l2 = _separated_norms(ds, V)
+        assert sup == np.max(np.abs(dense))
+        assert l2 == pytest.approx(np.sqrt(np.sum(np.abs(dense) ** 2)),
+                                   rel=1e-12)
+    assert 0.0 < sup < 1e-13
+    no_p, _ = _x_factors(np.ones((11,) * (n + 1)),
+                         KernelConfig(p=(0.0, 0.0), **base), g)
+    assert _separated_norms(no_p, V) == (0.0, 0.0)
+
+
+def test_separated_norms_search_past_rows_whose_bound_overstates():
+    # rows 0..99 have the largest bound, but their two terms nearly cancel;
+    # the max sits in rows the first chunks do not reach
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal((11, 11)) + 1j * rng.standard_normal((11, 11))
+    V = np.stack([v, v * (1 + 1e-9)])
+    d = rng.uniform(0.5, 1.0, (2, 11, 11, 4)) + 0j
+    rows = d.reshape(2, -1)
+    rows[1, :100] = -rows[0, :100]
+    rows[:, 100:] *= 0.1
+    dense = _separated(list(d), V, np.ix_(*[np.arange(11)] * 4))
+    row_max = np.max(np.moveaxis(np.abs(dense), 4, 2).reshape(484, -1), axis=1)
+    assert np.argmax(row_max) >= 100
+    sup, l2 = _separated_norms(list(d), V)
+    assert sup == np.max(np.abs(dense))
+    assert l2 == pytest.approx(np.sqrt(np.sum(np.abs(dense) ** 2)),
+                               rel=1e-12)
 
 
 @pytest.mark.parametrize("kw, n", [(dict(p=(0.1, 0.0)), 1),
