@@ -21,9 +21,10 @@ g_s(x) V_s(y): the y factors V_s, prefix sweeps of f(v/2), do not depend
 on K, and the x factors g_s are prefix sweeps of a ray table that reads K
 only on its N^n x N tail-ray slice.  So every sweep acts on N^n nodes (the
 ray stage on N^{n+1}), none on the N^{2n} pair nodes; the Picard solve
-iterates on the x factors and forms one V x V array, the K it returns.  The
-residual at x = y is evaluated from K's separated terms f(x/2) f(y/2) and
-g_s(x) V_s(y), one V factor at a time (Beylkin & Mohlenkamp, 2005).
+iterates on the x factors and forms no V x V array: K is kept as its
+separated terms f(x/2) f(y/2) and g_s(x) V_s(y), and expanded on V x V only
+when a dump reads KernelField.K.  The residual at x = y is evaluated from
+those terms, one V factor at a time (Beylkin & Mohlenkamp, 2005).
 
 F comes from the closed family F(x, y) = exp(kappa . (x + y)/2).  Any
 function of the midpoint alone is annihilated by S_1, and membership in the
@@ -209,15 +210,30 @@ class KernelConfig:
 
 @dataclass
 class KernelField:
-    """F (midpoint samples over V) with the solved K over V^2, and K's
-    separated terms (u_t, v_t) on V, K = sum_t u_t(x) v_t(y)."""
+    """F (midpoint samples over V) and K's separated terms (u_t, v_t) on V,
+    K = sum_t u_t(x) v_t(y): (f(x/2), f(y/2)), then the solve's (g_s, V_s)."""
 
     F: GridField
-    K: GridField | None
     config: KernelConfig
     trace: list = field(default_factory=list)
     report: dict = field(default_factory=dict)
     terms: list = field(default_factory=list)
+
+    @property
+    def K(self) -> GridField:
+        """K on V x V (see _pair_values).  Allocates a V x V array on each
+        read, which only the .cdgf dumps and the tests make."""
+        grid, cfg = self.F.grid, self.config
+        pairs = np.ix_(*[np.arange(k) for k in grid.counts * 2])
+        vals = _pair_values(cfg, grid, pairs, self.terms[1:])
+        return GridField(grid, "xy", vals,
+                         None if cfg.scalar_closed() else cfg.level)
+
+    def diagonal(self) -> np.ndarray:
+        """K(x, x) on V, bit for bit the x = y entries of K.values."""
+        grid = self.F.grid
+        ix = np.ix_(*[np.arange(k) for k in grid.counts])
+        return _pair_values(self.config, grid, ix + ix, self.terms[1:])
 
 
 class PicardDivergence(RuntimeError):
@@ -244,7 +260,7 @@ def build_F(config: KernelConfig, grid: Grid) -> KernelField:
         if not (lo < c < hi):
             raise ValueError("w0 must lie in the interior of V")
     F = GridField.from_function(grid, "x", config.f_midpoint)
-    return KernelField(F=F, K=None, config=config)
+    return KernelField(F=F, config=config)
 
 
 def _f_half(config: KernelConfig, grid: Grid) -> np.ndarray:
@@ -254,14 +270,11 @@ def _f_half(config: KernelConfig, grid: Grid) -> np.ndarray:
 
 
 def midpoint_pair_field(config: KernelConfig, grid: Grid) -> GridField:
-    """F as a pair field on V^2, F(x, y) = F((x + y)/2), sampled exactly."""
-    n = config.n
-
-    def fn(*coords):
-        mids = [(coords[j] + coords[n + j]) / 2.0 for j in range(n)]
-        return config.f_midpoint(*mids)
-
-    return GridField.from_function(grid, "xy", fn)
+    """F as a pair field on V^2, F(x, y) = F((x + y)/2), sampled exactly:
+    the Picard start K_0, algebra-valued unless scalar-closed."""
+    pairs = np.ix_(*[np.arange(k) for k in grid.counts * 2])
+    return GridField(grid, "xy", _pair_values(config, grid, pairs),
+                     None if config.scalar_closed() else config.level)
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +491,18 @@ def _separated(gs, V: np.ndarray, index):
     return out
 
 
+def _pair_values(config: KernelConfig, grid: Grid, index, terms=()):
+    """K(x, y) = F((x + y)/2) + sum_s g_s(x) V_s(y) on the pair nodes
+    index = (x indices, y indices), from K's factor terms (g_s, V_s); F is
+    exact (f_midpoint), on coefficient 0 unless scalar-closed."""
+    n, ax = config.n, [grid.axis(j) for j in range(config.n)]
+    F = config.f_midpoint(*[(ax[j][index[j]] + ax[j][index[n + j]]) / 2.0
+                            for j in range(n)]).astype(np.complex128)
+    if not config.scalar_closed():
+        F = F[..., None] * np.eye(1 << config.level)[0]  # coefficient 0
+    return F + _separated([g for g, _ in terms], [v for _, v in terms], index)
+
+
 def _separated_norms(ds, V: np.ndarray):
     """Sup and l2 norms of sum_s d_s(x) V_s(y) on V x V, without forming it.
 
@@ -609,11 +634,10 @@ def solve_K(config: KernelConfig, grid: Grid,
     """Picard iteration K_0 = F, K_{m+1} = F + A K_m, to the fixed point.
 
     Iterates on the x factors of K_m = F + sum_s g_s(x) V_s(y), reading
-    K_m on its ray slice only; the dense K is formed once at the end, and
-    kf.terms keeps K's separated terms (f(x/2), f(y/2)), final (g_s, V_s).
-    The norms of the step sum_s dg_s V_s and final_residual, the sup norm
-    of sum_s (g_s - (A K)_s) V_s on the factored iterate (not on the
-    rounded dense K), come from the factors by _separated_norms.
+    K_m on its ray slice only, and forms no V x V array: kf.terms keeps
+    K's terms (f(x/2), f(y/2)), final (g_s, V_s).  The step norms and
+    final_residual, the sup norm of sum_s (g_s - (A K)_s) V_s, come from
+    the factors by _separated_norms.
 
     Stops when the sup-norm step falls under config.tol; raises
     PicardDivergence after three consecutive non-contracting steps in the
@@ -633,18 +657,14 @@ def solve_K(config: KernelConfig, grid: Grid,
             f"operator norm estimate {est:.4f} >= 1: Picard iteration "
             "is not a contraction here (pass force=True to try anyway)"
         )
-    lev = None if config.scalar_closed() else config.level
-    base = midpoint_pair_field(config, grid)
-    base = (base if lev is None else base.as_algebra(lev)).values
     ray_index = _tail_ray(config, grid)[0]
-    pairs = np.ix_(*[np.arange(k) for k in grid.counts * 2])
     V = _y_factors(config, grid)
     gs, trace = [], []
     prev_diff = prev_l2 = None
     consec = 0
     for it in range(config.max_iter):
-        diag = base[ray_index] + _separated(gs, V, ray_index)
-        new, _ = _x_factors(diag, config, grid)
+        new, _ = _x_factors(_pair_values(config, grid, ray_index,
+                                         list(zip(gs, V))), config, grid)
         diff, diff_l2 = _separated_norms(
             [u - w for u, w in zip(new, gs or [0.0] * len(new))], V)
         ratio = None if prev_diff in (None, 0.0) else diff / prev_diff
@@ -666,12 +686,12 @@ def solve_K(config: KernelConfig, grid: Grid,
         raise PicardDivergence(
             f"no convergence within {config.max_iter} iterations "
             f"(last diff {trace[-1]['diff']:.3e})", trace)
-    K = base + _separated(gs, V, pairs)
-    AK, bound = _x_factors(K[ray_index], config, grid)
+    terms = list(zip(gs, V))
+    AK, bound = _x_factors(_pair_values(config, grid, ray_index, terms),
+                           config, grid)
     residual = _separated_norms([u - w for u, w in zip(gs, AK)], V)[0]
-    kf.K = GridField(grid, "xy", K, level=lev)
     f = _f_half(config, grid)
-    kf.terms = [(f, f)] + list(zip(gs, V))
+    kf.terms = [(f, f)] + terms
     kf.trace = trace
     kf.report = {
         "characteristic_residual": abs(
@@ -692,11 +712,10 @@ def solve_K(config: KernelConfig, grid: Grid,
 # ---------------------------------------------------------------------------
 
 
-def _diagonal_pair(values: np.ndarray, n: int, margin: int,
-                   counts) -> np.ndarray:
-    """Restrict a pair field to x = y over the interior window."""
-    rs = [np.arange(margin, counts[c] - margin) for c in range(n)]
-    ix = np.ix_(*rs)
+def _diagonal_pair(values, n: int, margin: int, counts) -> np.ndarray:
+    """Restrict a dense pair field to x = y over the interior window (the
+    oracles' route; bench/spans.py counts the nodes it reads)."""
+    ix = np.ix_(*[np.arange(margin, counts[c] - margin) for c in range(n)])
     return values[ix + ix]
 
 
@@ -793,21 +812,14 @@ def aux_diagnostics(kf: KernelField, grid: Grid,
     counts = grid.counts
     resid = aux_residual(kf, grid, collar=collar)  # K is scalar past here
 
-    idx = [np.arange(c) for c in counts]
-    mid_ok = None
-    mids = []
-    for c in range(n):
-        i = idx[c].reshape([-1 if ax == c else 1 for ax in range(2 * n)])
-        j = idx[c].reshape([-1 if ax == n + c else 1 for ax in range(2 * n)])
-        ok = (i + j) % 2 == 0
-        mid_ok = ok if mid_ok is None else (mid_ok & ok)
-        mids.append((i + j) // 2)
-    mids = np.broadcast_arrays(*mids)
+    ix = np.ix_(*[np.arange(c) for c in counts * 2])
+    sums = [ix[c] + ix[n + c] for c in range(n)]
+    mid_ok = np.all(np.broadcast_arrays(*[s % 2 == 0 for s in sums]), axis=0)
+    mids = np.broadcast_arrays(*[s // 2 for s in sums])
     lookup = kf.F.values[tuple(mids)]
     formula = config.f_midpoint(*[grid.axis(c)[mids[c]] for c in range(n)])
 
-    kx = _diagonal_pair(kf.K.values, n, 0, counts)
-    kx = kx.reshape(tuple(counts) + (1,) * n)
+    kx = kf.diagonal().reshape(tuple(counts) + (1,) * n)
     route_lookup = -2.0 * lookup * kx
     route_formula = -2.0 * formula * kx
     mask = np.broadcast_to(mid_ok, route_lookup.shape)

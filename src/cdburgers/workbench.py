@@ -54,7 +54,6 @@ from .calculus import (
 from .kernel import (
     KernelConfig,
     _collar_cells,
-    _diagonal_pair,
     _aux_lhs,
     _diagonal_terms,
     _sigma_sq,
@@ -285,17 +284,9 @@ class SolutionField:
     kernels: tuple
 
     def __post_init__(self):
-        n = self.grid.n
-        counts = self.grid.counts
         self._phi = [np.asarray(tr.values) for tr in self.trajectories]
-        self._kdiag = []
-        for kf in self.kernels:
-            vals = kf.K.values
-            if kf.K.is_algebra_valued:
-                raise ValueError(
-                    "assembly of diagonal fields needs scalar kernels")
-            self._kdiag.append(_diagonal_pair(vals, n, 0, counts))
-        tshape = (self.grid.t_count,) + (1,) * n
+        self._kdiag = [kf.diagonal() for kf in self.kernels]
+        tshape = (self.grid.t_count,) + (1,) * self.grid.n
         self.atom_diag = [
             (self.measure.xi[j] * self._phi[j]).reshape(tshape)
             * self._kdiag[j][None]
@@ -326,13 +317,7 @@ class SolutionField:
                     node) -> np.ndarray:
         """Per-sample values of u at one diagonal node, for Monte Carlo
         cross-checks."""
-        idx = (t_index,) + tuple(node)
-        vec = np.array([a[idx] for a in self.atom_diag])
-        out = np.zeros(real.count, dtype=np.complex128)
-        for j in range(self.size):
-            hit = real.draws == j
-            out[hit] = vec[j]
-        return out
+        return self.enumerate_node(t_index, node)[0][real.draws]
 
     def enumerate_node(self, t_index: int, node):
         """Outcome values and weights at one diagonal node."""
@@ -345,7 +330,8 @@ def assemble_u(atoms, measure: AtomicRandomMeasure, grid: Grid,
                spec: SobolevBurgersSpec, w0, *, r_inf=None, max_iter=40,
                tol=1e-10, force=False) -> SolutionField:
     """Solve the temporal and kernel factors for every atom and bundle the
-    assembled random field."""
+    assembled random field.  The diagonal fields need scalar kernels, so
+    varsigma != 0 (p_2 != 0) is rejected before any solve."""
     atoms = tuple(atoms)
     if measure.size != len(atoms):
         raise ValueError("measure cells do not match the atom list")
@@ -355,12 +341,16 @@ def assemble_u(atoms, measure: AtomicRandomMeasure, grid: Grid,
         want = [complex(v).real for v in point.lam]
         if list(rep) != want:
             raise ValueError("measure cells do not match the atom list")
+    cfgs = [atom_kernel_config(point, spec, w0, r_inf=r_inf,
+                               max_iter=max_iter, tol=tol) for point in atoms]
+    if not all(cfg.scalar_closed() for cfg in cfgs):
+        raise ValueError("assembly of diagonal fields needs scalar kernels")
 
     params = []
     trajectories = []
     kernels = []
     t_axis = grid.t_axis()
-    for point in atoms:
+    for point, cfg in zip(atoms, cfgs):
         params.append(lambda_to_params(point, spec))
         cs = CauchySpec(m=spec.m, c=spec.c, lam=point.lam_prime,
                         horizon=spec.horizon, tau=grid.tau)
@@ -373,8 +363,6 @@ def assemble_u(atoms, measure: AtomicRandomMeasure, grid: Grid,
                 np.max(np.abs(tr.times - t_axis)) > 1e-9 * grid.t_max):
             raise RuntimeError("trajectory samples missed the time grid")
         trajectories.append(tr)
-        cfg = atom_kernel_config(point, spec, w0, r_inf=r_inf,
-                                 max_iter=max_iter, tol=tol)
         kernels.append(solve_K(cfg, grid, force=force))
     return SolutionField(spec=spec, grid=grid, atoms=atoms,
                          params=tuple(params), measure=measure,

@@ -18,7 +18,6 @@ _KERNEL_CFG = {
     "p": [5e-06, 0.0],
     "w0": [0.0, 0.0],
     "grid": {"n": 2, "lo": -0.5, "hi": 4.5, "count": 11},
-    "probes": 4,
 }
 
 _PROBLEM = {
@@ -160,7 +159,6 @@ def test_assemble_report_and_dumps(tmp_path):
         "p": [0.25, 0.75],
         "w0": [0.0, 0.0],
         "grid": {"count": 11, "t_count": 7},
-        "probes": 4,
         "samples": 2000,
     })
     out = tmp_path / "asm"
@@ -187,6 +185,20 @@ def test_assemble_blowup_exits_two(tmp_path, capsys):
     assert "blew up" in capsys.readouterr().err
 
 
+def test_assemble_rejects_algebra_valued_kernels(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path / "a.json", {
+        "problem": {**_PROBLEM, "varsigma": 2e-06},
+        "matched": [[1.0, -0.5]],
+        "p": [1.0],
+        "w0": [0.0, 0.0],
+        "grid": {"count": 11, "t_count": 7},
+    })
+    assert cli_run(["assemble", "--config", cfg,
+                    "--out", str(tmp_path)]) == 1
+    assert "needs scalar kernels" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.cdgf"))
+
+
 def test_assemble_validates_config(tmp_path, capsys):
     cfg = _write_cfg(tmp_path / "a.json", {"problem": _PROBLEM})
     assert cli_run(["assemble", "--config", cfg,
@@ -204,7 +216,6 @@ def verify_run(tmp_path_factory):
         "levels": [[21, 9], [31, 13]],
         "collar": 2.0,
         "t_collar": 0.25,
-        "probes": 4,
     })
     out = root / "run"
     code = cli_run(["verify", "--config", cfg, "--refine", "2",

@@ -477,12 +477,13 @@ def test_solver_matches_dense_picard_reference(kw, n):
 @pytest.mark.parametrize("p", [(5e-6, 0.0), (5e-6, 2e-6)],
                          ids=["p2-zero", "p2"])
 def test_solver_sweeps_no_pair_sized_array(p, monkeypatch):
-    # the solve carries A K as separated factors, so no quadrature sweep
-    # (ray stage, prefix sweeps, norm) acts on N^{2n} nodes or more, and
-    # the only expansion on all of V x V is the returned K
-    sizes, shapes = [], []
+    # the solve carries K as separated factors, so no quadrature sweep
+    # (ray stage, prefix sweeps, norm) acts on N^{2n} nodes or more and
+    # nothing is expanded on V x V; reading kf.K expands it once
+    sizes, shapes, mids = [], [], []
     original = cdburgers.kernel.cumulative_integral
     separated = cdburgers.kernel._separated
+    midpoint = cdburgers.kernel.midpoint_pair_field
 
     def recorded(values, *args, **kwargs):
         sizes.append(values.size)
@@ -492,14 +493,36 @@ def test_solver_sweeps_no_pair_sized_array(p, monkeypatch):
         shapes.append(np.broadcast_shapes(*(i.shape for i in index)))
         return separated(gs, V, index)
 
+    def counted(*args, **kwargs):
+        mids.append(1)
+        return midpoint(*args, **kwargs)
+
     monkeypatch.setattr(cdburgers.kernel, "cumulative_integral", recorded)
     monkeypatch.setattr(cdburgers.kernel, "_separated", expanded)
+    monkeypatch.setattr(cdburgers.kernel, "midpoint_pair_field", counted)
     a = (-1.0, -1.0, 0.0)
     cfg = KernelConfig(a=a, p=p, kappa=admissible_kappa(a, 2), w0=(0.0, 0.0))
     kf = solve_K(cfg, Grid.box(2, -0.5, 4.5, 11))
     assert kf.report["converged"]
     assert sizes and max(sizes) < 11 ** 4
-    assert len(shapes) > 1 and shapes.count((11,) * 4) == 1
+    assert len(shapes) > 1 and max(map(math.prod, shapes)) < 11 ** 4
+    assert not mids
+    assert kf.K.arity == "xy"
+    assert shapes.count((11,) * 4) == 1 and not mids
+
+
+@pytest.mark.parametrize("kw, n", [
+    (dict(p=(0.1, 0.0)), 1),
+    (dict(p=(0.2, 0.0)), 2),
+    (dict(p=(0.1, 0.05), r_inf=1.3), 2),
+], ids=["scalar", "n2-tail-axis1", "n2-p2-r_inf"])
+def test_diagonal_is_the_dense_diagonal_bit_for_bit(kw, n):
+    base, g = _SOLVE[n]
+    cfg = KernelConfig(**kw, **base)
+    assert cfg.tail_axis == n - 1
+    kf = solve_K(cfg, g)
+    ix = np.ix_(*[np.arange(k) for k in g.counts])
+    assert np.array_equal(kf.diagonal(), kf.K.values[ix + ix])
 
 
 def _picard_steps(cfg, g):

@@ -12,6 +12,7 @@ import sympy as sp
 
 import cdburgers.calculus
 import cdburgers.kernel
+import cdburgers.workbench
 from cdburgers.calculus import Grid, _d1
 from cdburgers.kernel import (
     _aux_lhs,
@@ -625,6 +626,49 @@ def test_residual_suite_works_on_v_sized_arrays(single_atom, monkeypatch):
     residual_suite(single_atom)
     assert sizes
     assert max(sizes) < 21 ** 4
+
+
+def test_verify_path_forms_no_pair_sized_array(monkeypatch):
+    # assembly, the residual suite and the moment identity read each kernel
+    # through its separated terms: no expansion on the N^{2n} pair nodes
+    shapes, mids = [], []
+    separated = cdburgers.kernel._separated
+    midpoint = cdburgers.kernel.midpoint_pair_field
+
+    def expanded(gs, V, index):
+        shapes.append(np.broadcast_shapes(*(i.shape for i in index)))
+        return separated(gs, V, index)
+
+    def counted(*args, **kwargs):
+        mids.append(1)
+        return midpoint(*args, **kwargs)
+
+    monkeypatch.setattr(cdburgers.kernel, "_separated", expanded)
+    monkeypatch.setattr(cdburgers.kernel, "midpoint_pair_field", counted)
+    point = SpectralPoint.matched(_SPEC, (1.0, -0.5))
+    measure = measure_for_atoms([point], _SPEC, (1.0,))
+    sol = assemble_u([point], measure, _SPEC.grid(21, 9), _SPEC, _W0)
+    residual_suite(sol)
+    moment_identity(sol)
+    assert shapes
+    assert max(int(np.prod(s)) for s in shapes) < 21 ** 4
+    assert not mids
+
+
+def test_assemble_rejects_algebra_valued_kernels_before_solving(
+        monkeypatch):
+    # varsigma != 0 gives p_2 != 0, so the kernels are algebra-valued
+    spec = SobolevBurgersSpec(alpha=1.0, beta=0.0, gamma=1e-5,
+                              varsigma=2e-6, c=(0.0,), n=2, lo=-0.5, hi=4.5)
+    point = SpectralPoint.matched(spec, (1.0, -0.5))
+    measure = measure_for_atoms([point], spec, (1.0,))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("solve_K ran")
+
+    monkeypatch.setattr(cdburgers.workbench, "solve_K", refused)
+    with pytest.raises(ValueError, match="needs scalar kernels"):
+        assemble_u([point], measure, spec.grid(11, 7), spec, _W0)
 
 
 def test_pair_residual_agrees_with_kernel_route(single_atom):
