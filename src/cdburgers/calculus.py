@@ -1,4 +1,4 @@
-"""Grids, finite-difference Dirac/Laplace operators, noncommutative line
+"""Grids, finite differences and the Dirac operator, noncommutative line
 integrals, and Sobolev norms.
 
 Conventions used throughout:
@@ -378,16 +378,6 @@ def dirac_apply(f: GridField, spec: DiracSpec, slot: str = "x") -> GridField:
     return GridField(f.grid, f.arity, out, spec.level)
 
 
-def laplace_apply(f: GridField, slot: str = "x") -> GridField:
-    """Sum of second derivatives over the axes of the chosen slot."""
-    axes = f._spatial_axes(slot)
-    h = f.grid.spacings
-    out = np.zeros_like(f.values)
-    for a, ax in enumerate(axes):
-        out += diff_axis(f.values, ax, h[a], order=2)
-    return GridField(f.grid, f.arity, out, f.level)
-
-
 # ---------------------------------------------------------------------------
 # additive 4th-order quadrature and line integrals
 # ---------------------------------------------------------------------------
@@ -658,26 +648,26 @@ def dump_field(f: GridField, path: str) -> None:
       f64,u64 t_max, t_count (only when arity = txy)
       n times f64 lo, f64 hi, u64 count  (per spatial axis)
       payload complex128 values, C row-major, shape as per arity
-              (trailing coefficient axis of length 2^level when kind = 1)
+              (trailing coefficient axis of length 2^level when kind = 1),
+              which dump_slabs may write in C-order slabs
     """
-    g = f.grid
+    dump_slabs(path, f.grid, f.arity, f.level, [f.values])
+
+
+def dump_slabs(path: str, grid: Grid, arity: str, level, slabs) -> None:
+    """dump_field's layout, the payload given as consecutive C-order slabs
+    along its leading axis, each written from its buffer."""
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", _VERSION))
-        fh.write(
-            struct.pack(
-                "<BBBB",
-                _ARITY_CODE[f.arity],
-                1 if f.is_algebra_valued else 0,
-                f.level or 0,
-                g.n,
-            )
-        )
-        if f.arity == "txy":
-            fh.write(struct.pack("<dQ", g.t_max, g.t_count))
-        for (lo, hi), c in zip(g.bounds, g.counts):
+        fh.write(struct.pack("<BBBB", _ARITY_CODE[arity],
+                             0 if level is None else 1, level or 0, grid.n))
+        if arity == "txy":
+            fh.write(struct.pack("<dQ", grid.t_max, grid.t_count))
+        for (lo, hi), c in zip(grid.bounds, grid.counts):
             fh.write(struct.pack("<ddQ", lo, hi, c))
-        fh.write(np.ascontiguousarray(f.values).tobytes())
+        for slab in slabs:
+            fh.write(np.ascontiguousarray(slab))
 
 
 def load_field(path: str) -> GridField:

@@ -70,24 +70,6 @@ from .kernel import (
     run_report,
     solve_K,
 )
-from .randmeasure import (
-    AtomicRandomMeasure,
-    Partition,
-    expectation,
-    sample_H,
-    structural_function,
-    xi_from_rule,
-)
-from .temporal import CauchySpec, solve_cauchy, trajectory_csv
-from .workbench import (
-    SobolevBurgersSpec,
-    SpectralPoint,
-    assemble_u,
-    measure_for_atoms,
-    moment_identity,
-    refinement_study,
-    study_csv,
-)
 
 __all__ = ["cli_run", "main"]
 
@@ -278,7 +260,7 @@ def _run_kernel(args) -> int:
     _write_trace(out, kf.trace)
     dump_field(kf.F, str(out / "F.cdgf"))
     print(f"wrote {out / 'F.cdgf'}")
-    dump_field(kf.K, str(out / "K.cdgf"))
+    kf.dump_K(str(out / "K.cdgf"))
     print(f"wrote {out / 'K.cdgf'}")
     return 0
 
@@ -304,6 +286,8 @@ def _run_ode(args) -> int:
     horizon = float(args.horizon if args.horizon is not None
                     else cfg.get("horizon", 0.5))
     tau = args.tau if args.tau is not None else cfg.get("tau")
+    from .temporal import CauchySpec, solve_cauchy, trajectory_csv
+
     spec = CauchySpec(m=m, c=c, lam=lam, horizon=horizon,
                       tau=None if tau is None else float(tau))
     traj = solve_cauchy(spec)
@@ -330,6 +314,9 @@ def _run_ode(args) -> int:
 
 
 def _run_measure_check(args) -> int:
+    from .randmeasure import (AtomicRandomMeasure, Partition, expectation,
+                              sample_H, structural_function, xi_from_rule)
+
     cfg = _load_config(args)
     for key in ("reps", "p"):
         if key not in cfg:
@@ -406,7 +393,9 @@ def _run_measure_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _problem(cfg: dict) -> SobolevBurgersSpec:
+def _problem(cfg: dict):
+    from .workbench import SobolevBurgersSpec
+
     if "problem" not in cfg:
         raise ValueError("config needs a 'problem' section")
     pr = cfg["problem"]
@@ -419,6 +408,9 @@ def _problem(cfg: dict) -> SobolevBurgersSpec:
 
 
 def _run_assemble(args) -> int:
+    from .workbench import (SpectralPoint, assemble_u, measure_for_atoms,
+                            moment_identity)
+
     cfg = _load_config(args)
     spec = _problem(cfg)
     if "atoms" in cfg:
@@ -448,12 +440,14 @@ def _run_assemble(args) -> int:
     }
     _emit(out, "assemble_report.json", report)
     for j, kf in enumerate(sol.kernels):
-        dump_field(kf.K, str(out / f"atom{j}_K.cdgf"))
+        kf.dump_K(str(out / f"atom{j}_K.cdgf"))
         print(f"wrote {out / f'atom{j}_K.cdgf'}")
     return 0
 
 
 def _run_verify(args) -> int:
+    from .workbench import refinement_study, study_csv
+
     cfg = _load_config(args)
     spec = _problem(cfg)
     for key in ("lam_prime", "w0", "levels", "collar"):

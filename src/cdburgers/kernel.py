@@ -22,9 +22,9 @@ on K, and the x factors g_s are prefix sweeps of a ray table that reads K
 only on its N^n x N tail-ray slice.  So every sweep acts on N^n nodes (the
 ray stage on N^{n+1}), none on the N^{2n} pair nodes; the Picard solve
 iterates on the x factors and forms no V x V array: K is kept as its
-separated terms f(x/2) f(y/2) and g_s(x) V_s(y), and expanded on V x V only
-when a dump reads KernelField.K.  The residual at x = y is evaluated from
-those terms, one V factor at a time (Beylkin & Mohlenkamp, 2005).
+separated terms f(x/2) f(y/2) and g_s(x) V_s(y).  The K dump is written
+from those terms one x_1 slab at a time, and the residual at x = y is
+evaluated from them one V factor at a time (Beylkin & Mohlenkamp, 2005).
 
 F comes from the closed family F(x, y) = exp(kappa . (x + y)/2).  Any
 function of the midpoint alone is annihilated by S_1, and membership in the
@@ -55,6 +55,7 @@ from .calculus import (
     GridField,
     cumulative_integral,
     dirac_apply,
+    dump_slabs,
     interior_slices,
     _d1,
     _segment_factor,
@@ -222,12 +223,22 @@ class KernelField:
     @property
     def K(self) -> GridField:
         """K on V x V (see _pair_values).  Allocates a V x V array on each
-        read, which only the .cdgf dumps and the tests make."""
+        read, which only the tests make; dump_K streams it instead."""
         grid, cfg = self.F.grid, self.config
         pairs = np.ix_(*[np.arange(k) for k in grid.counts * 2])
         vals = _pair_values(cfg, grid, pairs, self.terms[1:])
         return GridField(grid, "xy", vals,
                          None if cfg.scalar_closed() else cfg.level)
+
+    def dump_K(self, path: str) -> None:
+        """dump_field(self.K, path), written one x_1 slab of K at a time."""
+        grid, cfg = self.F.grid, self.config
+        rest = [np.arange(k) for k in grid.counts[1:] + grid.counts]
+        dump_slabs(path, grid, "xy",
+                   None if cfg.scalar_closed() else cfg.level,
+                   (_pair_values(cfg, grid, np.ix_([i], *rest),
+                                 self.terms[1:])
+                    for i in range(grid.counts[0])))
 
     def diagonal(self) -> np.ndarray:
         """K(x, x) on V, bit for bit the x = y entries of K.values."""
@@ -482,25 +493,30 @@ def _x_factors(diag: np.ndarray, config: KernelConfig, grid: Grid):
 
 def _separated(gs, V: np.ndarray, index):
     """sum_s g_s(x) V_s(y) on the pair nodes index = (x indices, y indices),
-    elementwise in a fixed order; 0.0 when there are no factors."""
+    elementwise in a fixed order with any coefficient axis leading (so the
+    inner loops run over y), then moved last; 0.0 without factors."""
     n = len(index) // 2
+    lead = bool(gs) and gs[0].ndim > n
     out = 0.0
     for g, v in zip(gs, V):
-        vy = v[index[n:]]
-        out = out + g[index[:n]] * (vy[..., None] if g.ndim > n else vy)
-    return out
+        g = np.moveaxis(g, -1, 0) if lead else g
+        out = out + g[(...,) + tuple(index[:n])] * v[index[n:]]
+    return np.moveaxis(out, 0, -1) if lead else out
 
 
 def _pair_values(config: KernelConfig, grid: Grid, index, terms=()):
     """K(x, y) = F((x + y)/2) + sum_s g_s(x) V_s(y) on the pair nodes
     index = (x indices, y indices), from K's factor terms (g_s, V_s); F is
-    exact (f_midpoint), on coefficient 0 unless scalar-closed."""
+    exact (f_midpoint), on coefficient 0 unless scalar-closed; C order."""
     n, ax = config.n, [grid.axis(j) for j in range(config.n)]
     F = config.f_midpoint(*[(ax[j][index[j]] + ax[j][index[n + j]]) / 2.0
                             for j in range(n)]).astype(np.complex128)
-    if not config.scalar_closed():
-        F = F[..., None] * np.eye(1 << config.level)[0]  # coefficient 0
-    return F + _separated([g for g, _ in terms], [v for _, v in terms], index)
+    S = _separated([g for g, _ in terms], [v for _, v in terms], index)
+    if config.scalar_closed():
+        return F + S
+    e0 = np.eye(1 << config.level)[0].reshape((-1,) + (1,) * F.ndim)  # i_0
+    out = F * e0 + (np.moveaxis(S, -1, 0) if terms else S)
+    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
 
 
 def _separated_norms(ds, V: np.ndarray):

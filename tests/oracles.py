@@ -26,6 +26,7 @@ import numpy as np
 from cdburgers.calculus import (
     DiracSpec,
     GridField,
+    diff_axis,
     dirac_apply,
     interior_slices,
     segment_integral,
@@ -52,7 +53,8 @@ class PairNumber:
 
         (a, b) (c, d) = (a c - d* b, d a + b c*)
 
-    with conjugation (a, b)* = (a*, -b) and scalar* = scalar.
+    with conjugation (a, b)* = (a*, -b) and scalar* = scalar.  Integer
+    scalars stay int, so basis products stay exact without Fraction.
     """
 
     __slots__ = ("depth", "a", "b", "value")
@@ -61,7 +63,7 @@ class PairNumber:
         self.depth = depth
         if depth == 0:
             self.a = self.b = None
-            self.value = Fraction(value)
+            self.value = value if type(value) is int else Fraction(value)
         else:
             assert a.depth == depth - 1 and b.depth == depth - 1
             self.a, self.b, self.value = a, b, None
@@ -127,6 +129,16 @@ class PairNumber:
             a * c - d.conj() * b,
             d * a + b * c.conj(),
         )
+
+
+def laplace_apply(f: GridField, slot: str = "x") -> GridField:
+    """Sum of second derivatives over the axes of the chosen slot."""
+    axes = f._spatial_axes(slot)
+    h = f.grid.spacings
+    out = np.zeros_like(f.values)
+    for a, ax in enumerate(axes):
+        out += diff_axis(f.values, ax, h[a], order=2)
+    return GridField(f.grid, f.arity, out, f.level)
 
 
 def oracle_basis_product(level, j, k):

@@ -14,7 +14,6 @@ from cdburgers.calculus import (
     dump_field,
     interior_slices,
     interval_increments,
-    laplace_apply,
     line_integral,
     load_field,
     quad_weights,
@@ -22,6 +21,7 @@ from cdburgers.calculus import (
     sobolev_norm,
     tail_integral,
 )
+from oracles import laplace_apply
 
 
 def observed_order(errs, ratio):

@@ -3,12 +3,14 @@ byte determinism of written reports."""
 
 import csv
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import cdburgers.kernel
 from cdburgers.calculus import load_field
 from cdburgers.cli import cli_run
 from cdburgers.temporal import riccati_oracle
@@ -261,11 +263,40 @@ def test_module_invocation_round_trip(tmp_path):
 
 
 def test_cli_import_leaves_sympy_unloaded():
-    # only the translate stage needs sympy and the PDE parser; it imports
-    # them on first use
+    # each stage imports the modules only it needs on first use: sympy and
+    # the PDE parser for translate, workbench, randmeasure and temporal for
+    # the stages that use them; neither the import nor kernel --help loads
+    # any of them
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import cdburgers.cli, sys; assert 'sympy' not in sys.modules; "
-         "assert 'cdburgers.pdelang' not in sys.modules"],
+         "import sys\n"
+         "import cdburgers.cli\n"
+         "lazy = ['sympy'] + ['cdburgers.' + m for m in\n"
+         "    ('pdelang', 'workbench', 'randmeasure', 'temporal')]\n"
+         "assert not set(lazy) & set(sys.modules), sorted(sys.modules)\n"
+         "assert cdburgers.cli.cli_run(['kernel', '--help']) == 0\n"
+         "assert not set(lazy) & set(sys.modules), sorted(sys.modules)\n"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("stage, cfg", [
+    ("kernel", dict(_KERNEL_CFG, p=[5e-06, 2e-06])),
+    ("assemble", {"problem": _PROBLEM, "matched": [[1.0, -0.5]], "p": [1.0],
+                  "w0": [0.0, 0.0], "grid": {"count": 11, "t_count": 7}}),
+], ids=["kernel-p2", "assemble"])
+def test_stage_forms_no_pair_sized_array(stage, cfg, tmp_path, monkeypatch):
+    # the stage solves and dumps K from its separated terms, the dump one
+    # x_1 slab at a time: no expansion reaches the N^{2n} pair nodes
+    shapes = []
+    separated = cdburgers.kernel._separated
+
+    def expanded(gs, V, index):
+        shapes.append(np.broadcast_shapes(*(i.shape for i in index)))
+        return separated(gs, V, index)
+
+    monkeypatch.setattr(cdburgers.kernel, "_separated", expanded)
+    path = _write_cfg(tmp_path / "cfg.json", cfg)
+    assert cli_run([stage, "--config", path, "--out", str(tmp_path)]) == 0
+    assert shapes
+    assert max(map(math.prod, shapes)) < 11 ** 4

@@ -14,7 +14,8 @@ import pytest
 import sympy as sp
 
 import cdburgers
-from cdburgers.calculus import DiracSpec, Grid, GridField, interior_slices, line_integral
+from cdburgers.calculus import (DiracSpec, Grid, GridField, dump_field,
+                                interior_slices, line_integral, load_field)
 from cdburgers.kernel import (
     KernelConfig,
     PicardDivergence,
@@ -523,6 +524,26 @@ def test_diagonal_is_the_dense_diagonal_bit_for_bit(kw, n):
     kf = solve_K(cfg, g)
     ix = np.ix_(*[np.arange(k) for k in g.counts])
     assert np.array_equal(kf.diagonal(), kf.K.values[ix + ix])
+
+
+@pytest.mark.parametrize("kw, n", [
+    (dict(p=(0.1, 0.0)), 1),
+    (dict(p=(0.2, 0.0)), 2),
+    (dict(p=(0.03, 0.015)), 1),
+    (dict(p=_QS, variant="quaternion"), 2),
+    (dict(p=(0.1, 0.05), r_inf=1.3), 2),
+], ids=["scalar", "n2-tail-axis1", "p2", "quaternion", "n2-p2-r_inf"])
+def test_streamed_K_dump_is_the_dense_dump_byte_for_byte(kw, n, tmp_path):
+    base, g = _SOLVE[n]
+    kf = solve_K(KernelConfig(**kw, **base), g)
+    K = kf.K
+    dense, streamed = tmp_path / "dense.cdgf", tmp_path / "streamed.cdgf"
+    dump_field(K, str(dense))
+    kf.dump_K(str(streamed))
+    assert streamed.read_bytes() == dense.read_bytes()
+    back = load_field(str(streamed))
+    assert back.level == K.level
+    assert np.array_equal(back.values, K.values)
 
 
 def _picard_steps(cfg, g):
