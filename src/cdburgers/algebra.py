@@ -11,6 +11,8 @@ quaternions, A_3 the octonions, and so on.  Elements are stored densely as
 Everything in this module is exact at the level of basis combinatorics: the
 product is a table of (index, sign) pairs precomputed once per level from
 the doubling rule, so anticommutation and i_j^2 = -1 hold to the last bit.
+Rearranged as a gather table, it makes every product one einsum, on real,
+complex or object (sympy) coefficients alike.
 
 The complexification adjoins a central imaginary unit **i** (distinct from
 every i_j).  An element x + **i** y is represented by the pair (x, y); since
@@ -71,38 +73,40 @@ def _mul_tables(level: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _mul_matrix_slices(level: int):
-    """Per-output-index (j, k) index pairs so that products can be done as a
-    handful of vectorized gathers: out[m] = sum over (j,k) with
-    idx[j,k] == m of sgn[j,k] * a[j] * b[k]."""
+def _gather_table(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather table (P, S) with i_j i_{P[m,j]} = S[m,j] i_m.
+
+    Left multiplication by i_j permutes the basis with signs, so exactly one
+    right index P[m,j] meets each (m, j).  S stays int8, so object arrays
+    see Python ints.
+    """
     idx, sgn = _mul_tables(level)
-    n = 1 << level
-    slices = []
-    for m in range(n):
-        j, k = np.nonzero(idx == m)
-        slices.append((j, k, sgn[j, k].astype(np.float64)))
-    return slices
+    perm = np.argsort(idx, axis=1)  # idx[j, perm[j, m]] == m
+    P, S = perm.T.copy(), np.take_along_axis(sgn, perm, axis=1).T.copy()
+    P.setflags(write=False)
+    S.setflags(write=False)
+    return P, S
 
 
 def mul_coeffs(a: np.ndarray, b: np.ndarray, level: int) -> np.ndarray:
     """Product of coefficient arrays along the trailing axis.
 
+    out[m] = Σ_j S[m,j] a[j] b[P[m,j]] with the gather table (P, S), one
+    einsum over the gathered b (B·4^level entries for B elements).
     Broadcasts over leading axes, so grid-shaped batches of algebra elements
-    multiply in one call.  dtype may be real or complex; complex dtype
+    multiply in one call.  dtype may be real, complex or object; complex dtype
     realizes the complexification (the central unit is the complex i of the
     coefficients, which commutes with everything by construction).
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
+    a, b = np.asarray(a), np.asarray(b)
     n = 1 << level
     if a.shape[-1] != n or b.shape[-1] != n:
         raise ValueError("coefficient length does not match level")
-    out_shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (n,)
-    dtype = np.result_type(a.dtype, b.dtype, np.float64)
-    out = np.zeros(out_shape, dtype=dtype)
-    for m, (j, k, s) in enumerate(_mul_matrix_slices(level)):
-        out[..., m] = np.einsum("...j,...j->...", a[..., j] * s, b[..., k])
-    return out
+    P, S = _gather_table(level)
+    gathered = b.astype(np.result_type(a.dtype, b.dtype, np.float64),
+                        copy=False)[..., P]
+    gathered *= S  # in place: the gathered b is the largest temporary
+    return np.einsum("...j,...mj->...m", a, gathered)
 
 
 def basis_mul_coeffs(j: int, b: np.ndarray, level: int) -> np.ndarray:

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 import sympy as sp
 
-from .algebra import MAX_LEVEL, EmbeddingMap, conj_coeffs, _mul_tables
+from .algebra import (MAX_LEVEL, EmbeddingMap, basis_mul_coeffs, conj_coeffs,
+                      mul_coeffs)
 from .calculus import GridField, diff_axis
 from .pdelang import (
     Add,
@@ -76,8 +77,6 @@ __all__ = [
     "theorem1_gap",
     "assemble_uhat",
     "vector_calculus_map",
-    "cd_mul_object",
-    "basis_mul_object",
     "apply_pdo_on_grid",
 ]
 
@@ -297,30 +296,6 @@ def lower_function(h: LiftedFunction, emb: EmbeddingMap | None = None):
 # -- sympy evaluation of both sides ----------------------------------------------
 
 
-def cd_mul_object(a: np.ndarray, b: np.ndarray, level: int) -> np.ndarray:
-    """Cayley-Dickson product on object-dtype coefficient vectors."""
-    idx, sgn = _mul_tables(level)
-    n = 1 << level
-    out = np.full(n, sp.Integer(0), dtype=object)
-    for j in range(n):
-        if a[j] == 0:
-            continue
-        for k in range(n):
-            if b[k] == 0:
-                continue
-            out[idx[j, k]] += sgn[j, k] * a[j] * b[k]
-    return out
-
-
-def basis_mul_object(j: int, b: np.ndarray, level: int) -> np.ndarray:
-    idx, sgn = _mul_tables(level)
-    n = 1 << level
-    out = np.full(n, sp.Integer(0), dtype=object)
-    for k in range(n):
-        out[idx[j, k]] = sgn[j, k] * b[k]
-    return out
-
-
 def _scalar_vec(expr, level: int) -> np.ndarray:
     out = np.full(1 << level, sp.Integer(0), dtype=object)
     out[0] = sp.sympify(expr)
@@ -438,7 +413,7 @@ def eval_algebra(node, env: SymbolicEnv, maps: TranslationMaps) -> np.ndarray:
         return _scalar_vec(eval_algebra(node.arg, env, maps)[node.index],
                            level)
     if isinstance(node, BasisFactor):
-        return basis_mul_object(node.index,
+        return basis_mul_coeffs(node.index,
                                 eval_algebra(node.arg, env, maps), level)
     if isinstance(node, Add):
         out = _scalar_vec(0, level)
@@ -451,13 +426,13 @@ def eval_algebra(node, env: SymbolicEnv, maps: TranslationMaps) -> np.ndarray:
         vecs = [eval_algebra(f, env, maps) for f in node.factors]
         out = vecs[0]
         for v in vecs[1:]:
-            out = cd_mul_object(out, v, level)
+            out = mul_coeffs(out, v, level)
         return out
     if isinstance(node, Pow):
         base = eval_algebra(node.base, env, maps)
         out = base
         for _ in range(node.exp - 1):
-            out = cd_mul_object(out, base, level)
+            out = mul_coeffs(out, base, level)
         return out
     if isinstance(node, App):
         return _apply_alg(node.func, eval_algebra(node.arg, env, maps), env,
@@ -491,7 +466,7 @@ def _apply_alg(op, f: np.ndarray, env: SymbolicEnv,
             f = _apply_alg(op.base, f, env, maps)
         return f
     if isinstance(op, (Num, Lifted)):
-        return cd_mul_object(eval_algebra(op, env, maps), f, maps.level)
+        return mul_coeffs(eval_algebra(op, env, maps), f, maps.level)
     raise TypeError(f"cannot apply {op!r} on the algebra side")
 
 
@@ -550,7 +525,7 @@ def _sigma_right(f: np.ndarray, xs, q_indices, level: int) -> np.ndarray:
         df = np.array([c.diff(x) for c in f], dtype=object)
         basis = np.full(1 << level, sp.Integer(0), dtype=object)
         basis[q_indices[j]] = sp.Integer(1)
-        out = out + cd_mul_object(df, basis, level)
+        out = out + mul_coeffs(df, basis, level)
     return out
 
 
@@ -573,8 +548,8 @@ def vector_calculus_map(kind: str, uhat: np.ndarray, maps: TranslationMaps,
     if kind == "grad":
         return _sigma_right(uhat, xs, q, level)
     if kind == "rot":
-        idx, sgn = _mul_tables(level)
-        if 0 in q or idx[q[0], q[1]] != q[2] or sgn[q[0], q[1]] != 1:
+        iq1 = np.eye(1 << level)[q[1]]
+        if 0 in q or basis_mul_coeffs(q[0], iq1, level)[q[2]] != 1:
             raise ValueError("rot with incompatible index triple")
         sig = _sigma_right(uhat, xs, q, level)
         out = -sig

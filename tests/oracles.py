@@ -14,7 +14,9 @@ the reference linear residual applies S_{2,a} to the dense midpoint pair
 field F instead of to the factors of F = f(x) f(y), the reference
 auxiliary residual applies S_{2,a} and the Dirac operators to the dense,
 algebra-promoted K on all of V x V instead of to K's separated terms, and
-the reference pair moments form E u and E u^2 on all of V x V.
+the reference pair moments form E u and E u^2 on all of V x V.  The
+reference Cayley-Dickson product runs one einsum per output slot instead of
+one einsum over a gather table.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from cdburgers.calculus import (
     interior_slices,
     segment_integral,
 )
-from cdburgers.algebra import mul_coeffs
+from cdburgers.algebra import _mul_tables, mul_coeffs
 from cdburgers.kernel import (
     _diagonal_pair,
     _p_coeffs,
@@ -158,6 +160,23 @@ def oracle_mul(level, xs, ys):
     prod = PairNumber.from_coeffs(list(xs)) * PairNumber.from_coeffs(list(ys))
     assert prod.depth == level
     return prod.coeffs()
+
+
+def reference_mul_coeffs(a, b, level):
+    """The Cayley-Dickson product as one einsum per output slot: out[m] is
+    the sum over the (j, k) with i_j i_k = ±i_m of sgn[j,k] a[j] b[k]."""
+    idx, sgn = _mul_tables(level)
+    a = np.asarray(a)
+    b = np.asarray(b)
+    n = 1 << level
+    out_shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (n,)
+    out = np.zeros(out_shape, dtype=np.result_type(a.dtype, b.dtype,
+                                                   np.float64))
+    for m in range(n):
+        j, k = np.nonzero(idx == m)
+        s = sgn[j, k].astype(np.float64)
+        out[..., m] = np.einsum("...j,...j->...", a[..., j] * s, b[..., k])
+    return out
 
 
 def reference_inner_tail(kvals, config, grid):

@@ -533,9 +533,11 @@ def test_8_byte_identical_artifacts(tmp_path):
         "w0": [0.0, 0.0], "grid": {"count": 11, "t_count": 7},
         "samples": 512,
     }
+    algebra_cfg = {"levels": [2, 3], "trials": 20}
     stages = (("kernel", "kernel", kernel_cfg),
               ("kernel", "kernel-p2", kernel_p2_cfg),
-              ("assemble", "assemble", assemble_cfg))
+              ("assemble", "assemble", assemble_cfg),
+              ("algebra-check", "algebra", algebra_cfg))
     for _, name, cfg in stages:
         (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
 

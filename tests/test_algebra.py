@@ -17,7 +17,7 @@ from cdburgers.algebra import (
     _mul_tables,
 )
 
-from oracles import oracle_basis_product, oracle_mul
+from oracles import oracle_basis_product, oracle_mul, reference_mul_coeffs
 
 
 def random_element(rng, level):
@@ -68,6 +68,30 @@ def test_dense_product_matches_oracle(level):
         b = rng.standard_normal(1 << level)
         want = np.array([float(v) for v in oracle_mul(level, a, b)])
         np.testing.assert_allclose(mul_coeffs(a, b, level), want, atol=1e-12)
+
+
+@pytest.mark.parametrize("level", range(7))
+def test_mul_coeffs_matches_per_slot_reference(level):
+    rng = np.random.default_rng(40 + level)
+    n = 1 << level
+
+    def cplx(*shape):
+        return (rng.standard_normal(shape + (n,))
+                + 1j * rng.standard_normal(shape + (n,)))
+
+    # the shapes src/ multiplies: complex grids by a vector or a grid,
+    # broadcast batches, and real single elements; bit for bit
+    for a, b in ((cplx(4, 5, 6), cplx()), (cplx(), cplx(4, 5, 6)),
+                 (cplx(4, 5, 6), cplx(4, 5, 6)), (cplx(5, 1), cplx(1, 7)),
+                 (rng.standard_normal(n), rng.standard_normal(n))):
+        got = mul_coeffs(a, b, level)
+        want = reference_mul_coeffs(a, b, level)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    # real batches may sum in another loop order
+    a, b = rng.standard_normal((2, 4, 5, 6, n))
+    np.testing.assert_allclose(mul_coeffs(a, b, level),
+                               reference_mul_coeffs(a, b, level), rtol=1e-13)
 
 
 def test_level_mismatch_rejected():

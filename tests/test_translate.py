@@ -27,7 +27,6 @@ from cdburgers.translate import (
     TranslationMaps,
     apply_pdo_on_grid,
     assemble_uhat,
-    cd_mul_object,
     embed_point,
     extract_point,
     lift_function,
@@ -414,7 +413,7 @@ def test_numeric_path_translated_operator_identical():
     assert err < 5e-5
 
 
-def test_cd_mul_object_matches_numeric():
+def test_mul_coeffs_object_matches_numeric():
     rng = np.random.default_rng(13)
     from cdburgers.algebra import mul_coeffs
 
@@ -422,7 +421,7 @@ def test_cd_mul_object_matches_numeric():
         n = 1 << level
         a = rng.integers(-4, 5, size=n)
         b = rng.integers(-4, 5, size=n)
-        sym = cd_mul_object(
+        sym = mul_coeffs(
             np.array([sp.Integer(int(v)) for v in a], dtype=object),
             np.array([sp.Integer(int(v)) for v in b], dtype=object),
             level,
