@@ -18,13 +18,13 @@ taken.
 
 F(z, v) = f(z/2) f(v/2), f(s) = exp(kappa . s), so A K(x, y) = sum_s
 g_s(x) V_s(y): the y factors V_s, prefix sweeps of f(v/2), do not depend
-on K, and the x factors g_s are prefix sweeps of a ray table that reads K
-only on its N^n x N tail-ray slice.  So every sweep acts on N^n nodes (the
-ray stage on N^{n+1}), none on the N^{2n} pair nodes; the Picard solve
-iterates on the x factors and forms no V x V array: K is kept as its
-separated terms f(x/2) f(y/2) and g_s(x) V_s(y).  The K dump is written
-from those terms one x_1 slab at a time, and the residual at x = y is
-evaluated from them one V factor at a time (Beylkin & Mohlenkamp, 2005).
+on K, and the x factors g_s are prefix sweeps of K's tail ray.  K is kept
+as its separated terms u_t(x) v_t(y), f(x/2) f(y/2) and g_s(x) V_s(y); its
+ray is sum_t u_t(w) R_t(w), R_t tail-window integrals of f(z/2) v_t(z)
+that need no K.  So the Picard solve builds the R_t once, and every sweep
+of every step acts on N^n nodes, none on N^{n+1} or N^{2n}.  The K dump is
+written from the terms one x_1 slab at a time, and the residual at x = y
+is evaluated from them one V factor at a time (Beylkin & Mohlenkamp, 2005).
 
 F comes from the closed family F(x, y) = exp(kappa . (x + y)/2).  Any
 function of the midpoint alone is annihilated by S_1, and membership in the
@@ -362,64 +362,31 @@ def prefix_line_integrals(values: np.ndarray, grid: Grid, w0_idx, spec,
     return out
 
 
-def _tail_ray(config: KernelConfig, grid: Grid):
-    """The tail ray, shared by the tail stage and the norm: the pair node
-    (w, z(w, zeta)) of every ray node over the broadcast axes (w_1 .. w_n,
-    zeta) (off the tail axis z equals w, so the w_a axis never enters),
-    f(z/2) on those nodes, and the first and last ray node of each tail
-    window: the box edge, or r_inf when it caps the ray earlier."""
-    n = config.n
-    a = config.tail_axis
-    m = grid.counts[a]
-    ix = np.ix_(*[np.arange(k) for k in grid.counts], np.arange(m))
-    iz = [ix[n] if c == a else ix[c] for c in range(n)]
-    fz = config.f_midpoint(*[0.5 * grid.axis(c)[iz[c]] for c in range(n)])
-    if config.r_inf is not None:
-        cap = max(int(np.floor(config.r_inf / grid.spacings[a] + 1e-9)), 1)
-    else:
-        cap = m - 1
-    starts = np.arange(m)
-    return ix[:n] + tuple(iz), fz, starts, np.minimum(starts + cap, m - 1)
+def _ray_ends(config: KernelConfig, grid: Grid):
+    """First and last node of each tail window along the tail axis a: the
+    box edge, or r_inf when it caps the ray earlier."""
+    a, m = config.tail_axis, grid.counts[config.tail_axis]
+    cap = (m - 1 if config.r_inf is None else
+           max(int(np.floor(config.r_inf / grid.spacings[a] + 1e-9)), 1))
+    return np.arange(m), np.minimum(np.arange(m) + cap, m - 1)
 
 
-def _inner_tail(diag: np.ndarray, config: KernelConfig, grid: Grid):
-    """Innermost stage: I(w, v) = int_w^inf F(z, v) K(w, z) dz = ray(w) f(v/2).
+def _ray_tables(h: np.ndarray, config: KernelConfig, grid: Grid):
+    """Window integrals R of f(z/2) h(z) along the tail axis a, on V.
 
-    Off the tail axis z equals w, so the stage reads only `diag`, K on the
-    _tail_ray nodes (w, z(w, zeta)), coefficients last.  F(z, v) = f(z/2)
-    f(v/2) factors, so the ray integral is taken once per w and f(v/2) is
-    left to _y_factors.  Returns ray(w), coefficients last, plus the
-    truncation bound on the discarded tail beyond the box edge.
-    """
-    n = config.n
-    a = config.tail_axis
-    level = config.level
-    spec = config.dirac_spec()
-    m = grid.counts[a]
-    if diag.ndim == n + 1:  # a scalar K is coefficient 0
-        diag = diag[..., None] * np.eye(1 << level)[0]
-
-    _, fz, starts, ends = _tail_ray(config, grid)
-    g = fz[..., None] * diag
-
-    h = grid.spacings[a]
-    b, scale = _segment_factor(spec, a, n)
-
-    # suffix integrals from zeta = w_a to the (possibly capped) edge
-    cum = cumulative_integral(g, h, axis=n)
-    idx_sh = [1] * g.ndim
-    idx_sh[a] = m
-    top = np.take_along_axis(cum, ends.reshape(idx_sh), axis=n)
-    bot = np.take_along_axis(cum, starts.reshape(idx_sh), axis=n)
-    ray = basis_mul_coeffs(b, np.squeeze(top - bot, axis=n) * scale, level)
-
-    # decay certificate measured at the outgoing edge slice; the v factor
-    # is positive, so its maximum scales the edge maximum exactly
-    rate = config.decay_rate
-    cert = float(np.max(np.abs(g[(slice(None),) * n + (m - 1,)])))
-    cert *= float(np.max(_f_half(config, grid)))
-    bound = abs(scale) * cert / rate if rate > 0 else float("inf")
-    return ray, bound
+    Off axis a the ray z equals w, so for K = sum_t u_t(x) v_t(y) the
+    innermost stage int_w^inf F(z, v) K(w, z) dz is ray(w) f(v/2), ray(w)
+    = sum_t u_t(w) R_t(w) with h = v_t: the prefix integral at the end of
+    w_a's tail window minus that at its start.  Trailing axes of h ride
+    along.  Also returns the edge slice f h at z_a = m - 1 (axis a kept),
+    which the tail certificate reads."""
+    n, a = config.n, config.tail_axis
+    f = _f_half(config, grid)
+    g = f.reshape(f.shape + (1,) * (h.ndim - n)) * h
+    cum = cumulative_integral(g, grid.spacings[a], axis=a)
+    starts, ends = _ray_ends(config, grid)
+    R = np.take(cum, ends, axis=a) - np.take(cum, starts, axis=a)
+    return R, g[(slice(None),) * a + (slice(-1, None),)]
 
 
 def _weigh(T: np.ndarray, config: KernelConfig, scalar_out: bool):
@@ -460,9 +427,12 @@ def _y_factors(config: KernelConfig, grid: Grid) -> np.ndarray:
     return np.concatenate([Y, Q])
 
 
-def _x_factors(diag: np.ndarray, config: KernelConfig, grid: Grid):
+def _x_factors(ray: np.ndarray, edge: np.ndarray, config: KernelConfig,
+               grid: Grid):
     """The x factors g_s of A K = sum_s g_s(x) V_s(y), in _y_factors' order,
-    from K's ray slice `diag` (see _inner_tail), plus the tail bound.
+    from K's ray integrals (see _ray_tables) under the tail axis's segment
+    factor, plus the tail bound from `edge`, f(z/2) K(w, z) at z_a = m - 1
+    in any layout (only its largest modulus is read).
 
     The y sweep of ray(w) f(v/2) falls on the scalar Y_c, so T = sum_c
     G_c(x) Y_c(y), G_c the x-prefix sweep of i_{b_c} ray; the Q sweep of
@@ -479,9 +449,17 @@ def _x_factors(diag: np.ndarray, config: KernelConfig, grid: Grid):
     n, level = config.n, config.level
     spec = config.dirac_spec()
     w0_idx = grid.node_index(config.w0)
-    scalar_out = config.scalar_closed() and diag.ndim == n + 1
+    scalar_out = config.scalar_closed() and ray.ndim == n
+    if ray.ndim == n:  # a scalar K is coefficient 0
+        ray = ray[..., None] * np.eye(1 << level)[0]
+    b, scale = _segment_factor(spec, config.tail_axis, n)
+    ray = basis_mul_coeffs(b, ray * scale, level)
+    # decay certificate measured at the outgoing edge slice; the v factor
+    # is positive, so its maximum scales the edge maximum exactly
+    rate = config.decay_rate
+    cert = float(np.max(np.abs(edge))) * float(np.max(_f_half(config, grid)))
+    bound = abs(scale) * cert / rate if rate > 0 else float("inf")
     bs = [spec.basis_for_axis(c, n) for c in range(n)]
-    ray, bound = _inner_tail(diag, config, grid)
     G = [prefix_line_integrals(basis_mul_coeffs(b, ray, level), grid,
                                w0_idx, spec, group_offset=0) for b in bs]
     gs = [_weigh(Gc, config, scalar_out) for Gc in G]
@@ -550,15 +528,23 @@ def _separated_norms(ds, V: np.ndarray):
     return sup, float(np.sqrt(max(total.real, 0.0)))
 
 
+def _term_rays(us, tables):
+    """The ray integrals and edge slice of K = sum_t u_t(x) v_t(y) from the
+    _ray_tables of the v_t (term axis last): sum_t u_t T_t, in order."""
+    return tuple(sum(u * T[(..., t) + (None,) * (u.ndim - T.ndim + 1)]
+                     for t, u in enumerate(us)) for T in tables)
+
+
 def apply_A(K: GridField, F, config: KernelConfig, grid: Grid,
             info: dict | None = None) -> GridField:
     """One application of the integral operator to a pair field.
 
-    Reads K on its tail-ray slice, forms the x factors there and expands
-    sum_s g_s(x) V_s(y) on V x V.  Returns a scalar pair field when the
-    operator is scalar-closed (complex variant with p_2 = 0) and the input
-    is scalar, an algebra-valued one otherwise.  The `info` dict, when
-    given, receives the tail truncation bound.
+    K is dense, so _ray_tables integrates H(z, j) = K((z with z_a -> j), z)
+    along z_a (N^n x N nodes); the diagonal j = w_a is K's ray at w.  Forms
+    the x factors and expands sum_s g_s(x) V_s(y) on V x V.  Returns a
+    scalar pair field when the operator is scalar-closed (complex variant
+    with p_2 = 0) and the input is scalar, an algebra-valued one otherwise.
+    The `info` dict, when given, receives the tail truncation bound.
     """
     if K.arity != "xy":
         raise ValueError("apply_A expects a pair field over V^2")
@@ -568,8 +554,12 @@ def apply_A(K: GridField, F, config: KernelConfig, grid: Grid,
         raise ValueError("field level does not match the config")
     lev = (None if config.scalar_closed() and not K.is_algebra_valued
            else config.level)
-    gs, bound = _x_factors(K.values[_tail_ray(config, grid)[0]], config,
-                           grid)
+    n, a = config.n, config.tail_axis
+    ix = np.ix_(*[np.arange(k) for k in grid.counts + (grid.counts[a],)])
+    xz = tuple(ix[n] if c == a else ix[c] for c in range(n))  # z_a -> j
+    R, edge = _ray_tables(K.values[xz + ix[:n]], config, grid)
+    gs, bound = _x_factors(np.moveaxis(np.diagonal(R, 0, a, n), -1, a),
+                           edge, config, grid)
     if info is not None:
         info["tail_bound"] = bound
     if not gs:
@@ -610,7 +600,8 @@ def estimate_A_norm(config: KernelConfig, grid: Grid) -> float:
     bs = [spec.basis_for_axis(c, n) for c in range(n)]
     scalar_out = config.scalar_closed()
 
-    _, fz, starts, ends = _tail_ray(config, grid)
+    starts, ends = _ray_ends(config, grid)
+    fz = np.swapaxes(_f_half(config, grid)[..., None], a, n)  # z_a last
     rule = cumulative_integral(np.eye(counts[a]), grid.spacings[a])
     W = (rule[ends] - rule[starts]).reshape(
         [counts[a] if c in (a, n) else 1 for c in range(n + 1)])
@@ -649,9 +640,10 @@ def solve_K(config: KernelConfig, grid: Grid,
             force: bool = False) -> KernelField:
     """Picard iteration K_0 = F, K_{m+1} = F + A K_m, to the fixed point.
 
-    Iterates on the x factors of K_m = F + sum_s g_s(x) V_s(y), reading
-    K_m on its ray slice only, and forms no V x V array: kf.terms keeps
-    K's terms (f(x/2), f(y/2)), final (g_s, V_s).  The step norms and
+    Iterates on the x factors of K_m = F + sum_s g_s(x) V_s(y): K_m's tail
+    ray comes from the _ray_tables of f(y/2) and the V_s, built once, so
+    no array reaches N^{n+1} nodes: kf.terms keeps K's terms (f(x/2),
+    f(y/2)), final (g_s, V_s).  The step norms and
     final_residual, the sup norm of sum_s (g_s - (A K)_s) V_s, come from
     the factors by _separated_norms.
 
@@ -673,14 +665,15 @@ def solve_K(config: KernelConfig, grid: Grid,
             f"operator norm estimate {est:.4f} >= 1: Picard iteration "
             "is not a contraction here (pass force=True to try anyway)"
         )
-    ray_index = _tail_ray(config, grid)[0]
-    V = _y_factors(config, grid)
+    f, V = _f_half(config, grid), _y_factors(config, grid)
+    tables = _ray_tables(np.stack([f, *V], axis=-1), config, grid)
+    f0 = (f if config.scalar_closed()
+          else f[..., None] * np.eye(1 << config.level)[0])
     gs, trace = [], []
     prev_diff = prev_l2 = None
     consec = 0
     for it in range(config.max_iter):
-        new, _ = _x_factors(_pair_values(config, grid, ray_index,
-                                         list(zip(gs, V))), config, grid)
+        new, _ = _x_factors(*_term_rays([f0] + gs, tables), config, grid)
         diff, diff_l2 = _separated_norms(
             [u - w for u, w in zip(new, gs or [0.0] * len(new))], V)
         ratio = None if prev_diff in (None, 0.0) else diff / prev_diff
@@ -702,12 +695,9 @@ def solve_K(config: KernelConfig, grid: Grid,
         raise PicardDivergence(
             f"no convergence within {config.max_iter} iterations "
             f"(last diff {trace[-1]['diff']:.3e})", trace)
-    terms = list(zip(gs, V))
-    AK, bound = _x_factors(_pair_values(config, grid, ray_index, terms),
-                           config, grid)
+    AK, bound = _x_factors(*_term_rays([f0] + gs, tables), config, grid)
     residual = _separated_norms([u - w for u, w in zip(gs, AK)], V)[0]
-    f = _f_half(config, grid)
-    kf.terms = [(f, f)] + terms
+    kf.terms = [(f, f)] + list(zip(gs, V))
     kf.trace = trace
     kf.report = {
         "characteristic_residual": abs(

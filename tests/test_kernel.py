@@ -7,6 +7,7 @@ any test trusts the library's closed form.
 
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,16 +15,19 @@ import pytest
 import sympy as sp
 
 import cdburgers
-from cdburgers.calculus import (DiracSpec, Grid, GridField, dump_field,
-                                interior_slices, line_integral, load_field)
+from cdburgers.algebra import basis_mul_coeffs
+from cdburgers.calculus import (DiracSpec, Grid, GridField, _segment_factor,
+                                dump_field, interior_slices, line_integral,
+                                load_field)
 from cdburgers.kernel import (
     KernelConfig,
     PicardDivergence,
     _collar_cells,
-    _inner_tail,
+    _f_half,
+    _ray_tables,
     _separated,
     _separated_norms,
-    _tail_ray,
+    _term_rays,
     _x_factors,
     _y_factors,
     admissible_kappa,
@@ -291,24 +295,52 @@ def test_prefix_line_integrals_match_pointwise_routine():
         assert np.max(np.abs(got - want)) < 1e-13
 
 
+def _rays_into_x_factors(monkeypatch):
+    """Record the ray integrals of every _x_factors call."""
+    rays, x_factors = [], cdburgers.kernel._x_factors
+
+    def recorded(ray, *args):
+        rays.append(ray)
+        return x_factors(ray, *args)
+
+    monkeypatch.setattr(cdburgers.kernel, "_x_factors", recorded)
+    return rays
+
+
+def _inner_table(ray, cfg, g):
+    """I(w, v) = ray(w) f(v/2) on (w, v), coefficients last: the ray
+    integrals on coefficient 0 when scalar, under the tail axis's segment
+    factor i_b psi_b^-1 N^-1."""
+    n, level = cfg.n, cfg.level
+    if ray.ndim == n:
+        ray = ray[..., None] * np.eye(1 << level)[0]
+    b, scale = _segment_factor(cfg.dirac_spec(), cfg.tail_axis, n)
+    ray = basis_mul_coeffs(b, ray * scale, level)
+    fv = cfg.f_midpoint(*np.ix_(*[0.5 * g.axis(c) for c in range(n)]))
+    return ray.reshape(g.counts + (1,) * n + (-1,)) * fv[..., None]
+
+
 @pytest.mark.parametrize("algebra", [False, True])
 @pytest.mark.parametrize("r_inf", [None, 1.3])
-def test_inner_tail_matches_unfactored_reference(r_inf, algebra):
-    # tail on axis 1 with a nonzero off-axis kappa, so the off-axis factor
-    # exp(kappa_0 w_0 / 2) rides along every ray; unequal axes catch mixups
-    cfg = KernelConfig(a=(1.0, 0.0, -1.0), p=(0.2, 0.1), kappa=(-0.5, -2.0),
-                       w0=(0.0, 0.0), r_inf=r_inf)
+def test_inner_tail_matches_unfactored_reference(r_inf, algebra,
+                                                 monkeypatch):
+    # apply_A's dense route; tail on axis 1 with a nonzero off-axis kappa,
+    # so the off-axis factor exp(kappa_0 w_0 / 2) rides along every ray;
+    # unequal axes catch mixups
     g = Grid(((-0.5, 2.0), (-0.75, 2.25)), (8, 11))
+    cfg = KernelConfig(a=(1.0, 0.0, -1.0), p=(0.2, 0.1), kappa=(-0.5, -2.0),
+                       w0=(g.axis(0)[2], g.axis(1)[2]), r_inf=r_inf)
     rng = np.random.default_rng(17)
-    shape = g.shape("xy", 2) if algebra else g.shape("xy")
+    lev = 2 if algebra else None
+    shape = g.shape("xy", lev)
     K = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    ray, bound = _inner_tail(K[_tail_ray(cfg, g)[0]], cfg, g)
-    fv = cfg.f_midpoint(*np.ix_(*[0.5 * g.axis(c) for c in range(2)]))
-    got = ray[:, :, None, None] * fv[..., None]
+    rays, info = _rays_into_x_factors(monkeypatch), {}
+    apply_A(GridField(g, "xy", K, level=lev), None, cfg, g, info=info)
+    got = _inner_table(rays[0], cfg, g)
     want, want_bound = reference_inner_tail(K, cfg, g)
     assert got.shape == want.shape == g.shape("xy", 2)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    assert bound == pytest.approx(want_bound, rel=1e-13)
+    assert info["tail_bound"] == pytest.approx(want_bound, rel=1e-13)
 
 
 # -- applying the integral operator --------------------------------------------
@@ -475,12 +507,32 @@ def test_solver_matches_dense_picard_reference(kw, n):
                                                     rel=1e-13)
 
 
+@pytest.mark.parametrize("kw, n", [
+    (dict(p=(0.1, 0.0)), 1),
+    (dict(p=(0.03, 0.015)), 1),
+    (dict(p=_QS, variant="quaternion"), 2),
+    (dict(p=(0.1, 0.05), r_inf=1.3), 2),
+    (dict(p=(0.2, 0.0)), 2),
+], ids=["scalar", "p2", "quaternion", "n2-p2-r_inf", "n2-tail-axis1"])
+def test_separated_ray_matches_unfactored_reference(kw, n, monkeypatch):
+    # the table ray of the solved terms: solve_K's last _x_factors call
+    base, g = _SOLVE[n]
+    cfg = KernelConfig(**kw, **base)
+    rays = _rays_into_x_factors(monkeypatch)
+    kf = solve_K(cfg, g)
+    got = _inner_table(rays[-1], cfg, g)
+    want, want_bound = reference_inner_tail(kf.K.values, cfg, g)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert kf.report["tail_bound"] == pytest.approx(want_bound, rel=1e-13)
+
+
 @pytest.mark.parametrize("p", [(5e-6, 0.0), (5e-6, 2e-6)],
                          ids=["p2-zero", "p2"])
 def test_solver_sweeps_no_pair_sized_array(p, monkeypatch):
-    # the solve carries K as separated factors, so no quadrature sweep
-    # (ray stage, prefix sweeps, norm) acts on N^{2n} nodes or more and
-    # nothing is expanded on V x V; reading kf.K expands it once
+    # the solve carries K as separated factors and takes the tail ray from
+    # tables on V, so no quadrature sweep (ray tables, prefix sweeps, norm)
+    # acts on N^{n+1} nodes or more and nothing is expanded on pair nodes;
+    # reading kf.K expands it once
     sizes, shapes, mids = [], [], []
     original = cdburgers.kernel.cumulative_integral
     separated = cdburgers.kernel._separated
@@ -505,11 +557,26 @@ def test_solver_sweeps_no_pair_sized_array(p, monkeypatch):
     cfg = KernelConfig(a=a, p=p, kappa=admissible_kappa(a, 2), w0=(0.0, 0.0))
     kf = solve_K(cfg, Grid.box(2, -0.5, 4.5, 11))
     assert kf.report["converged"]
-    assert sizes and max(sizes) < 11 ** 4
-    assert len(shapes) > 1 and max(map(math.prod, shapes)) < 11 ** 4
-    assert not mids
+    assert sizes and max(sizes) < 11 ** 3
+    assert not shapes and not mids
     assert kf.K.arity == "xy"
-    assert shapes.count((11,) * 4) == 1 and not mids
+    assert shapes == [(11,) * 4] and not mids
+
+
+def test_solver_peak_memory_stays_on_V():
+    # every stage of the solve works on V's N^n nodes: at N = 81 it peaks
+    # near 15 MiB, and a ray stage on N^{n+1} nodes needs about 168 MiB
+    a = (-1.0, -1.0, 0.0)
+    cfg = KernelConfig(a=a, p=(5e-6, 0.0), kappa=admissible_kappa(a, 2),
+                       w0=(0.0, 0.0))
+    tracemalloc.start()
+    try:
+        kf = solve_K(cfg, Grid.box(2, -0.5, 4.5, 81))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kf.report["converged"]
+    assert peak < 40 * 2 ** 20
 
 
 @pytest.mark.parametrize("kw, n", [
@@ -550,13 +617,13 @@ def _picard_steps(cfg, g):
     """The factor steps dg_s of solve_K's iteration, until the step's sup
     norm falls under 1e-13, with the y factors V_s."""
     lev = None if cfg.scalar_closed() else cfg.level
-    base = midpoint_pair_field(cfg, g)
-    base = (base if lev is None else base.as_algebra(lev)).values
-    ray, V = _tail_ray(cfg, g)[0], _y_factors(cfg, g)
+    f, V = _f_half(cfg, g), _y_factors(cfg, g)
+    tables = _ray_tables(np.stack([f, *V], axis=-1), cfg, g)
+    f0 = f if lev is None else f[..., None] * np.eye(1 << lev)[0]
     pairs = np.ix_(*[np.arange(k) for k in g.counts * 2])
     gs, steps, sup = [], [], 1.0
     while sup >= 1e-13:
-        new, _ = _x_factors(base[ray] + _separated(gs, V, ray), cfg, g)
+        new, _ = _x_factors(*_term_rays([f0] + gs, tables), cfg, g)
         steps.append([u - w for u, w in zip(new, gs or [0.0] * len(new))])
         gs = new
         sup = np.max(np.abs(_separated(steps[-1], V, pairs)))
@@ -582,7 +649,7 @@ def test_separated_norms_match_the_dense_expansion(kw, n):
         assert l2 == pytest.approx(np.sqrt(np.sum(np.abs(dense) ** 2)),
                                    rel=1e-12)
     assert 0.0 < sup < 1e-13
-    no_p, _ = _x_factors(np.ones((11,) * (n + 1)),
+    no_p, _ = _x_factors(np.ones((11,) * n), np.ones((11,) * n),
                          KernelConfig(p=(0.0, 0.0), **base), g)
     assert _separated_norms(no_p, V) == (0.0, 0.0)
 
