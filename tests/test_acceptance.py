@@ -60,6 +60,7 @@ from cdburgers.workbench import (
 )
 
 GOLDEN = Path(__file__).parent / "golden" / "refinement_burgers.csv"
+TRANSLATE_GOLDEN = GOLDEN.with_name("translate_report.json")
 
 BURGERS = SobolevBurgersSpec(alpha=1.0, beta=0.0, gamma=1e-5, varsigma=0.0,
                              c=(0.0,), n=2, lo=-0.5, hi=4.5, horizon=1.0)
@@ -534,10 +535,13 @@ def test_8_byte_identical_artifacts(tmp_path):
         "samples": 512,
     }
     algebra_cfg = {"levels": [2, 3], "trials": 20}
+    translate_cfg = {
+        "source": json.loads(TRANSLATE_GOLDEN.read_text())["source"]}
     stages = (("kernel", "kernel", kernel_cfg),
               ("kernel", "kernel-p2", kernel_p2_cfg),
               ("assemble", "assemble", assemble_cfg),
-              ("algebra-check", "algebra", algebra_cfg))
+              ("algebra-check", "algebra", algebra_cfg),
+              ("translate", "translate", translate_cfg))
     for _, name, cfg in stages:
         (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
 

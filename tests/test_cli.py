@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ import cdburgers.kernel
 from cdburgers.calculus import load_field
 from cdburgers.cli import cli_run
 from cdburgers.temporal import riccati_oracle
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 _KERNEL_CFG = {
     "a": [-1.0, -1.0, 0.0],
@@ -84,6 +87,18 @@ def test_translate_rejects_malformed_source(tmp_path, capsys):
     assert cli_run(["translate", "--config", cfg,
                     "--out", str(tmp_path)]) == 1
     capsys.readouterr()
+
+
+def test_translate_report_matches_golden(tmp_path, capsys):
+    # a program with poly, macro, vector unknown and source, coefficients
+    # and a power; its source is stored in the golden report itself
+    golden = (GOLDEN_DIR / "translate_report.json").read_bytes()
+    cfg = _write_cfg(tmp_path / "tr.json",
+                     {"source": json.loads(golden)["source"]})
+    assert cli_run(["translate", "--config", cfg,
+                    "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "translate_report.json").read_bytes() == golden
 
 
 def test_ode_matches_closed_form(tmp_path):
