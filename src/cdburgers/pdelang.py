@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 class PdeSyntaxError(ValueError):
@@ -173,28 +173,27 @@ def kind_of(node) -> str:
         return kind_of(node.base)
     if isinstance(node, App):
         return kind_of(node.arg)
-    if isinstance(node, Add):
-        kinds = {kind_of(t) for t in node.terms}
+    if isinstance(node, (Add, Mul)):
+        parts = _parts(node)
+        kinds = [kind_of(p) for p in parts]
         if "op" in kinds:
             # bare coefficient terms coerce to multiplication operators,
             # as in the zero-order term of  -L^2 + a*L + b
-            for t in node.terms:
-                if kind_of(t) == "field" and not _is_coefficient_like(t):
-                    raise ValueError("cannot add an operator to a field")
-            return "op"
-        return "field" if "field" in kinds else "const"
-    if isinstance(node, Mul):
-        kinds = [kind_of(f) for f in node.factors]
-        if "op" in kinds:
-            for f, k in zip(node.factors, kinds):
-                if k == "field" and not _is_coefficient_like(f):
+            for p, k in zip(parts, kinds):
+                if k == "field" and not _is_coefficient_like(p):
                     raise ValueError(
+                        "cannot add an operator to a field"
+                        if isinstance(node, Add) else
                         "an operator product may contain only coefficients, "
-                        "constants and operators"
-                    )
+                        "constants and operators")
             return "op"
         return "field" if "field" in kinds else "const"
     raise TypeError(f"not a pde node: {node!r}")
+
+
+def _parts(node) -> tuple:
+    """The terms of an Add or the factors of a Mul."""
+    return node.terms if isinstance(node, Add) else node.factors
 
 
 def _is_coefficient_like(node) -> bool:
@@ -208,8 +207,7 @@ def _is_coefficient_like(node) -> bool:
     if isinstance(node, Pow):
         return _is_coefficient_like(node.base)
     if isinstance(node, (Add, Mul)):
-        parts = node.terms if isinstance(node, Add) else node.factors
-        return all(_is_coefficient_like(p) for p in parts)
+        return all(_is_coefficient_like(p) for p in _parts(node))
     return False
 
 
@@ -291,6 +289,12 @@ class _ExprParser:
         self.i += 1
         return tok
 
+    def eat_positive(self, what: str) -> int:
+        tok = self.eat("num")
+        if not tok.text.isdigit() or int(tok.text) < 1:
+            self.error(f"{what} must be a positive integer", tok)
+        return int(tok.text)
+
     def at_end(self) -> bool:
         return self.i >= len(self.toks)
 
@@ -322,10 +326,8 @@ class _ExprParser:
         node = self.parse_postfix()
         if (tok := self.peek()) is not None and tok.kind == "^":
             self.i += 1
-            exp = self.eat("num")
-            if not exp.text.isdigit() or int(exp.text) < 1:
-                self.error("exponent must be a positive integer", exp)
-            node = _Raw(_R_POW, int(exp.text), (node,), tok.line, tok.col)
+            exp = self.eat_positive("exponent")
+            node = _Raw(_R_POW, exp, (node,), tok.line, tok.col)
         return node
 
     def parse_postfix(self) -> _Raw:
@@ -349,13 +351,9 @@ class _ExprParser:
             nxt = self.peek()
             if nxt is not None and nxt.kind == "[":
                 self.i += 1
-                idx = self.eat("num")
-                if not idx.text.isdigit() or int(idx.text) < 1:
-                    self.error("component index must be a positive integer",
-                               idx)
+                idx = self.eat_positive("component index")
                 self.eat("]")
-                return _Raw(_R_COMP, (tok.text, int(idx.text)), (), tok.line,
-                            tok.col)
+                return _Raw(_R_COMP, (tok.text, idx), (), tok.line, tok.col)
             return _Raw(_R_NAME, tok.text, (), tok.line, tok.col)
         if tok.kind == "(":
             self.i += 1
@@ -466,17 +464,11 @@ def parse_pde(text: str) -> Program:
 
     resolver = _Resolver(decls, implicit)
     for name, var, toks, lineno in poly_lines:
-        body = _ExprParser(toks, lineno)
-        tree = body.parse_expr()
-        if not body.at_end():
-            body.error("trailing tokens after polynomial body")
-        decls.polys[name] = (var, tree)
+        decls.polys[name] = (var, _parse_whole(toks, lineno,
+                                               "after polynomial body"))
     for name, toks, lineno in macro_lines:
-        body = _ExprParser(toks, lineno)
-        tree = body.parse_expr()
-        if not body.at_end():
-            body.error("trailing tokens after macro body")
-        decls.macros[name] = resolver.resolve(tree, expect="op")
+        decls.macros[name] = resolver.resolve(
+            _parse_whole(toks, lineno, "after macro body"), expect="op")
 
     equations = []
     for lhs_raw, rhs_raw, lineno in raw_eqs:
@@ -506,35 +498,26 @@ def _parse_statement(keyword, toks, lineno, decls, poly_lines, macro_lines,
                      raw_eqs):
     p = _ExprParser(toks, lineno)
     p.i = 1  # past the keyword
-    if keyword == "dim":
-        tok = p.eat("num")
-        if not tok.text.isdigit() or int(tok.text) < 1:
-            p.error("dim must be a positive integer", tok)
-        decls.dim = int(tok.text)
-    elif keyword in ("unknown", "source"):
-        name = p.eat("ident").text
-        count = 1
-        if p.peek() is not None and p.peek().kind == "[":
-            p.eat("[")
-            count = int(p.eat("num").text)
-            p.eat("]")
+    if keyword in ("dim", "unknown", "source"):
+        if keyword == "dim":
+            value = p.eat_positive("dim")
+        else:
+            name = p.eat("ident").text
+            count = 1
+            if p.peek() is not None and p.peek().kind == "[":
+                p.eat("[")
+                count = p.eat_positive("component count")
+                p.eat("]")
+            value = (name, count)
         if getattr(decls, keyword) is not None:
             p.error(f"duplicate {keyword} declaration")
-        setattr(decls, keyword, (name, count))
-    elif keyword == "coeff":
-        while True:
-            decls.coeffs.append(p.eat("ident").text)
-            if p.peek() is not None and p.peek().kind == ",":
-                p.eat(",")
-            else:
-                break
-    elif keyword == "opsym":
-        while True:
-            decls.opsyms.append(p.eat("ident").text)
-            if p.peek() is not None and p.peek().kind == ",":
-                p.eat(",")
-            else:
-                break
+        setattr(decls, keyword, value)
+    elif keyword in ("coeff", "opsym"):
+        names = getattr(decls, keyword + "s")
+        names.append(p.eat("ident").text)
+        while p.peek() is not None and p.peek().kind == ",":
+            p.eat(",")
+            names.append(p.eat("ident").text)
     elif keyword == "poly":
         name = p.eat("ident").text
         p.eat("(")
@@ -560,15 +543,20 @@ def _parse_equation_line(toks, lineno, raw_eqs):
     if len(eq_pos) != 1:
         raise PdeSyntaxError("an equation needs exactly one '='", lineno,
                              toks[0].col)
-    lp = _ExprParser(toks[: eq_pos[0]], lineno)
-    lhs = lp.parse_expr()
-    if not lp.at_end():
-        lp.error("trailing tokens before '='")
-    rp = _ExprParser(toks[eq_pos[0] + 1:], lineno)
-    rhs = rp.parse_expr()
-    if not rp.at_end():
-        rp.error("trailing tokens after equation")
-    raw_eqs.append((lhs, rhs, lineno))
+    raw_eqs.append((_parse_whole(toks[: eq_pos[0]], lineno, "before '='"),
+                    _parse_whole(toks[eq_pos[0] + 1:], lineno,
+                                 "after equation"),
+                    lineno))
+
+
+def _parse_whole(toks, lineno, where):
+    """One expression that uses every token; `where` ends the message of
+    the trailing-token error."""
+    p = _ExprParser(toks, lineno)
+    tree = p.parse_expr()
+    if not p.at_end():
+        p.error(f"trailing tokens {where}")
+    return tree
 
 
 def _infer_implicit_context(decls, raw_eqs):
@@ -651,20 +639,12 @@ class _Resolver:
                         raw.line, raw.col)
                 return DOp(axis)
             role = d.role_of(name)
-            if role == "unknown":
-                if d.unknown[1] != 1:
+            if role in ("unknown", "source", "coeff"):
+                if role != "coeff" and getattr(d, role)[1] != 1:
                     raise PdeSyntaxError(
-                        f"vector unknown {name!r} needs a component index",
+                        f"vector {role} {name!r} needs a component index",
                         raw.line, raw.col)
-                return FieldSym(name, "unknown", None)
-            if role == "source":
-                if d.source[1] != 1:
-                    raise PdeSyntaxError(
-                        f"vector source {name!r} needs a component index",
-                        raw.line, raw.col)
-                return FieldSym(name, "source", None)
-            if role == "coeff":
-                return FieldSym(name, "coeff", None)
+                return FieldSym(name, role, None)
             if role == "opsym":
                 return OpName(name)
             if role == "macro":
@@ -682,7 +662,7 @@ class _Resolver:
                 raise UndeclaredSymbolError(
                     f"{name!r} is not an indexable unknown or source",
                     raw.line, raw.col)
-            count = (d.unknown if role == "unknown" else d.source)[1]
+            count = getattr(d, role)[1]
             if idx > count:
                 raise PdeSyntaxError(
                     f"component {idx} out of range for {name}[{count}]",
@@ -813,43 +793,27 @@ def pretty_program(prog: Program) -> str:
 # -- canonical tree serialization ------------------------------------------------
 
 
+_KINDS = {Num: "num", FieldSym: "sym", DOp: "d", DzOp: "dz", OpName: "opsym",
+          Lifted: "lift", UHat: "uhat", Pi: "pi", BasisFactor: "basis",
+          Add: "add", Neg: "neg", Mul: "mul", Pow: "pow", App: "app"}
+
+
 def node_to_tree(node):
-    """JSON-ready nested structure with deterministic layout."""
-    if isinstance(node, Num):
-        return {"kind": "num", "value": node.text}
-    if isinstance(node, FieldSym):
-        return {"kind": "sym", "role": node.role, "name": node.name,
-                "index": node.index}
-    if isinstance(node, DOp):
-        return {"kind": "d", "axis": node.axis}
-    if isinstance(node, DzOp):
-        return {"kind": "dz", "index": node.index}
-    if isinstance(node, OpName):
-        return {"kind": "opsym", "name": node.name}
-    if isinstance(node, Lifted):
-        return {"kind": "lift", "name": node.name, "index": node.index}
-    if isinstance(node, UHat):
-        return {"kind": "uhat"}
-    if isinstance(node, Pi):
-        return {"kind": "pi", "index": node.index,
-                "arg": node_to_tree(node.arg)}
-    if isinstance(node, BasisFactor):
-        return {"kind": "basis", "index": node.index,
-                "arg": node_to_tree(node.arg)}
-    if isinstance(node, Add):
-        return {"kind": "add", "terms": [node_to_tree(t) for t in node.terms]}
-    if isinstance(node, Neg):
-        return {"kind": "neg", "arg": node_to_tree(node.arg)}
-    if isinstance(node, Mul):
-        return {"kind": "mul",
-                "factors": [node_to_tree(f) for f in node.factors]}
-    if isinstance(node, Pow):
-        return {"kind": "pow", "base": node_to_tree(node.base),
-                "exp": node.exp}
-    if isinstance(node, App):
-        return {"kind": "app", "func": node_to_tree(node.func),
-                "arg": node_to_tree(node.arg)}
-    raise TypeError(f"not a pde node: {node!r}")
+    """JSON-ready nested structure with deterministic layout: the node's
+    kind and its fields, sub-nodes (fields typed ``object``, and the
+    ``tuple`` of an Add or Mul) converted in turn; Num's text is "value"."""
+    kind = _KINDS.get(type(node))
+    if kind is None:
+        raise TypeError(f"not a pde node: {node!r}")
+    tree = {"kind": kind}
+    for f in fields(node):
+        value = getattr(node, f.name)
+        if f.type == "object":
+            value = node_to_tree(value)
+        elif f.type == "tuple":
+            value = [node_to_tree(v) for v in value]
+        tree["value" if f.name == "text" else f.name] = value
+    return tree
 
 
 def canonical_json(tree) -> str:

@@ -21,14 +21,25 @@ order inside products is preserved as written and never normalized; it
 matters as soon as any factor stops being scalar.
 
 The module also carries the point embedding and function lift/lower helpers,
-sympy-backed evaluators for both sides of the translation, and the classical
-vector calculus dictionary for n = 3 (div, grad, rot through a first-order
-symbol with right basis factors).
+the evaluators of both sides of the translation, the classical vector
+calculus dictionary for n = 3 (div, grad, rot through a first-order symbol
+with right basis factors), and a numeric grid path.
+
+Two walkers serve every evaluation.  ``_apply_op`` folds an operator
+expression over its argument (sums add, negation negates, products compose
+right to left, powers repeat) and hands every other node to a leaf rule;
+``eval_real``, ``eval_algebra`` and ``apply_pdo_on_grid`` each supply only
+that rule.  ``_eval_field`` evaluates a field expression; the two symbolic
+sides supply only their leaves and their product (sympy ``*`` on the real
+side, ``mul_coeffs`` on the algebra side).  Number literals read as
+``sp.Rational(text)`` on both symbolic sides.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import sympy as sp
@@ -119,6 +130,8 @@ class TranslationMaps:
     @classmethod
     def defaults(cls, n: int, m: int, k: int, level: int | None = None,
                  q_indices=None, l_indices=None) -> "TranslationMaps":
+        """Slots j - 1 unless given, at the minimal level unless given; the
+        one owner of the "insufficient algebra level" check."""
         q = tuple(q_indices) if q_indices is not None \
             else tuple(range(m))
         l = tuple(l_indices) if l_indices is not None \
@@ -140,10 +153,10 @@ def translate_pdo(node, maps: TranslationMaps):
     """Rewrite a linear differential operator for the embedded domain."""
     if kind_of(node) not in ("op", "const"):
         raise ValueError("translate_pdo expects an operator expression")
-    return _translate(node, maps, None)
+    return _translate(node, maps)
 
 
-def _translate(node, maps: TranslationMaps, program: Program | None):
+def _translate(node, maps: TranslationMaps):
     if isinstance(node, Num):
         return node
     if isinstance(node, DOp):
@@ -165,16 +178,15 @@ def _translate(node, maps: TranslationMaps, program: Program | None):
     if isinstance(node, (DzOp, Lifted, Pi, UHat, BasisFactor)):
         raise ValueError("expression is already translated")
     if isinstance(node, Add):
-        return add(*[_translate(t, maps, program) for t in node.terms])
+        return add(*[_translate(t, maps) for t in node.terms])
     if isinstance(node, Neg):
-        return Neg(_translate(node.arg, maps, program))
+        return Neg(_translate(node.arg, maps))
     if isinstance(node, Mul):
-        return Mul(tuple(_translate(f, maps, program) for f in node.factors))
+        return Mul(tuple(_translate(f, maps) for f in node.factors))
     if isinstance(node, Pow):
-        return Pow(_translate(node.base, maps, program), node.exp)
+        return Pow(_translate(node.base, maps), node.exp)
     if isinstance(node, App):
-        return App(_translate(node.func, maps, program),
-                   _translate(node.arg, maps, program))
+        return App(_translate(node.func, maps), _translate(node.arg, maps))
     raise TypeError(f"not a pde node: {node!r}")
 
 
@@ -218,25 +230,18 @@ def translate_system(program: Program, maps: TranslationMaps | None = None,
     if program.unknown is None:
         raise ValueError("program declares no unknown")
     n, m, k = program.dim, program.m, program.k
-    if maps is None:
-        maps = TranslationMaps.defaults(n, m, k, level=level,
-                                        q_indices=q_indices,
-                                        l_indices=l_indices)
-    else:
-        need = minimal_level(n, k, maps.q_indices)
-        if maps.level < need:
-            raise ValueError(
-                f"insufficient algebra level {maps.level}; need {need}")
+    if maps is not None:  # given maps pass the same level check
+        level, q_indices, l_indices = (maps.level, maps.q_indices,
+                                       maps.l_indices)
+    maps = TranslationMaps.defaults(n, m, k, level=level, q_indices=q_indices,
+                                    l_indices=l_indices)
     if len(maps.q_indices) != m:
         raise ValueError("q-indices must match unknown components")
     if len(maps.l_indices) != n:
         raise ValueError("l-indices must match the dimension")
 
-    comps = tuple(
-        Equation(_translate(eq.lhs, maps, program),
-                 _translate(eq.rhs, maps, program))
-        for eq in program.equations
-    )
+    comps = tuple(Equation(_translate(eq.lhs, maps), _translate(eq.rhs, maps))
+                  for eq in program.equations)
     lhs = add(*[_tag(s, e.lhs) for s, e in enumerate(comps)])
     ghat = add(*[_tag(s, e.rhs) for s, e in enumerate(comps)])
     return TranslatedPde(program, maps, comps, lhs, ghat)
@@ -267,12 +272,6 @@ class LiftedFunction:
             idx = self.source.grid.node_index(tuple(x))
             return self.source.values[idx]
         return self.source(*x)
-
-    @property
-    def field(self) -> GridField:
-        if not isinstance(self.source, GridField):
-            raise ValueError("lift of a callable has no grid samples")
-        return self.source
 
 
 def lift_function(f, emb: EmbeddingMap) -> LiftedFunction:
@@ -346,128 +345,106 @@ class SymbolicEnv:
         return self.values[key]
 
 
+def _apply_op(op, f, leaf):
+    """Apply the operator expression op to f.  Sums add, Neg negates,
+    products compose right to left (the rightmost factor acts first) and
+    powers repeat; leaf(op, f) applies every other node."""
+    if isinstance(op, Add):
+        return sum(_apply_op(t, f, leaf) for t in op.terms)
+    if isinstance(op, Neg):
+        return -_apply_op(op.arg, f, leaf)
+    if isinstance(op, (Mul, Pow)):
+        factors = op.factors if isinstance(op, Mul) else (op.base,) * op.exp
+        for factor in reversed(factors):
+            f = _apply_op(factor, f, leaf)
+        return f
+    return leaf(op, f)
+
+
+def _eval_field(node, leaf, apply_leaf, product):
+    """Value of a field expression on one symbolic side: sums add, Neg
+    negates, products and powers fold `product` in written order, and App
+    applies its operator through _apply_op with apply_leaf.  leaf(node)
+    gives every other node's value, numbers included."""
+    def value(node):
+        if isinstance(node, Add):
+            return sum(value(t) for t in node.terms)
+        if isinstance(node, Neg):
+            return -value(node.arg)
+        if isinstance(node, Mul):
+            return reduce(product, [value(f) for f in node.factors])
+        if isinstance(node, Pow):
+            return reduce(product, [value(node.base)] * node.exp)
+        if isinstance(node, App):
+            return _apply_op(node.func, value(node.arg), apply_leaf)
+        return leaf(node)
+
+    return value(node)
+
+
 def eval_real(node, env: SymbolicEnv):
     """Evaluate a field expression of the original system to a sympy expr."""
-    if isinstance(node, Num):
-        return sp.Rational(node.text) if "e" not in node.text.lower() \
-            else sp.Float(node.text)
-    if isinstance(node, FieldSym):
-        return env.lookup(node.role, node.name, node.index)
-    if isinstance(node, Add):
-        return sp.Add(*[eval_real(t, env) for t in node.terms])
-    if isinstance(node, Neg):
-        return -eval_real(node.arg, env)
-    if isinstance(node, Mul):
-        return sp.Mul(*[eval_real(f, env) for f in node.factors])
-    if isinstance(node, Pow):
-        return eval_real(node.base, env) ** node.exp
-    if isinstance(node, App):
-        return _apply_real(node.func, eval_real(node.arg, env), env)
-    raise TypeError(f"cannot evaluate {node!r} on the real side")
+    def leaf(node):
+        if isinstance(node, Num):
+            return sp.Rational(node.text)
+        if isinstance(node, FieldSym):
+            return env.lookup(node.role, node.name, node.index)
+        raise TypeError(f"cannot evaluate {node!r} on the real side")
 
+    def apply_leaf(op, f):
+        if isinstance(op, DOp):
+            return f.diff(env.t if op.axis == 0 else env.x[op.axis - 1])
+        if isinstance(op, (Num, FieldSym)):
+            return leaf(op) * f  # multiplication operator
+        if isinstance(op, OpName):
+            raise ValueError(
+                f"abstract operator {op.name!r} cannot be evaluated")
+        raise TypeError(f"cannot apply {op!r}")
 
-def _apply_real(op, f, env: SymbolicEnv):
-    if isinstance(op, DOp):
-        return f.diff(env.t if op.axis == 0 else env.x[op.axis - 1])
-    if isinstance(op, Add):
-        return sp.Add(*[_apply_real(t, f, env) for t in op.terms])
-    if isinstance(op, Neg):
-        return -_apply_real(op.arg, f, env)
-    if isinstance(op, Mul):
-        for factor in reversed(op.factors):  # rightmost acts first
-            f = _apply_real(factor, f, env)
-        return f
-    if isinstance(op, Pow):
-        for _ in range(op.exp):
-            f = _apply_real(op.base, f, env)
-        return f
-    if isinstance(op, (Num, FieldSym)):
-        return eval_real(op, env) * f  # multiplication operator
-    if isinstance(op, OpName):
-        raise ValueError(f"abstract operator {op.name!r} cannot be evaluated")
-    raise TypeError(f"cannot apply {op!r}")
+    return _eval_field(node, leaf, apply_leaf, operator.mul)
 
 
 def eval_algebra(node, env: SymbolicEnv, maps: TranslationMaps) -> np.ndarray:
     """Evaluate a translated expression to an object coefficient vector."""
     level = maps.level
-    if isinstance(node, Num):
-        return _scalar_vec(sp.Rational(node.text), level)
-    if isinstance(node, Lifted):
-        role = "coeff" if node.index is None and ("coeff", node.name, None) \
-            in env.values else "source"
-        return _scalar_vec(env.lookup(role, node.name, node.index), level)
-    if isinstance(node, UHat):
-        out = np.full(1 << level, sp.Integer(0), dtype=object)
-        uname = None
-        for (role, name, idx), expr in env.values.items():
-            if role != "unknown":
-                continue
-            uname = name
-            j = idx if idx is not None else 1
-            out[maps.q_indices[j - 1]] += expr
-        if uname is None:
-            raise KeyError("no unknown bound in the environment")
-        return out
-    if isinstance(node, Pi):
-        return _scalar_vec(eval_algebra(node.arg, env, maps)[node.index],
-                           level)
-    if isinstance(node, BasisFactor):
-        return basis_mul_coeffs(node.index,
-                                eval_algebra(node.arg, env, maps), level)
-    if isinstance(node, Add):
-        out = _scalar_vec(0, level)
-        for t in node.terms:
-            out = out + eval_algebra(t, env, maps)
-        return out
-    if isinstance(node, Neg):
-        return -eval_algebra(node.arg, env, maps)
-    if isinstance(node, Mul):
-        vecs = [eval_algebra(f, env, maps) for f in node.factors]
-        out = vecs[0]
-        for v in vecs[1:]:
-            out = mul_coeffs(out, v, level)
-        return out
-    if isinstance(node, Pow):
-        base = eval_algebra(node.base, env, maps)
-        out = base
-        for _ in range(node.exp - 1):
-            out = mul_coeffs(out, base, level)
-        return out
-    if isinstance(node, App):
-        return _apply_alg(node.func, eval_algebra(node.arg, env, maps), env,
-                          maps)
-    raise TypeError(f"cannot evaluate {node!r} on the algebra side")
 
+    def leaf(node):
+        if isinstance(node, Num):
+            return _scalar_vec(sp.Rational(node.text), level)
+        if isinstance(node, Lifted):
+            role = "coeff" if node.index is None and ("coeff", node.name,
+                                                      None) in env.values \
+                else "source"
+            return _scalar_vec(env.lookup(role, node.name, node.index), level)
+        if isinstance(node, UHat):
+            us = {idx or 1: expr for (role, _, idx), expr in env.values.items()
+                  if role == "unknown"}
+            if not us:
+                raise KeyError("no unknown bound in the environment")
+            return assemble_uhat([us.get(j, 0) for j in range(1, max(us) + 1)],
+                                 maps.q_indices, level)
+        if isinstance(node, Pi):
+            return _scalar_vec(eval_algebra(node.arg, env, maps)[node.index],
+                               level)
+        if isinstance(node, BasisFactor):
+            return basis_mul_coeffs(node.index,
+                                    eval_algebra(node.arg, env, maps), level)
+        raise TypeError(f"cannot evaluate {node!r} on the algebra side")
 
-def _apply_alg(op, f: np.ndarray, env: SymbolicEnv,
-               maps: TranslationMaps) -> np.ndarray:
-    if isinstance(op, DOp):
-        if op.axis != 0:
+    def apply_leaf(op, f):
+        if isinstance(op, DOp) and op.axis != 0:
             raise ValueError("untranslated spatial derivative on the "
                              "algebra side")
-        return np.array([c.diff(env.t) for c in f], dtype=object)
-    if isinstance(op, DzOp):
-        var = env.x[maps.l_indices.index(op.index)]
-        return np.array([c.diff(var) for c in f], dtype=object)
-    if isinstance(op, Add):
-        out = _scalar_vec(0, maps.level)
-        for t in op.terms:
-            out = out + _apply_alg(t, f, env, maps)
-        return out
-    if isinstance(op, Neg):
-        return -_apply_alg(op.arg, f, env, maps)
-    if isinstance(op, Mul):
-        for factor in reversed(op.factors):
-            f = _apply_alg(factor, f, env, maps)
-        return f
-    if isinstance(op, Pow):
-        for _ in range(op.exp):
-            f = _apply_alg(op.base, f, env, maps)
-        return f
-    if isinstance(op, (Num, Lifted)):
-        return mul_coeffs(eval_algebra(op, env, maps), f, maps.level)
-    raise TypeError(f"cannot apply {op!r} on the algebra side")
+        if isinstance(op, (DOp, DzOp)):
+            var = env.t if isinstance(op, DOp) else \
+                env.x[maps.l_indices.index(op.index)]
+            return np.array([c.diff(var) for c in f], dtype=object)
+        if isinstance(op, (Num, Lifted)):
+            return mul_coeffs(leaf(op), f, level)
+        raise TypeError(f"cannot apply {op!r} on the algebra side")
+
+    return _eval_field(node, leaf, apply_leaf,
+                       lambda a, b: mul_coeffs(a, b, level))
 
 
 def theorem1_residuals(program: Program, tp: TranslatedPde,
@@ -573,7 +550,7 @@ def apply_pdo_on_grid(op, field: GridField, maps: TranslationMaps | None = None,
         raise ValueError("apply_pdo_on_grid expects a scalar spatial field")
     h = field.grid.spacings
 
-    def rec(opnode, values):
+    def leaf(opnode, values):
         if isinstance(opnode, DOp):
             if opnode.axis == 0:
                 raise ValueError("no time axis on a spatial field")
@@ -584,20 +561,6 @@ def apply_pdo_on_grid(op, field: GridField, maps: TranslationMaps | None = None,
                 raise ValueError("translated operator needs maps")
             a = maps.l_indices.index(opnode.index)
             return diff_axis(values, a, h[a], 1)
-        if isinstance(opnode, Add):
-            return sum(rec(t, values) for t in opnode.terms)
-        if isinstance(opnode, Neg):
-            return -rec(opnode.arg, values)
-        if isinstance(opnode, Mul):
-            out = values
-            for factor in reversed(opnode.factors):
-                out = rec(factor, out)
-            return out
-        if isinstance(opnode, Pow):
-            out = values
-            for _ in range(opnode.exp):
-                out = rec(opnode.base, out)
-            return out
         if isinstance(opnode, Num):
             return complex(float(opnode.text)) * values
         if isinstance(opnode, (FieldSym, Lifted)):
@@ -608,4 +571,4 @@ def apply_pdo_on_grid(op, field: GridField, maps: TranslationMaps | None = None,
             return cv * values
         raise TypeError(f"cannot apply {opnode!r} on the grid")
 
-    return GridField(field.grid, "x", rec(op, field.values))
+    return GridField(field.grid, "x", _apply_op(op, field.values, leaf))

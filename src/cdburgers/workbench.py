@@ -229,13 +229,11 @@ def characteristic_kappa(spec: SobolevBurgersSpec) -> tuple:
 
 
 def atom_kernel_config(point: SpectralPoint, spec: SobolevBurgersSpec,
-                       w0, *, r_inf=None, max_iter=40,
-                       tol=1e-10) -> KernelConfig:
+                       w0, *, tol=1e-10) -> KernelConfig:
     params = lambda_to_params(point, spec)
     return KernelConfig(a=params.a, p=params.p,
                         kappa=characteristic_kappa(spec), w0=tuple(w0),
-                        r_inf=r_inf, max_iter=max_iter, tol=tol,
-                        level=spec.level)
+                        tol=tol, level=spec.level)
 
 
 def measure_for_atoms(atoms, spec: SobolevBurgersSpec, p, *,
@@ -327,8 +325,7 @@ class SolutionField:
 
 
 def assemble_u(atoms, measure: AtomicRandomMeasure, grid: Grid,
-               spec: SobolevBurgersSpec, w0, *, r_inf=None, max_iter=40,
-               tol=1e-10, force=False) -> SolutionField:
+               spec: SobolevBurgersSpec, w0, *, tol=1e-10) -> SolutionField:
     """Solve the temporal and kernel factors for every atom and bundle the
     assembled random field.  The diagonal fields need scalar kernels, so
     varsigma != 0 (p_2 != 0) is rejected before any solve."""
@@ -341,8 +338,7 @@ def assemble_u(atoms, measure: AtomicRandomMeasure, grid: Grid,
         want = [complex(v).real for v in point.lam]
         if list(rep) != want:
             raise ValueError("measure cells do not match the atom list")
-    cfgs = [atom_kernel_config(point, spec, w0, r_inf=r_inf,
-                               max_iter=max_iter, tol=tol) for point in atoms]
+    cfgs = [atom_kernel_config(point, spec, w0, tol=tol) for point in atoms]
     if not all(cfg.scalar_closed() for cfg in cfgs):
         raise ValueError("assembly of diagonal fields needs scalar kernels")
 
@@ -363,7 +359,7 @@ def assemble_u(atoms, measure: AtomicRandomMeasure, grid: Grid,
                 np.max(np.abs(tr.times - t_axis)) > 1e-9 * grid.t_max):
             raise RuntimeError("trajectory samples missed the time grid")
         trajectories.append(tr)
-        kernels.append(solve_K(cfg, grid, force=force))
+        kernels.append(solve_K(cfg, grid))
     return SolutionField(spec=spec, grid=grid, atoms=atoms,
                          params=tuple(params), measure=measure,
                          trajectories=tuple(trajectories),
@@ -478,18 +474,16 @@ def _t_margin_rows(grid: Grid, t_collar: float | None) -> int:
     return rows
 
 
-def _scalar_residual(mean: np.ndarray, quad: np.ndarray, sol: SolutionField,
+def _scalar_residual(lin: np.ndarray, quad: np.ndarray, sol: SolutionField,
                      margin: int, t_rows: int) -> float:
-    """Max norm of Q(d/dt) L u + gamma_eff d(quad)/dx_1 + sigma_eff quad
-    over the interior window (quad is u^2 or E u^2)."""
+    """Max norm of lin + gamma_eff d(quad)/dx_1 + sigma_eff quad over the
+    interior window, with lin = Q(d/dt) L u (quad is u^2 or E u^2)."""
     grid = sol.grid
     eff = sol.spec.effective_coefficients()
-    lin = _q_time_apply(_scalar_operator(mean, grid, eff), grid.tau,
-                        sol.spec.c)
     resid = lin + eff["gamma"] * diff_axis(quad, 1, grid.spacings[0], 1)
     resid += eff["varsigma"] * quad
-    window = (slice(t_rows, mean.shape[0] - t_rows),) + interior_slices(
-        mean.shape[1:], range(grid.n), margin)
+    window = (slice(t_rows, lin.shape[0] - t_rows),) + interior_slices(
+        lin.shape[1:], range(grid.n), margin)
     return float(np.max(np.abs(resid[window])))
 
 
@@ -581,7 +575,9 @@ def residual_suite(sol: SolutionField, *, collar: float | None = None,
                                                       cfg.q)))))
 
     mean = sol.mean_diagonal()
-    second = sol.second_moment_diagonal()
+    # Q(d/dt) L E u, the linear part of both diagonal residuals
+    lin = _q_time_apply(_scalar_operator(
+        mean, grid, spec.effective_coefficients()), grid.tau, spec.c)
     return {
         "collar_cells": margin,
         "t_rows": t_rows,
@@ -590,10 +586,10 @@ def residual_suite(sol: SolutionField, *, collar: float | None = None,
         "linear": linear,
         "pair": pair,
         "expectation": _expectation_residual(sol, margin, t_rows, terms),
-        "diagonal_mean": _scalar_residual(mean, mean * mean, sol, margin,
+        "diagonal_mean": _scalar_residual(lin, mean * mean, sol, margin,
                                           t_rows),
-        "diagonal_expect": _scalar_residual(mean, second, sol, margin,
-                                            t_rows),
+        "diagonal_expect": _scalar_residual(lin, sol.second_moment_diagonal(),
+                                            sol, margin, t_rows),
     }
 
 

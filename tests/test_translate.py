@@ -137,6 +137,21 @@ def test_vector_component_bounds():
         parse_pde("dim 2\nunknown u[2]\ndt(u) = 0")  # index required
 
 
+@pytest.mark.parametrize("src, line, col, message", [
+    ("dim 2\nunknown u[2.5]\ndt(u[1]) = 0", 2, 11,
+     "component count must be a positive integer"),
+    ("dim 2\nunknown u\nsource f[0]\ndt(u) = 0", 3, 10,
+     "component count must be a positive integer"),
+    ("dim 2\nunknown u[0]\ndt(u) = 0", 2, 11,
+     "component count must be a positive integer"),
+    ("dim 2\ndim 3\nunknown u\ndt(u) = 0", 2, 6, "duplicate dim declaration"),
+], ids=["fractional", "zero-source", "zero-unknown", "second-dim"])
+def test_parse_validates_declarations(src, line, col, message):
+    with pytest.raises(PdeSyntaxError, match=message) as exc:
+        parse_pde(src)
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
 # -- embedding and lifting -------------------------------------------------------
 
 
@@ -269,6 +284,14 @@ a*dx1(u) + dx2(dx2(u)) - dt(u) = 0
             + c[5]
         env = SymbolicEnv.build(prog, u, coeffs={"a": sp.Rational(3, 2)})
         assert theorem1_gap(prog, tp, env) == 0.0
+
+
+def test_number_literals_read_alike_on_both_sides():
+    prog = parse_pde("dim 2\nunknown u\ndt(u) + 1e-3*u = 0")
+    u = sp.exp(T) * sp.sin(X1)
+    real, vec = theorem1_residuals(prog, translate_system(prog),
+                                   SymbolicEnv.build(prog, u))
+    assert real[0] == vec[0] == sp.Rational(1001, 1000) * u
 
 
 def test_translate_zero_source_gives_zero_ghat():
