@@ -237,10 +237,9 @@ def diff_axis(values: np.ndarray, axis: int, h: float, order: int = 1
         return _d1(values, axis, h)
     if order == 2:
         return _d2(values, axis, h)
-    out = _d1(values, axis, h)
-    for _ in range(order - 2):
-        out = _d1(out, axis, h)
-    return _d1(out, axis, h)
+    for _ in range(order):
+        values = _d1(values, axis, h)
+    return values
 
 
 def _d1(values: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -561,17 +560,6 @@ def tail_integral(f: GridField, w: Sequence[float], axis: int,
 # ---------------------------------------------------------------------------
 
 
-def _axis_weights(grid: Grid, arity: str) -> list[np.ndarray]:
-    ws = []
-    if arity == "txy":
-        ws.append(quad_weights(grid.t_count, grid.tau))
-    reps = 2 if arity in ("xy", "txy") else 1
-    for _ in range(reps):
-        for a in range(grid.n):
-            ws.append(quad_weights(grid.counts[a], grid.spacings[a]))
-    return ws
-
-
 def _box_integral(values: np.ndarray, weights: list[np.ndarray]) -> float:
     out = values
     for w in reversed(weights):
@@ -597,7 +585,8 @@ def sobolev_norm(f: GridField, m: int, k: int, s: float = 2.0) -> float:
         raise ValueError("exponent must be positive")
     grid = f.grid
     n = grid.n
-    weights = _axis_weights(grid, "txy")
+    weights = [quad_weights(grid.t_count, grid.tau)] + [
+        quad_weights(grid.counts[a], grid.spacings[a]) for a in range(n)] * 2
     x_axes = f._spatial_axes("x")
     y_axes = f._spatial_axes("y")
     total = 0.0
@@ -630,9 +619,23 @@ def sobolev_norm(f: GridField, m: int, k: int, s: float = 2.0) -> float:
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"CDGF"
-_VERSION = 1
 _ARITY_CODE = {"x": 1, "xy": 2, "txy": 3}
 _ARITY_FROM = {v: k for k, v in _ARITY_CODE.items()}
+
+
+def _dump(path: str, version: int, grid: Grid, arity: str, level,
+          payload) -> None:
+    """dump_field's header, then each buffer of the payload in order."""
+    with open(path, "wb") as fh:
+        fh.write(_MAGIC + struct.pack("<IBBBB", version, _ARITY_CODE[arity],
+                                      0 if level is None else 1, level or 0,
+                                      grid.n))
+        if arity == "txy":
+            fh.write(struct.pack("<dQ", grid.t_max, grid.t_count))
+        for (lo, hi), c in zip(grid.bounds, grid.counts):
+            fh.write(struct.pack("<ddQ", lo, hi, c))
+        for buf in payload:
+            fh.write(buf)
 
 
 def dump_field(f: GridField, path: str) -> None:
@@ -640,45 +643,40 @@ def dump_field(f: GridField, path: str) -> None:
 
     Layout (little-endian):
       magic   4 bytes  b"CDGF"
-      u32     version (1)
+      u32     version (1 dense, 2 separated terms, see dump_terms)
       u8      arity code (1 = x, 2 = xy, 3 = txy)
       u8      value kind (0 = complex scalar, 1 = algebra coefficients)
       u8      level (0 for scalar fields)
       u8      spatial dimension n
       f64,u64 t_max, t_count (only when arity = txy)
       n times f64 lo, f64 hi, u64 count  (per spatial axis)
-      payload complex128 values, C row-major, shape as per arity
-              (trailing coefficient axis of length 2^level when kind = 1),
-              which dump_slabs may write in C-order slabs
+      payload version 1: complex128 values, C row-major, shape as per
+              arity (trailing coefficient axis of length 2^level when
+              kind = 1); version 2: u32 term count r, then per term t in
+              order u_t, an x field of the value kind, and v_t, a scalar
+              x field, both complex128 in C row-major order
     """
-    dump_slabs(path, f.grid, f.arity, f.level, [f.values])
+    _dump(path, 1, f.grid, f.arity, f.level, [np.ascontiguousarray(f.values)])
 
 
-def dump_slabs(path: str, grid: Grid, arity: str, level, slabs) -> None:
-    """dump_field's layout, the payload given as consecutive C-order slabs
-    along its leading axis, each written from its buffer."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fh.write(struct.pack("<BBBB", _ARITY_CODE[arity],
-                             0 if level is None else 1, level or 0, grid.n))
-        if arity == "txy":
-            fh.write(struct.pack("<dQ", grid.t_max, grid.t_count))
-        for (lo, hi), c in zip(grid.bounds, grid.counts):
-            fh.write(struct.pack("<ddQ", lo, hi, c))
-        for slab in slabs:
-            fh.write(np.ascontiguousarray(slab))
+def dump_terms(path: str, grid: Grid, level, terms) -> None:
+    """Write the xy field sum_t u_t(x) v_t(y) as its terms (u_t, v_t), in
+    dump_field's version 2: O(r N^n) bytes, not N^{2n}."""
+    _dump(path, 2, grid, "xy", level, [struct.pack("<I", len(terms))] + [
+        np.ascontiguousarray(a, dtype=np.complex128)
+        for term in terms for a in term])
 
 
 def load_field(path: str) -> GridField:
-    """Read a GridField written by dump_field."""
+    """Read a GridField written by dump_field (version 1) or dump_terms
+    (version 2, expanded to the dense sum_t u_t(x) v_t(y), added in term
+    order from elementwise products)."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ValueError("not a field dump")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != _VERSION:
+        version, ac, kind, level, n = struct.unpack("<IBBBB", fh.read(8))
+        if version not in (1, 2):
             raise ValueError(f"unsupported dump version {version}")
-        ac, kind, level, n = struct.unpack("<BBBB", fh.read(4))
         arity = _ARITY_FROM[ac]
         t_max = t_count = None
         if arity == "txy":
@@ -690,8 +688,18 @@ def load_field(path: str) -> GridField:
             counts.append(int(c))
         grid = Grid(tuple(bounds), tuple(counts), t_max, t_count)
         lev = level if kind == 1 else None
-        shape = grid.shape(arity, lev)
-        data = np.frombuffer(
-            fh.read(), dtype=np.complex128, count=int(np.prod(shape))
-        ).reshape(shape)
-        return GridField(grid, arity, data.copy(), lev)
+
+        def read(shape):
+            return np.frombuffer(fh.read(16 * int(np.prod(shape))),
+                                 dtype=np.complex128).reshape(shape)
+
+        if version == 1:
+            return GridField(grid, arity, read(grid.shape(arity, lev)).copy(),
+                             lev)
+        (r,) = struct.unpack("<I", fh.read(4))
+        su, sv = grid.shape("x", lev), grid.shape("x")
+        values = np.zeros(grid.shape("xy", lev), dtype=np.complex128)
+        for _ in range(r):
+            u = read(su).reshape(su[:n] + (1,) * n + su[n:])
+            values += u * read(sv).reshape(sv + (1,) * (len(su) - n))
+        return GridField(grid, "xy", values, lev)

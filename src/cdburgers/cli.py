@@ -45,7 +45,9 @@ Keys a stage does not read are ignored.
 Artifacts are written into --out (default "."): JSON manifests through the
 canonical serializer (sorted keys, fixed separators), CSV tables, and
 binary field dumps in the documented calculus byte layout, so a fixed
-config and seed produce byte-identical outputs.
+config and seed produce byte-identical outputs.  The kernel dumps
+(K.cdgf, atom*_K.cdgf) hold K's separated terms (layout version 2), not
+its N^{2n} pair values; calculus.load_field expands them.
 
 Exit codes: 0 success, 1 validation error (bad flags, bad config, missing
 file), 2 numerical failure (divergence, blow-up, or a failed check).

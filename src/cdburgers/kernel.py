@@ -22,9 +22,9 @@ on K, and the x factors g_s are prefix sweeps of K's tail ray.  K is kept
 as its separated terms u_t(x) v_t(y), f(x/2) f(y/2) and g_s(x) V_s(y); its
 ray is sum_t u_t(w) R_t(w), R_t tail-window integrals of f(z/2) v_t(z)
 that need no K.  So the Picard solve builds the R_t once, and every sweep
-of every step acts on N^n nodes, none on N^{n+1} or N^{2n}.  The K dump is
-written from the terms one x_1 slab at a time, and the residual at x = y
-is evaluated from them one V factor at a time (Beylkin & Mohlenkamp, 2005).
+of every step acts on N^n nodes, none on N^{n+1} or N^{2n}.  The K dump
+writes the terms themselves, and the residual at x = y is evaluated from
+them one V factor at a time (Beylkin & Mohlenkamp, 2005).
 
 F comes from the closed family F(x, y) = exp(kappa . (x + y)/2).  Any
 function of the midpoint alone is annihilated by S_1, and membership in the
@@ -55,7 +55,7 @@ from .calculus import (
     GridField,
     cumulative_integral,
     dirac_apply,
-    dump_slabs,
+    dump_terms,
     interior_slices,
     _d1,
     _segment_factor,
@@ -99,17 +99,12 @@ def admissible_kappa(a, n: int):
     points the vector down the first axis as (-k, 0, ..., 0) so the tail
     ray decays.  Raises if no real positive root exists.
     """
-    roots = np.roots([a[0] / 16.0, -a[1] / 4.0, a[2]])
-    best = None
-    for r in np.atleast_1d(roots):
-        rc = complex(r)
-        if abs(rc.imag) < 1e-12 and rc.real > 1e-14:
-            if best is None or rc.real < best:
-                best = rc.real
-    if best is None:
+    roots = [complex(r) for r in np.roots([a[0] / 16.0, -a[1] / 4.0, a[2]])]
+    real = [r.real for r in roots if abs(r.imag) < 1e-12 and r.real > 1e-14]
+    if not real:
         raise ValueError(f"no real positive k^2 root for a = {a}")
     kappa = np.zeros(n)
-    kappa[0] = -float(np.sqrt(best))
+    kappa[0] = -float(np.sqrt(min(real)))
     return tuple(kappa)
 
 
@@ -212,7 +207,9 @@ class KernelConfig:
 @dataclass
 class KernelField:
     """F (midpoint samples over V) and K's separated terms (u_t, v_t) on V,
-    K = sum_t u_t(x) v_t(y): (f(x/2), f(y/2)), then the solve's (g_s, V_s)."""
+    K = sum_t u_t(x) v_t(y): (f(x/2), f(y/2)), then the solve's (g_s, V_s).
+    The terms are what dump_K writes; K and diagonal() evaluate them at
+    pair nodes."""
 
     F: GridField
     config: KernelConfig
@@ -223,7 +220,7 @@ class KernelField:
     @property
     def K(self) -> GridField:
         """K on V x V (see _pair_values).  Allocates a V x V array on each
-        read, which only the tests make; dump_K streams it instead."""
+        read, which only the tests make; dump_K writes the terms instead."""
         grid, cfg = self.F.grid, self.config
         pairs = np.ix_(*[np.arange(k) for k in grid.counts * 2])
         vals = _pair_values(cfg, grid, pairs, self.terms[1:])
@@ -231,14 +228,13 @@ class KernelField:
                          None if cfg.scalar_closed() else cfg.level)
 
     def dump_K(self, path: str) -> None:
-        """dump_field(self.K, path), written one x_1 slab of K at a time."""
-        grid, cfg = self.F.grid, self.config
-        rest = [np.arange(k) for k in grid.counts[1:] + grid.counts]
-        dump_slabs(path, grid, "xy",
-                   None if cfg.scalar_closed() else cfg.level,
-                   (_pair_values(cfg, grid, np.ix_([i], *rest),
-                                 self.terms[1:])
-                    for i in range(grid.counts[0])))
+        """Write K as its terms (calculus.dump_terms), f(x/2) on coefficient
+        0 unless scalar-closed; load_field reads back K to rounding."""
+        cfg = self.config
+        level = None if cfg.scalar_closed() else cfg.level
+        (f, v), *rest = self.terms
+        u = f if level is None else f[..., None] * np.eye(1 << level)[0]
+        dump_terms(path, self.F.grid, level, [(u, v)] + rest)
 
     def diagonal(self) -> np.ndarray:
         """K(x, x) on V, bit for bit the x = y entries of K.values."""

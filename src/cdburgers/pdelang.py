@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 
 class PdeSyntaxError(ValueError):
@@ -238,12 +238,9 @@ def _tokenize_line(text: str, lineno: int) -> list[_Tok]:
         if m is None:
             raise PdeSyntaxError(f"unexpected character {text[pos]!r}",
                                  lineno, pos + 1)
-        if m.lastgroup == "num":
-            toks.append(_Tok("num", m.group(), lineno, pos + 1))
-        elif m.lastgroup == "ident":
-            toks.append(_Tok("ident", m.group(), lineno, pos + 1))
-        elif m.lastgroup == "op":
-            toks.append(_Tok(m.group(), m.group(), lineno, pos + 1))
+        if m.lastgroup in ("num", "ident", "op"):
+            kind = m.group() if m.lastgroup == "op" else m.lastgroup
+            toks.append(_Tok(kind, m.group(), lineno, pos + 1))
         pos = m.end()
     return toks
 
@@ -405,30 +402,18 @@ class _Decls:
     dim: int | None = None
     unknown: tuple[str, int] | None = None
     source: tuple[str, int] | None = None
-    coeffs: list = None
-    opsyms: list = None
-    polys: dict = None
-    macros: dict = None
-
-    def __post_init__(self):
-        self.coeffs = []
-        self.opsyms = []
-        self.polys = {}
-        self.macros = {}
+    coeffs: list = field(default_factory=list)
+    opsyms: list = field(default_factory=list)
+    polys: dict = field(default_factory=dict)
+    macros: dict = field(default_factory=dict)
 
     def role_of(self, name: str) -> str | None:
-        if self.unknown and self.unknown[0] == name:
-            return "unknown"
-        if self.source and self.source[0] == name:
-            return "source"
-        if name in self.coeffs:
-            return "coeff"
-        if name in self.opsyms:
-            return "opsym"
-        if name in self.polys:
-            return "poly"
-        if name in self.macros:
-            return "macro"
+        for role in ("unknown", "source"):
+            if (getattr(self, role) or (None,))[0] == name:
+                return role
+        for role in ("coeff", "opsym", "poly", "macro"):
+            if name in getattr(self, role + "s"):
+                return role
         return None
 
 
@@ -437,8 +422,6 @@ def parse_pde(text: str) -> Program:
     lines = text.splitlines()
     decls = _Decls()
     raw_eqs: list[tuple[_Raw, _Raw, int]] = []
-    poly_lines: list[tuple[str, str, list[_Tok], int]] = []
-    macro_lines: list[tuple[str, list[_Tok], int]] = []
     any_decl = False
 
     for lineno, line in enumerate(lines, start=1):
@@ -448,14 +431,15 @@ def parse_pde(text: str) -> Program:
         head = toks[0]
         if head.kind == "ident" and head.text in _KEYWORDS:
             any_decl = any_decl or head.text != "eq"
-            _parse_statement(head.text, toks, lineno, decls, poly_lines,
-                             macro_lines, raw_eqs)
+            _parse_statement(head.text, toks, lineno, decls, raw_eqs)
         else:
             _parse_equation_line(toks, lineno, raw_eqs)
 
     if not raw_eqs:
         raise PdeSyntaxError("program has no equations", len(lines) or 1, 1)
 
+    # resolved in order below: a macro body sees only the macros above it
+    macro_lines, decls.macros = decls.macros, {}
     implicit = not any_decl
     if implicit:
         _infer_implicit_context(decls, raw_eqs)
@@ -463,10 +447,10 @@ def parse_pde(text: str) -> Program:
         raise PdeSyntaxError("missing dim declaration", 1, 1)
 
     resolver = _Resolver(decls, implicit)
-    for name, var, toks, lineno in poly_lines:
+    for name, (var, toks, lineno) in decls.polys.items():
         decls.polys[name] = (var, _parse_whole(toks, lineno,
                                                "after polynomial body"))
-    for name, toks, lineno in macro_lines:
+    for name, (toks, lineno) in macro_lines.items():
         decls.macros[name] = resolver.resolve(
             _parse_whole(toks, lineno, "after macro body"), expect="op")
 
@@ -494,15 +478,22 @@ def parse_pde(text: str) -> Program:
     )
 
 
-def _parse_statement(keyword, toks, lineno, decls, poly_lines, macro_lines,
-                     raw_eqs):
+def _parse_statement(keyword, toks, lineno, decls, raw_eqs):
     p = _ExprParser(toks, lineno)
     p.i = 1  # past the keyword
+
+    def new_name() -> str:
+        tok = p.eat("ident")
+        role = decls.role_of(tok.text)
+        if role is not None:
+            p.error(f"name {tok.text!r} already declared as {role}", tok)
+        return tok.text
+
     if keyword in ("dim", "unknown", "source"):
         if keyword == "dim":
             value = p.eat_positive("dim")
         else:
-            name = p.eat("ident").text
+            name = new_name()
             count = 1
             if p.peek() is not None and p.peek().kind == "[":
                 p.eat("[")
@@ -514,22 +505,22 @@ def _parse_statement(keyword, toks, lineno, decls, poly_lines, macro_lines,
         setattr(decls, keyword, value)
     elif keyword in ("coeff", "opsym"):
         names = getattr(decls, keyword + "s")
-        names.append(p.eat("ident").text)
+        names.append(new_name())
         while p.peek() is not None and p.peek().kind == ",":
             p.eat(",")
-            names.append(p.eat("ident").text)
+            names.append(new_name())
     elif keyword == "poly":
-        name = p.eat("ident").text
+        name = new_name()
         p.eat("(")
         var = p.eat("ident").text
         p.eat(")")
         p.eat("=")
-        poly_lines.append((name, var, toks[p.i:], lineno))
+        decls.polys[name] = (var, toks[p.i:], lineno)
         return
     elif keyword == "macro":
-        name = p.eat("ident").text
+        name = new_name()
         p.eat("=")
-        macro_lines.append((name, toks[p.i:], lineno))
+        decls.macros[name] = (toks[p.i:], lineno)
         return
     elif keyword == "eq":
         _parse_equation_line(toks[1:], lineno, raw_eqs)

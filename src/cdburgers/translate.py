@@ -132,10 +132,8 @@ class TranslationMaps:
                  q_indices=None, l_indices=None) -> "TranslationMaps":
         """Slots j - 1 unless given, at the minimal level unless given; the
         one owner of the "insufficient algebra level" check."""
-        q = tuple(q_indices) if q_indices is not None \
-            else tuple(range(m))
-        l = tuple(l_indices) if l_indices is not None \
-            else tuple(range(n))
+        q = tuple(range(m) if q_indices is None else q_indices)
+        l = tuple(range(n) if l_indices is None else l_indices)
         need = minimal_level(n, k, q)
         if level is None:
             level = need

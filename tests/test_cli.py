@@ -301,8 +301,8 @@ def test_cli_import_leaves_sympy_unloaded():
                   "w0": [0.0, 0.0], "grid": {"count": 11, "t_count": 7}}),
 ], ids=["kernel-p2", "assemble"])
 def test_stage_forms_no_pair_sized_array(stage, cfg, tmp_path, monkeypatch):
-    # the stage solves and dumps K from its separated terms, the dump one
-    # x_1 slab at a time: no expansion reaches the N^{2n} pair nodes
+    # the stage solves and dumps K as its separated terms: the kernel stage
+    # evaluates K at no pair node, and no expansion reaches the N^{2n} ones
     shapes = []
     separated = cdburgers.kernel._separated
 
@@ -313,5 +313,25 @@ def test_stage_forms_no_pair_sized_array(stage, cfg, tmp_path, monkeypatch):
     monkeypatch.setattr(cdburgers.kernel, "_separated", expanded)
     path = _write_cfg(tmp_path / "cfg.json", cfg)
     assert cli_run([stage, "--config", path, "--out", str(tmp_path)]) == 0
+    if stage == "kernel":
+        assert not shapes
+        return
     assert shapes
     assert max(map(math.prod, shapes)) < 11 ** 4
+
+
+@pytest.mark.parametrize("p, r, width", [
+    ([5e-06, 0.0], 3, 1),
+    ([5e-06, 2e-06], 7, 4),
+], ids=["scalar-closed", "p2"])
+def test_kernel_dump_is_the_size_of_its_terms(p, r, width, tmp_path):
+    # count 41, n = 2: r terms of N^n (u_t, width_u wide, and v_t) complex
+    # values after the header and the term count, where the dense dump
+    # would take N^{2n} width_u of them (45 MB and 181 MB)
+    n, count = 2, 41
+    cfg = dict(_KERNEL_CFG, p=p, grid=dict(_KERNEL_CFG["grid"], count=count))
+    path = _write_cfg(tmp_path / "cfg.json", cfg)
+    assert cli_run(["kernel", "--config", path, "--out", str(tmp_path)]) == 0
+    header = 4 + 4 + 4 + n * 24
+    size = header + 4 + r * count ** n * (width + 1) * 16
+    assert (tmp_path / "K.cdgf").stat().st_size == size

@@ -600,17 +600,28 @@ def test_diagonal_is_the_dense_diagonal_bit_for_bit(kw, n):
     (dict(p=_QS, variant="quaternion"), 2),
     (dict(p=(0.1, 0.05), r_inf=1.3), 2),
 ], ids=["scalar", "n2-tail-axis1", "p2", "quaternion", "n2-p2-r_inf"])
-def test_streamed_K_dump_is_the_dense_dump_byte_for_byte(kw, n, tmp_path):
+def test_K_terms_dump_round_trips_to_the_dense_K(kw, n, tmp_path):
     base, g = _SOLVE[n]
     kf = solve_K(KernelConfig(**kw, **base), g)
     K = kf.K
-    dense, streamed = tmp_path / "dense.cdgf", tmp_path / "streamed.cdgf"
-    dump_field(K, str(dense))
-    kf.dump_K(str(streamed))
-    assert streamed.read_bytes() == dense.read_bytes()
-    back = load_field(str(streamed))
-    assert back.level == K.level
-    assert np.array_equal(back.values, K.values)
+    one, two = tmp_path / "one.cdgf", tmp_path / "two.cdgf"
+    kf.dump_K(str(one))
+    kf.dump_K(str(two))
+    assert one.read_bytes() == two.read_bytes()
+    back = load_field(str(one))
+    assert (back.arity, back.level) == ("xy", K.level)
+    assert back.values.shape == K.values.shape
+    # F enters as f(x/2) f(y/2), not f_midpoint((x + y)/2): equal to rounding
+    gap = np.max(np.abs(back.values - K.values)) / np.max(np.abs(K.values))
+    assert gap <= 1e-15
+    # a dense (version 1) dump still loads; an unknown version does not
+    dump_field(K, str(one))
+    assert np.array_equal(load_field(str(one)).values, K.values)
+    data = bytearray(two.read_bytes())
+    data[4:8] = (3).to_bytes(4, "little")
+    two.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="unsupported dump version 3"):
+        load_field(str(two))
 
 
 def _picard_steps(cfg, g):
@@ -1091,3 +1102,42 @@ def test_no_unused_module_level_imports():
         if names:
             unused[path.stem] = sorted(names)
     assert not unused, f"unused module-level imports: {unused}"
+
+
+def _ref_name(node):
+    """The name a Name, Attribute or import alias node refers to."""
+    return getattr(node, "id", None) or getattr(node, "attr", None) or (
+        node.name if isinstance(node, ast.alias) else None)
+
+
+def _orphan_private_functions(trees: dict) -> set:
+    """module.name of each private module-level function that no code in
+    `trees` refers to outside its own definition."""
+    refs = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            refs[_ref_name(node)] = refs.get(_ref_name(node), 0) + 1
+    return {f"{mod}.{fn.name}" for mod, tree in trees.items()
+            for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
+            and not fn.name.startswith("__")
+            and refs.get(fn.name, 0) == sum(_ref_name(n) == fn.name
+                                            for n in ast.walk(fn))}
+
+
+def test_orphan_guard_flags_only_unreferenced_private_functions():
+    trees = {"a": ast.parse("def _used():\n    pass\n"
+                            "def _alone(n):\n    return _alone(n - 1)\n"
+                            "def public():\n    pass\n"),
+             "b": ast.parse("from .a import _used\n")}
+    assert _orphan_private_functions(trees) == {"a._alone"}
+
+
+# only bench/spans.py wraps it; ROADMAP item 2 unblocks its removal
+_ORPHANS_ALLOWED = {"kernel._diagonal_pair"}
+
+
+def test_every_private_function_has_a_caller():
+    trees = {path.stem: ast.parse(path.read_text()) for path in
+             sorted(Path(cdburgers.__file__).parent.glob("*.py"))}
+    assert _orphan_private_functions(trees) == _ORPHANS_ALLOWED

@@ -152,6 +152,20 @@ def test_parse_validates_declarations(src, line, col, message):
     assert (exc.value.line, exc.value.col) == (line, col)
 
 
+
+@pytest.mark.parametrize("src, line, col, message", [
+    ("dim 2\nunknown u\ncoeff u, u\ndt(u) = u", 3, 7,
+     "name 'u' already declared as unknown"),
+    ("dim 2\nunknown u\nsource u\ndt(u) = u", 3, 8,
+     "name 'u' already declared as unknown"),
+    ("dim 2\nunknown u\nmacro L = dx1\nmacro L = dx2\ndt(u) = L(u)", 4, 7,
+     "name 'L' already declared as macro"),
+], ids=["coeff-is-unknown", "source-is-unknown", "second-macro"])
+def test_parse_rejects_a_name_declared_twice(src, line, col, message):
+    with pytest.raises(PdeSyntaxError, match=message) as exc:
+        parse_pde(src)
+    assert (exc.value.line, exc.value.col) == (line, col)
+
 # -- embedding and lifting -------------------------------------------------------
 
 
