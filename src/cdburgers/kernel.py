@@ -499,9 +499,10 @@ def _separated_norms(ds, V: np.ndarray):
     l2^2 = sum_{s,t} Gx[s, t] Gy[s, t], Gx the Gram matrix of the d_s over
     x and coefficients, Gy that of the V_s over y.  The sup visits (x,
     coefficient) rows in decreasing order of the bound sum_s |d_s| max |V_s|
-    (inflated to cover rounding), 64 at a time, forms their entries in
-    _separated's order, so the max keeps its bits, and stops once no row
-    left can exceed it.  Fixed-order numpy sums; (0.0, 0.0) without factors.
+    (inflated to cover rounding) in chunks of 1, 2, 4, ... up to 64 rows,
+    forms their entries in _separated's order, so the max keeps its bits,
+    and stops once no row left can exceed it.  Fixed-order numpy sums;
+    (0.0, 0.0) without factors.
     """
     if not ds:
         return 0.0, 0.0
@@ -512,15 +513,14 @@ def _separated_norms(ds, V: np.ndarray):
     B = np.sum(np.abs(D) * np.max(np.abs(Vf), axis=1)[:, None], axis=0)
     B *= 1.0 + 1e-12
     order = np.argsort(-B, kind="stable")
-    sup = 0.0
-    for i in range(0, order.size, 64):
-        rows = order[i:i + 64]
-        if B[rows[0]] < sup:
-            break
+    sup, i, step = 0.0, 0, 1
+    while i < order.size and B[order[i]] >= sup:
+        rows = order[i:i + step]
         out = 0.0
         for d, v in zip(D, Vf):
             out = out + d[rows, None] * v
         sup = max(sup, float(np.max(np.abs(out))))
+        i, step = i + step, min(2 * step, 64)
     return sup, float(np.sqrt(max(total.real, 0.0)))
 
 

@@ -408,6 +408,8 @@ class _Decls:
     macros: dict = field(default_factory=dict)
 
     def role_of(self, name: str) -> str | None:
+        if name == "dt" or _DX_RE.match(name):
+            return "derivative"
         for role in ("unknown", "source"):
             if (getattr(self, role) or (None,))[0] == name:
                 return role

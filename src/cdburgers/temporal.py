@@ -27,7 +27,6 @@ __all__ = [
     "CauchySpec",
     "Trajectory",
     "solve_cauchy",
-    "riccati_oracle",
     "trajectory_csv",
 ]
 
@@ -162,14 +161,6 @@ def solve_cauchy(spec: CauchySpec) -> Trajectory:
         blowup_time=blowup_time,
         spec=spec,
     )
-
-
-def riccati_oracle(lam1: complex, lam2: complex, t: float) -> complex:
-    """Closed form for m = 1, c_0 = 0: lambda_2 / (1 - lambda_1 lambda_2 t)."""
-    den = 1.0 - lam1 * lam2 * t
-    if abs(den) < 1e-14:
-        raise ZeroDivisionError("pole of the closed-form solution")
-    return lam2 / den
 
 
 def trajectory_csv(traj: Trajectory) -> str:

@@ -267,10 +267,11 @@ def measure_for_atoms(atoms, spec: SobolevBurgersSpec, p, *,
 class SolutionField:
     """Assembled random field with its per-atom factors.
 
-    atom_diag[j] is the outcome field of cell j on the diagonal time-space
-    grid (the value of u when cell j fires), so the mean over outcomes is
-    sum_j p_j atom_diag[j] and every moment identity can be evaluated by
-    exact enumeration.
+    When cell j fires, u on the diagonal is xi_j phi_j(t) k_j(x), a time
+    factor _phi[j] times a space factor _kdiag[j] = K_j(x, x); no array
+    spans both.  With w_j = p_j xi_j, E u = sum_j w_j phi_j k_j, (E u)^2 =
+    sum_{j,l} w_j w_l phi_j phi_l k_j k_l and E u^2 = sum_j p_j xi_j^2
+    phi_j^2 k_j^2; outcomes are enumerated one time row at a time.
     """
 
     spec: SobolevBurgersSpec
@@ -284,32 +285,22 @@ class SolutionField:
     def __post_init__(self):
         self._phi = [np.asarray(tr.values) for tr in self.trajectories]
         self._kdiag = [kf.diagonal() for kf in self.kernels]
-        tshape = (self.grid.t_count,) + (1,) * self.grid.n
-        self.atom_diag = [
-            (self.measure.xi[j] * self._phi[j]).reshape(tshape)
-            * self._kdiag[j][None]
-            for j in range(len(self.atoms))
-        ]
 
     @property
     def size(self) -> int:
         return len(self.atoms)
 
-    def mean_diagonal(self) -> np.ndarray:
-        """E u on the diagonal grid, as the enumeration-weighted sum of
-        outcome fields (exact for the atomic construction)."""
-        out = np.zeros_like(self.atom_diag[0])
-        for j in range(self.size):
-            out += self.measure.p[j] * self.atom_diag[j]
-        return out
+    def atom_row(self, j: int, t_index: int) -> np.ndarray:
+        """u on the diagonal at one time sample when cell j fires."""
+        return (self.measure.xi[j] * self._phi[j])[t_index] * self._kdiag[j]
 
-    def second_moment_diagonal(self) -> np.ndarray:
-        """E u^2 on the diagonal grid, by outcome enumeration."""
-        out = np.zeros_like(self.atom_diag[0])
-        for j in range(self.size):
-            out += self.measure.p[j] * (self.atom_diag[j]
-                                        * self.atom_diag[j])
-        return out
+    def moment_row(self, t_index: int) -> tuple:
+        """E u and E u^2 on the diagonal at one time sample, by exact
+        enumeration of the outcome fields."""
+        rows = [self.atom_row(j, t_index) for j in range(self.size)]
+        p = self.measure.p
+        return (sum(p[j] * a for j, a in enumerate(rows)),
+                sum(p[j] * (a * a) for j, a in enumerate(rows)))
 
     def sample_node(self, real: Realizations, t_index: int,
                     node) -> np.ndarray:
@@ -319,8 +310,8 @@ class SolutionField:
 
     def enumerate_node(self, t_index: int, node):
         """Outcome values and weights at one diagonal node."""
-        idx = (t_index,) + tuple(node)
-        vals = np.array([a[idx] for a in self.atom_diag])
+        vals = np.array([self.atom_row(j, t_index)[tuple(node)]
+                         for j in range(self.size)])
         return vals, np.asarray(self.measure.p)
 
 
@@ -376,25 +367,28 @@ def moment_identity(sol: SolutionField, *, samples: int = 0,
     """Check the second-moment structure of the assembled field.
 
     Analytic part: E u^2 computed by outcome enumeration must match the
-    structural form sum_j (xi_j p_j) xi_j phi_j^2 K_j^2 up to float
+    structural form sum_j (xi_j p_j) xi_j (phi_j k_j)^2 up to float
     reassociation, and the report states whether E(u^2) = (E u)^2 holds
     (it does exactly for a single atom, and fails for generic mixtures).
+    Both are formed one time row at a time (SolutionField.moment_row).
     With samples > 0 a Monte Carlo cross-check runs at one diagonal node.
     """
-    enum = sol.second_moment_diagonal()
-    struct = np.zeros_like(enum)
-    tshape = (sol.grid.t_count,) + (1,) * sol.grid.n
-    for j in range(sol.size):
-        base = sol._phi[j].reshape(tshape) * sol._kdiag[j][None]
-        struct += (sol.measure.xi[j] * sol.measure.p[j]) * (
-            sol.measure.xi[j] * (base * base))
-    scale = max(float(np.max(np.abs(enum))), 1.0)
-    structure_gap = float(np.max(np.abs(enum - struct)))
-
-    mean = sol.mean_diagonal()
-    square_gap = float(np.max(np.abs(enum - mean * mean)))
+    second_max = structure_gap = square_gap = 0.0
+    for ti in range(sol.grid.t_count):
+        mean, enum = sol.moment_row(ti)
+        struct = 0.0
+        for j in range(sol.size):
+            base = sol._phi[j][ti] * sol._kdiag[j]
+            struct = struct + (sol.measure.xi[j] * sol.measure.p[j]) * (
+                sol.measure.xi[j] * (base * base))
+        second_max = max(second_max, float(np.max(np.abs(enum))))
+        structure_gap = max(structure_gap,
+                            float(np.max(np.abs(enum - struct))))
+        square_gap = max(square_gap,
+                         float(np.max(np.abs(enum - mean * mean))))
+    scale = max(second_max, 1.0)
     report = {
-        "second_moment_max": float(np.max(np.abs(enum))),
+        "second_moment_max": second_max,
         "structure_gap": structure_gap,
         "structure_ok": bool(structure_gap <= 1e-12 * scale),
         "mean_square_gap": square_gap,
@@ -410,23 +404,23 @@ def moment_identity(sol: SolutionField, *, samples: int = 0,
         vals = sol.sample_node(real, t_index, node)
         m1, se1 = expectation(vals)
         m2, se2 = expectation(vals * vals)
-        idx = (t_index,) + tuple(node)
+        mean, enum = (r[tuple(node)] for r in sol.moment_row(t_index))
         # the 1e-12 floors absorb summation roundoff when a cell value is
         # deterministic and the standard error is exactly zero
-        tol1 = 3.0 * float(abs(se1)) + 1e-12 * max(abs(mean[idx]), 1.0)
-        tol2 = 3.0 * float(abs(se2)) + 1e-12 * max(abs(enum[idx]), 1.0)
+        tol1 = 3.0 * float(abs(se1)) + 1e-12 * max(abs(mean), 1.0)
+        tol2 = 3.0 * float(abs(se2)) + 1e-12 * max(abs(enum), 1.0)
         report["mc"] = {
             "t_index": t_index,
             "node": list(node),
             "samples": samples,
             "mean": complex(m1),
             "mean_se": float(abs(se1)),
-            "mean_analytic": complex(mean[idx]),
-            "mean_ok": bool(abs(m1 - mean[idx]) <= tol1),
+            "mean_analytic": complex(mean),
+            "mean_ok": bool(abs(m1 - mean) <= tol1),
             "second": complex(m2),
             "second_se": float(abs(se2)),
-            "second_analytic": complex(enum[idx]),
-            "second_ok": bool(abs(m2 - enum[idx]) <= tol2),
+            "second_analytic": complex(enum),
+            "second_ok": bool(abs(m2 - enum) <= tol2),
         }
     return report
 
@@ -449,18 +443,12 @@ def _q_time_apply(values: np.ndarray, tau: float, c: tuple) -> np.ndarray:
     return out
 
 
-def _scalar_operator(values: np.ndarray, grid: Grid, eff: dict
-                     ) -> np.ndarray:
-    """-Lap^2 + alpha_eff Lap + beta_eff on diagonal slices (spatial axes
-    are array axes 1..n; axis 0 is time)."""
+def _scalar_operator(k: np.ndarray, grid: Grid, eff: dict) -> np.ndarray:
+    """-Lap^2 + alpha_eff Lap + beta_eff on a field over V."""
     hs = grid.spacings
-    lap = np.zeros_like(values, dtype=np.complex128)
-    for ax in range(grid.n):
-        lap += diff_axis(values, 1 + ax, hs[ax], 2)
-    lap2 = np.zeros_like(values, dtype=np.complex128)
-    for ax in range(grid.n):
-        lap2 += diff_axis(lap, 1 + ax, hs[ax], 2)
-    return -lap2 + eff["alpha"] * lap + eff["beta"] * values
+    lap = sum(diff_axis(k, ax, hs[ax], 2) for ax in range(grid.n))
+    lap2 = sum(diff_axis(lap, ax, hs[ax], 2) for ax in range(grid.n))
+    return -lap2 + eff["alpha"] * lap + eff["beta"] * k
 
 
 def _t_margin_rows(grid: Grid, t_collar: float | None) -> int:
@@ -474,17 +462,39 @@ def _t_margin_rows(grid: Grid, t_collar: float | None) -> int:
     return rows
 
 
-def _scalar_residual(lin: np.ndarray, quad: np.ndarray, sol: SolutionField,
-                     margin: int, t_rows: int) -> float:
-    """Max norm of lin + gamma_eff d(quad)/dx_1 + sigma_eff quad over the
-    interior window, with lin = Q(d/dt) L u (quad is u^2 or E u^2)."""
-    grid = sol.grid
-    eff = sol.spec.effective_coefficients()
-    resid = lin + eff["gamma"] * diff_axis(quad, 1, grid.spacings[0], 1)
-    resid += eff["varsigma"] * quad
-    window = (slice(t_rows, lin.shape[0] - t_rows),) + interior_slices(
-        lin.shape[1:], range(grid.n), margin)
-    return float(np.max(np.abs(resid[window])))
+def _scalar_residuals(sol: SolutionField, margin: int, t_rows: int,
+                      qphis: list) -> dict:
+    """Window max norms of Q(d/dt) L E u + gamma_eff d(v)/dx_1 + sigma_eff v
+    for v = (E u)^2 (diagonal_mean) and v = E u^2 (diagonal_expect), with
+    qphis[j] = Q(d/dt) phi_j.  Each operator acts on one factor of the
+    SolutionField identities: Q(d/dt) L E u = sum_j (w_j Q phi_j) (L k_j),
+    and v is a sum of time weights times (gamma_eff d/dx_1 + sigma_eff)
+    (k_j k_l), so every stencil runs on V or on the time axis, and each
+    window row is summed from these few terms.
+    """
+    grid, eff = sol.grid, sol.spec.effective_coefficients()
+    win = interior_slices(grid.counts, range(grid.n), margin)
+    ks, phis, p, xi = sol._kdiag, sol._phi, sol.measure.p, sol.measure.xi
+    w = [p[j] * xi[j] for j in range(sol.size)]
+
+    def quad(k):
+        return (eff["gamma"] * diff_axis(k, 0, grid.spacings[0], 1)
+                + eff["varsigma"] * k)[win]
+
+    lin = [(w[j] * qphis[j], _scalar_operator(ks[j], grid, eff)[win])
+           for j in range(sol.size)]
+    pairs = [(j, l) for j in range(sol.size) for l in range(j, sol.size)]
+    mean = [((2 - (j == l)) * w[j] * w[l] * (phis[j] * phis[l]),
+             quad(ks[j] * ks[l])) for j, l in pairs]
+    expect = [(p[j] * xi[j] * xi[j] * (phis[j] * phis[j]), x)
+              for (j, l), (_, x) in zip(pairs, mean) if j == l]
+
+    def worst(terms):
+        return max(float(np.max(np.abs(sum(t[ti] * x for t, x in terms))))
+                   for ti in range(t_rows, grid.t_count - t_rows))
+
+    return {"diagonal_mean": worst(lin + mean),
+            "diagonal_expect": worst(lin + expect)}
 
 
 def _expectation_residual(sol: SolutionField, margin: int, t_rows: int,
@@ -539,6 +549,7 @@ def residual_suite(sol: SolutionField, *, collar: float | None = None,
     diagonal_mean: the scalar equation with effective coefficients for the
       deterministic mean, with (E u)^2 in the nonlinear terms.
     diagonal_expect: same linear part, with E(u^2) in the nonlinear terms.
+      Both act on the time and space factors (_scalar_residuals).
     """
     grid = sol.grid
     spec = sol.spec
@@ -565,8 +576,8 @@ def residual_suite(sol: SolutionField, *, collar: float | None = None,
     linear = 0.0
     pair = 0.0
     terms = [_diagonal_terms(kf, grid, margin) for kf in sol.kernels]
-    for j in range(sol.size):
-        qphi = _q_time_apply(sol._phi[j], grid.tau, spec.c)
+    qphis = [_q_time_apply(phi, grid.tau, spec.c) for phi in sol._phi]
+    for j, qphi in enumerate(qphis):
         q_norm = float(np.max(np.abs(qphi[t_rows:-t_rows])))
         weight = abs(sol.measure.xi[j] * sol.measure.p[j])
         linear = max(linear, weight * q_norm * s_norm)
@@ -574,10 +585,6 @@ def residual_suite(sol: SolutionField, *, collar: float | None = None,
         pair = max(pair, float(np.max(np.abs(_aux_lhs(terms[j], cfg.a,
                                                       cfg.q)))))
 
-    mean = sol.mean_diagonal()
-    # Q(d/dt) L E u, the linear part of both diagonal residuals
-    lin = _q_time_apply(_scalar_operator(
-        mean, grid, spec.effective_coefficients()), grid.tau, spec.c)
     return {
         "collar_cells": margin,
         "t_rows": t_rows,
@@ -586,10 +593,7 @@ def residual_suite(sol: SolutionField, *, collar: float | None = None,
         "linear": linear,
         "pair": pair,
         "expectation": _expectation_residual(sol, margin, t_rows, terms),
-        "diagonal_mean": _scalar_residual(lin, mean * mean, sol, margin,
-                                          t_rows),
-        "diagonal_expect": _scalar_residual(lin, sol.second_moment_diagonal(),
-                                            sol, margin, t_rows),
+        **_scalar_residuals(sol, margin, t_rows, qphis),
     }
 
 

@@ -15,8 +15,11 @@ field F instead of to the factors of F = f(x) f(y), the reference
 auxiliary residual applies S_{2,a} and the Dirac operators to the dense,
 algebra-promoted K on all of V x V instead of to K's separated terms, and
 the reference pair moments form E u and E u^2 on all of V x V.  The
-reference Cayley-Dickson product runs one einsum per output slot instead of
-one einsum over a gather table.
+reference diagonal fields expand each atom's time factor times space
+factor on the whole t_count x N^n grid, and the reference scalar residuals
+and moment identity apply their stencils and products to those expanded
+fields.  The reference Cayley-Dickson product runs one einsum per output
+slot instead of one einsum over a gather table.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from cdburgers.kernel import (
     prefix_line_integrals,
     s2a_apply,
 )
+from cdburgers.randmeasure import expectation, sample_H
 from cdburgers.workbench import _q_time_apply
 
 
@@ -409,3 +413,116 @@ def reference_s2a_apply(f, spec, a):
     base = f.as_algebra(spec.level).values
     vals = a[0] * (sx2.values + sy2.values) + a[1] * s.values + a[2] * base
     return GridField(f.grid, f.arity, vals, level=spec.level)
+
+
+def riccati_oracle(lam1: complex, lam2: complex, t: float) -> complex:
+    """Closed form for m = 1, c_0 = 0: lambda_2 / (1 - lambda_1 lambda_2 t)."""
+    den = 1.0 - lam1 * lam2 * t
+    if abs(den) < 1e-14:
+        raise ZeroDivisionError("pole of the closed-form solution")
+    return lam2 / den
+
+
+# -- the dense diagonal route: time x space arrays ------------------------------
+
+
+def reference_atom_diag(sol):
+    """Each cell's outcome field xi_j phi_j(t) K_j(x, x) on the whole
+    t_count x N^n diagonal grid."""
+    tshape = (sol.grid.t_count,) + (1,) * sol.grid.n
+    return [(sol.measure.xi[j] * sol._phi[j]).reshape(tshape)
+            * sol._kdiag[j][None] for j in range(sol.size)]
+
+
+def reference_mean_diagonal(sol):
+    """E u on the diagonal grid, sum_j p_j reference_atom_diag[j]."""
+    diag = reference_atom_diag(sol)
+    out = np.zeros_like(diag[0])
+    for j in range(sol.size):
+        out += sol.measure.p[j] * diag[j]
+    return out
+
+
+def reference_second_moment_diagonal(sol):
+    """E u^2 on the diagonal grid, sum_j p_j reference_atom_diag[j]^2."""
+    diag = reference_atom_diag(sol)
+    out = np.zeros_like(diag[0])
+    for j in range(sol.size):
+        out += sol.measure.p[j] * (diag[j] * diag[j])
+    return out
+
+
+def reference_scalar_residuals(sol, margin, t_rows):
+    """(diagonal_mean, diagonal_expect): Q(d/dt) applied to
+    -Lap^2 + alpha_eff Lap + beta_eff of the dense E u, plus
+    gamma_eff d(v)/dx_1 + sigma_eff v for v = (E u)^2 and v = E u^2 on
+    the dense diagonal grid, then the max over the window."""
+    grid, spec = sol.grid, sol.spec
+    eff = spec.effective_coefficients()
+    hs = grid.spacings
+    mean = reference_mean_diagonal(sol)
+    lap = np.zeros_like(mean)
+    for ax in range(grid.n):
+        lap += diff_axis(mean, 1 + ax, hs[ax], 2)
+    lap2 = np.zeros_like(mean)
+    for ax in range(grid.n):
+        lap2 += diff_axis(lap, 1 + ax, hs[ax], 2)
+    lin = _q_time_apply(-lap2 + eff["alpha"] * lap + eff["beta"] * mean,
+                        grid.tau, spec.c)
+    window = (slice(t_rows, grid.t_count - t_rows),) + interior_slices(
+        grid.counts, range(grid.n), margin)
+    out = []
+    for quad in (mean * mean, reference_second_moment_diagonal(sol)):
+        resid = lin + eff["gamma"] * diff_axis(quad, 1, hs[0], 1)
+        resid += eff["varsigma"] * quad
+        out.append(float(np.max(np.abs(resid[window]))))
+    return tuple(out)
+
+
+def reference_moment_identity(sol, *, samples=0, node=None, t_index=None):
+    """moment_identity's report from the dense diagonal fields."""
+    enum = reference_second_moment_diagonal(sol)
+    struct = np.zeros_like(enum)
+    tshape = (sol.grid.t_count,) + (1,) * sol.grid.n
+    for j in range(sol.size):
+        base = sol._phi[j].reshape(tshape) * sol._kdiag[j][None]
+        struct += (sol.measure.xi[j] * sol.measure.p[j]) * (
+            sol.measure.xi[j] * (base * base))
+    scale = max(float(np.max(np.abs(enum))), 1.0)
+    structure_gap = float(np.max(np.abs(enum - struct)))
+    mean = reference_mean_diagonal(sol)
+    square_gap = float(np.max(np.abs(enum - mean * mean)))
+    report = {
+        "second_moment_max": float(np.max(np.abs(enum))),
+        "structure_gap": structure_gap,
+        "structure_ok": bool(structure_gap <= 1e-12 * scale),
+        "mean_square_gap": square_gap,
+        "mean_square_exact": bool(square_gap == 0.0),
+    }
+    if samples > 0:
+        if t_index is None:
+            t_index = sol.grid.t_count // 2
+        if node is None:
+            node = tuple(c // 2 for c in sol.grid.counts)
+        idx = (t_index,) + tuple(node)
+        diag = reference_atom_diag(sol)
+        vals = np.array([a[idx] for a in diag])[
+            sample_H(sol.measure, samples).draws]
+        m1, se1 = expectation(vals)
+        m2, se2 = expectation(vals * vals)
+        tol1 = 3.0 * float(abs(se1)) + 1e-12 * max(abs(mean[idx]), 1.0)
+        tol2 = 3.0 * float(abs(se2)) + 1e-12 * max(abs(enum[idx]), 1.0)
+        report["mc"] = {
+            "t_index": t_index,
+            "node": list(node),
+            "samples": samples,
+            "mean": complex(m1),
+            "mean_se": float(abs(se1)),
+            "mean_analytic": complex(mean[idx]),
+            "mean_ok": bool(abs(m1 - mean[idx]) <= tol1),
+            "second": complex(m2),
+            "second_se": float(abs(se2)),
+            "second_analytic": complex(enum[idx]),
+            "second_ok": bool(abs(m2 - enum[idx]) <= tol2),
+        }
+    return report

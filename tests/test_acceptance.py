@@ -47,7 +47,7 @@ from cdburgers.randmeasure import (
     structural_function,
     weighted_measure,
 )
-from cdburgers.temporal import CauchySpec, riccati_oracle, solve_cauchy
+from cdburgers.temporal import CauchySpec, solve_cauchy
 from cdburgers.translate import SymbolicEnv, theorem1_gap, translate_system
 from cdburgers.workbench import (
     SobolevBurgersSpec,
@@ -58,6 +58,7 @@ from cdburgers.workbench import (
     refinement_study,
     study_csv,
 )
+from oracles import riccati_oracle
 
 GOLDEN = Path(__file__).parent / "golden" / "refinement_burgers.csv"
 TRANSLATE_GOLDEN = GOLDEN.with_name("translate_report.json")
@@ -526,20 +527,24 @@ def test_8_byte_identical_artifacts(tmp_path):
     }
     # p_2 != 0: the algebra-valued factors, Gram matrices and sup search
     kernel_p2_cfg = {**kernel_cfg, "p": [5e-06, 2e-06]}
+    problem = {"alpha": 1.0, "beta": 0.0, "gamma": 1e-5, "varsigma": 0.0,
+               "c": [0.0], "n": 2, "lo": -0.5, "hi": 4.5, "horizon": 1.0}
     assemble_cfg = {
-        "problem": {"alpha": 1.0, "beta": 0.0, "gamma": 1e-5,
-                    "varsigma": 0.0, "c": [0.0], "n": 2, "lo": -0.5,
-                    "hi": 4.5, "horizon": 1.0},
+        "problem": problem,
         "matched": [[1.0, -0.5], [1.0, -1.0]], "p": [0.25, 0.75],
         "w0": [0.0, 0.0], "grid": {"count": 11, "t_count": 7},
         "samples": 512,
     }
+    verify_cfg = {"problem": problem, "lam_prime": [1.0, -0.5],
+                  "w0": [0.0, 0.0], "levels": [[21, 9]], "collar": 2.0,
+                  "t_collar": 0.25}
     algebra_cfg = {"levels": [2, 3], "trials": 20}
     translate_cfg = {
         "source": json.loads(TRANSLATE_GOLDEN.read_text())["source"]}
     stages = (("kernel", "kernel", kernel_cfg),
               ("kernel", "kernel-p2", kernel_p2_cfg),
               ("assemble", "assemble", assemble_cfg),
+              ("verify", "verify", verify_cfg),
               ("algebra-check", "algebra", algebra_cfg),
               ("translate", "translate", translate_cfg))
     for _, name, cfg in stages:

@@ -14,7 +14,7 @@ import pytest
 import cdburgers.kernel
 from cdburgers.calculus import load_field
 from cdburgers.cli import cli_run
-from cdburgers.temporal import riccati_oracle
+from oracles import riccati_oracle
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 

@@ -15,10 +15,10 @@ import sympy as sp
 from cdburgers.temporal import (
     CauchySpec,
     Trajectory,
-    riccati_oracle,
     solve_cauchy,
     trajectory_csv,
 )
+from oracles import riccati_oracle
 
 
 def test_first_order_closed_form_matches_symbolic_solution():

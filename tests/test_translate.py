@@ -160,7 +160,15 @@ def test_parse_validates_declarations(src, line, col, message):
      "name 'u' already declared as unknown"),
     ("dim 2\nunknown u\nmacro L = dx1\nmacro L = dx2\ndt(u) = L(u)", 4, 7,
      "name 'L' already declared as macro"),
-], ids=["coeff-is-unknown", "source-is-unknown", "second-macro"])
+    ("dim 2\nunknown u\nmacro dx1 = dx2\ndt(u) = dx1(u)", 3, 7,
+     "name 'dx1' already declared as derivative"),
+    ("dim 2\nunknown u\nopsym dt\ndt(u) = u", 3, 7,
+     "name 'dt' already declared as derivative"),
+    ("dim 2\nunknown u\ncoeff c, dt\ndt(u) = c*u", 3, 10,
+     "name 'dt' already declared as derivative"),
+], ids=["coeff-is-unknown", "source-is-unknown", "second-macro",
+        "macro-is-derivative", "opsym-is-derivative",
+        "coeff-is-derivative"])
 def test_parse_rejects_a_name_declared_twice(src, line, col, message):
     with pytest.raises(PdeSyntaxError, match=message) as exc:
         parse_pde(src)

@@ -6,6 +6,8 @@ sympy doing the calculus) before any test trusts the frozen constants in
 ``SobolevBurgersSpec.effective_coefficients``.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -37,13 +39,22 @@ from cdburgers.workbench import (
     residual_suite,
     study_csv,
 )
-from cdburgers.workbench import _expectation_residual
+from cdburgers.workbench import (
+    _expectation_residual,
+    _q_time_apply,
+    _scalar_residuals,
+)
 from oracles import (
+    reference_atom_diag,
     reference_aux_residual,
     reference_expectation_residual,
     reference_lhs_field,
     reference_linear_residual,
+    reference_mean_diagonal,
     reference_mean_pair,
+    reference_moment_identity,
+    reference_scalar_residuals,
+    reference_second_moment_diagonal,
     reference_second_pair,
 )
 
@@ -405,8 +416,9 @@ def test_single_atom_field_is_separated_product(single_atom):
     diag = kvals[np.arange(count)[:, None], np.arange(count)[None, :],
                  np.arange(count)[:, None], np.arange(count)[None, :]]
     want = phi.reshape(t_count, 1, 1) * diag[None]
-    assert np.array_equal(sol.atom_diag[0], want)
-    assert np.array_equal(sol.mean_diagonal(), sol.atom_diag[0])
+    assert np.array_equal(reference_atom_diag(sol)[0], want)
+    assert np.array_equal(reference_mean_diagonal(sol),
+                          reference_atom_diag(sol)[0])
 
 
 def test_diagonal_of_pair_mean_matches_diagonal_mean(single_atom):
@@ -416,11 +428,12 @@ def test_diagonal_of_pair_mean_matches_diagonal_mean(single_atom):
     for ti in (0, sol.grid.t_count // 2, sol.grid.t_count - 1):
         pair = reference_mean_pair(sol, ti)
         diag = pair[idx[:, None], idx[None, :], idx[:, None], idx[None, :]]
-        assert np.array_equal(diag, sol.mean_diagonal()[ti])
+        assert np.array_equal(diag, reference_mean_diagonal(sol)[ti])
         pair2 = reference_second_pair(sol, ti)
         diag2 = pair2[idx[:, None], idx[None, :], idx[:, None],
                       idx[None, :]]
-        assert np.array_equal(diag2, sol.second_moment_diagonal()[ti])
+        assert np.array_equal(diag2,
+                              reference_second_moment_diagonal(sol)[ti])
 
 
 def test_single_atom_moment_identity_is_exact(single_atom):
@@ -451,15 +464,74 @@ def test_two_atom_mean_matches_monte_carlo(two_atoms):
     outcomes, weights = sol.enumerate_node(t_index, node)
     want = np.dot(weights, outcomes)
     assert abs(mean - want) <= 3.0 * float(abs(se)) + 1e-12
-    assert abs(want - sol.mean_diagonal()[(t_index,) + node]) < 1e-15
+    assert abs(want - reference_mean_diagonal(sol)[(t_index,) + node]
+               ) < 1e-15
 
 
 def test_expectation_linearity_over_atoms(two_atoms):
     sol = two_atoms
-    total = sol.mean_diagonal()
-    parts = sum(sol.measure.p[j] * sol.atom_diag[j]
+    total = reference_mean_diagonal(sol)
+    parts = sum(sol.measure.p[j] * reference_atom_diag(sol)[j]
                 for j in range(sol.size))
     assert np.array_equal(total, parts)
+
+
+@pytest.mark.parametrize("fixture", ["single_atom", "two_atoms"])
+def test_factored_rows_are_the_dense_diagonal_rows(request, fixture):
+    # atom_row and moment_row form the dense route's products, row by row
+    sol = request.getfixturevalue(fixture)
+    diag = reference_atom_diag(sol)
+    mean = reference_mean_diagonal(sol)
+    second = reference_second_moment_diagonal(sol)
+    for ti in range(sol.grid.t_count):
+        for j in range(sol.size):
+            assert np.array_equal(sol.atom_row(j, ti), diag[j][ti])
+        got_mean, got_second = sol.moment_row(ti)
+        assert np.array_equal(got_mean, mean[ti])
+        assert np.array_equal(got_second, second[ti])
+
+
+@pytest.mark.parametrize("samples", [0, 2000])
+@pytest.mark.parametrize("fixture", ["single_atom", "two_atoms"])
+def test_moment_identity_is_the_dense_report(request, fixture, samples):
+    sol = request.getfixturevalue(fixture)
+    want = reference_moment_identity(sol, samples=samples)
+    assert moment_identity(sol, samples=samples) == want
+    assert ("mc" in want) == (samples > 0)
+
+
+@pytest.mark.parametrize("fixture, margin, t_rows", [
+    ("single_atom", 8, 2),
+    ("two_atoms", 2, 2),
+])
+def test_factored_scalar_residuals_match_dense_reference(request, fixture,
+                                                         margin, t_rows):
+    # the two-atom case has the j != l cross terms of (E u)^2
+    sol = request.getfixturevalue(fixture)
+    qphis = [_q_time_apply(phi, sol.grid.tau, sol.spec.c)
+             for phi in sol._phi]
+    got = _scalar_residuals(sol, margin, t_rows, qphis)
+    want = reference_scalar_residuals(sol, margin, t_rows)
+    for g, w in zip(got.values(), want):
+        assert w > 0.0
+        assert abs(g - w) <= 1e-6 * w
+
+
+def test_verify_path_stays_below_one_time_space_array():
+    # residual_suite and moment_identity keep E u, (E u)^2 and E u^2 as
+    # time and space factors: their peak stays below one complex array on
+    # the t_count x N^n diagonal grid
+    point = SpectralPoint.matched(_SPEC, (1.0, -0.5))
+    measure = measure_for_atoms([point], _SPEC, (1.0,))
+    sol = assemble_u([point], measure, _SPEC.grid(41, 129), _SPEC, _W0)
+    tracemalloc.start()
+    try:
+        residual_suite(sol, collar=2.0, t_collar=0.25)
+        moment_identity(sol, samples=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 129 * 41 ** 2 * 16
 
 
 # -- residual suite ------------------------------------------------------------
