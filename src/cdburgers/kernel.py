@@ -54,7 +54,7 @@ from .calculus import (
     Grid,
     GridField,
     cumulative_integral,
-    dirac_apply,
+    diff_axis,
     dump_terms,
     interior_slices,
     _d1,
@@ -742,8 +742,12 @@ def _diagonal_terms(kf: KernelField, grid: Grid, margin: int) -> tuple:
     def sq(u):
         return _sigma_sq(GridField(grid, "x", u), spec, "x")
 
+    # pi_1 sigma u = -psi_1 du/dx_{xi(1)} for scalar u: the one component
+    # of dirac_apply the residual keeps, zero when psi_1 = 0
+    psi, ax = spec.weights[1], spec.axis_for_basis(1, n)
+
     def sig(u):
-        return dirac_apply(GridField(grid, "x", u), spec).values[win + (1,)]
+        return -(diff_axis(u, ax, grid.spacings[ax]) * psi)[win]
 
     k = lk = l2k = sk2 = 0.0
     for u, v in kf.terms:

@@ -18,8 +18,9 @@ integrals, weighted measures, and the iterated-integral exchange all reduce
 to rearrangements of one finite sum, so their identities hold to rounding.
 
 Sampling uses one seeded generator and a single vectorized draw; Monte
-Carlo reductions go through numpy's pairwise summation, so every reported
-number is reproducible bit for bit from (seed, sample count).
+Carlo reductions go through numpy's pairwise summation, over the samples
+or over the per-cell draw counts, so every reported number is reproducible
+bit for bit from (seed, sample count).
 """
 
 from __future__ import annotations
@@ -155,6 +156,20 @@ class Realizations:
         rows = np.arange(self.count)
         c[rows, self.draws] = xi[self.draws]
         return c
+
+    def moments(self, values) -> tuple:
+        """Monte Carlo mean and standard error of values[draws] from the
+        per-cell draw counts n_j: mean = sum_j n_j v_j / N and var =
+        sum_j n_j |v_j - mean|^2 / (N - 1), so nothing of length N is
+        formed.  Same conventions as expectation (N = 1 gives se = 0)."""
+        values = np.asarray(values)
+        counts = np.bincount(self.draws, minlength=self.measure.size)
+        mean = np.add.reduce(counts * values) / self.count
+        if self.count == 1:
+            return mean, np.zeros_like(np.abs(mean))
+        dev = counts * np.abs(values - mean) ** 2
+        var = np.add.reduce(dev) / (self.count - 1)
+        return mean, np.sqrt(var / self.count)
 
     def apply_H(self, cells, x) -> np.ndarray:
         """Per-sample H(M) x = sum_{j in M} c_j v_j x over the cell set M.

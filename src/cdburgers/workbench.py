@@ -63,8 +63,6 @@ from .kernel import (
 from .randmeasure import (
     AtomicRandomMeasure,
     Partition,
-    Realizations,
-    expectation,
     sample_H,
     xi_from_rule,
 )
@@ -302,12 +300,6 @@ class SolutionField:
         return (sum(p[j] * a for j, a in enumerate(rows)),
                 sum(p[j] * (a * a) for j, a in enumerate(rows)))
 
-    def sample_node(self, real: Realizations, t_index: int,
-                    node) -> np.ndarray:
-        """Per-sample values of u at one diagonal node, for Monte Carlo
-        cross-checks."""
-        return self.enumerate_node(t_index, node)[0][real.draws]
-
     def enumerate_node(self, t_index: int, node):
         """Outcome values and weights at one diagonal node."""
         vals = np.array([self.atom_row(j, t_index)[tuple(node)]
@@ -371,7 +363,10 @@ def moment_identity(sol: SolutionField, *, samples: int = 0,
     reassociation, and the report states whether E(u^2) = (E u)^2 holds
     (it does exactly for a single atom, and fails for generic mixtures).
     Both are formed one time row at a time (SolutionField.moment_row).
-    With samples > 0 a Monte Carlo cross-check runs at one diagonal node.
+    With samples > 0 a Monte Carlo cross-check runs at one diagonal node:
+    u there takes one value per cell, so the sample moments are reduced
+    over the per-cell draw counts (Realizations.moments), not over a
+    samples-long value array.
     """
     second_max = structure_gap = square_gap = 0.0
     for ti in range(sol.grid.t_count):
@@ -401,9 +396,9 @@ def moment_identity(sol: SolutionField, *, samples: int = 0,
         if node is None:
             node = tuple(c // 2 for c in sol.grid.counts)
         real = sample_H(sol.measure, samples)
-        vals = sol.sample_node(real, t_index, node)
-        m1, se1 = expectation(vals)
-        m2, se2 = expectation(vals * vals)
+        vals, _ = sol.enumerate_node(t_index, node)
+        m1, se1 = real.moments(vals)
+        m2, se2 = real.moments(vals * vals)
         mean, enum = (r[tuple(node)] for r in sol.moment_row(t_index))
         # the 1e-12 floors absorb summation roundoff when a cell value is
         # deterministic and the standard error is exactly zero
@@ -563,7 +558,8 @@ def residual_suite(sol: SolutionField, *, collar: float | None = None,
     # F = f(x) f(y), f = exp(kappa . x/2) with kappa shared by every atom
     # (the first separated term of every kernel), so on the window S_0 F =
     # a_1 (s2 f + 2 s s + f s2) + a_2 (s f + f s) + a_3 f f, with
-    # s = sigma^2 f and s2 = sigma^2 s
+    # s = sigma^2 f and s2 = sigma^2 s; its max is taken one x_1 slab of
+    # the pair window at a time
     f = GridField(grid, "x", sol.kernels[0].terms[0][0])
     s = _sigma_sq(f, dirac, "x")
     s2 = _sigma_sq(GridField(grid, "x", s), dirac, "x")
@@ -571,8 +567,11 @@ def residual_suite(sol: SolutionField, *, collar: float | None = None,
     f, s, s2 = f.values[win], s[win], s2[win]
     fx, sx, s2x = (u[(...,) + (None,) * grid.n] for u in (f, s, s2))
     a1, a2, a3 = base_a
-    s_norm = float(np.max(np.abs(a1 * (s2x * f + 2 * sx * s + fx * s2)
-                                 + a2 * (sx * f + fx * s) + a3 * fx * f)))
+    s_norm = max(
+        float(np.max(np.abs(a1 * (s2x[i] * f + 2 * sx[i] * s + fx[i] * s2)
+                            + a2 * (sx[i] * f + fx[i] * s)
+                            + a3 * fx[i] * f)))
+        for i in range(len(f)))
     linear = 0.0
     pair = 0.0
     terms = [_diagonal_terms(kf, grid, margin) for kf in sol.kernels]

@@ -132,6 +132,33 @@ def test_ode_requires_lambda(capsys):
     capsys.readouterr()
 
 
+_MEASURE_CFG = {
+    "reps": [[1.0, 0.5, 0.3, 0.2], [2.0, -0.5, 0.1, 0.4]],
+    "p": [0.25, 0.75], "gamma": 1.0, "seed": 4, "samples": 4000,
+}
+
+
+def test_measure_check_two_cell_report(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path / "meas.json", _MEASURE_CFG)
+    assert cli_run(["measure-check", "--config", cfg,
+                    "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "measure_report.json").read_text())
+    assert report["pass"] is True
+    assert report["cross_moment_max"] == 0.0
+    assert report["cells"] == 2
+    assert report["samples"] == 4000
+
+
+def test_measure_check_requires_p(tmp_path, capsys):
+    cfg = {k: v for k, v in _MEASURE_CFG.items() if k != "p"}
+    path = _write_cfg(tmp_path / "meas.json", cfg)
+    assert cli_run(["measure-check", "--config", path,
+                    "--out", str(tmp_path)]) == 1
+    assert "needs 'p'" in capsys.readouterr().err
+    assert not (tmp_path / "measure_report.json").exists()
+
+
 def test_kernel_artifacts_and_determinism(tmp_path):
     cfg = _write_cfg(tmp_path / "k.json", _KERNEL_CFG)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"

@@ -248,7 +248,8 @@ def test_pair_operators_make_no_dirac_calls(monkeypatch):
         return original(*args, **kwargs)
 
     for module in (cdburgers.calculus, cdburgers.kernel, oracles):
-        monkeypatch.setattr(module, "dirac_apply", counted)
+        if hasattr(module, "dirac_apply"):
+            monkeypatch.setattr(module, "dirac_apply", counted)
     g = Grid.box(2, -0.5, 1.5, 6)
     f = GridField.from_function(g, "xy", lambda *c: np.exp(c[0] - c[3]))
     spec = DiracSpec.standard(2)

@@ -324,6 +324,33 @@ def test_expectation_requires_samples():
         expectation(np.zeros((0, 3)))
 
 
+def _three_cell(seed=9):
+    part = Partition(reps=((1.0, 0.5, 0.3, 0.2), (2.0, -0.5, 0.1, 0.4),
+                           (0.5, 1.5, -0.2, 0.3)), diameter=1.0)
+    return AtomicRandomMeasure(partition=part, p=(0.2, 0.3, 0.5),
+                               xi=(1.0, -0.5j, 2.0), seed=seed)
+
+
+@pytest.mark.parametrize("count", [2, 7, 5000])
+def test_count_moments_match_the_per_sample_reduction(count):
+    # the same draws reduced over cell counts instead of over samples
+    real = sample_H(_three_cell(), count)
+    v = np.array([0.3 - 1.2j, 2.5 + 0.1j, -0.7 + 0.0j])
+    for values in (v, v * v):
+        mean, se = real.moments(values)
+        want_mean, want_se = expectation(values[real.draws])
+        assert abs(mean - want_mean) <= 1e-12 * abs(want_mean)
+        assert abs(se - want_se) <= 1e-12 * abs(want_se)
+
+
+def test_count_moments_of_one_draw_have_zero_error():
+    real = sample_H(_three_cell(), 1)
+    v = np.array([0.3 - 1.2j, 2.5 + 0.1j, -0.7 + 0.0j])
+    mean, se = real.moments(v)
+    assert mean == v[real.draws[0]]
+    assert se == 0.0
+
+
 # -- commutation with grid operators -------------------------------------------
 
 

@@ -459,9 +459,8 @@ def test_two_atom_mean_matches_monte_carlo(two_atoms):
     sol = two_atoms
     real = sample_H(sol.measure, 3000)
     t_index, node = 3, (3, 3)
-    vals = sol.sample_node(real, t_index, node)
-    mean, se = expectation(vals)
     outcomes, weights = sol.enumerate_node(t_index, node)
+    mean, se = expectation(outcomes[real.draws])
     want = np.dot(weights, outcomes)
     assert abs(mean - want) <= 3.0 * float(abs(se)) + 1e-12
     assert abs(want - reference_mean_diagonal(sol)[(t_index,) + node]
@@ -494,10 +493,46 @@ def test_factored_rows_are_the_dense_diagonal_rows(request, fixture):
 @pytest.mark.parametrize("samples", [0, 2000])
 @pytest.mark.parametrize("fixture", ["single_atom", "two_atoms"])
 def test_moment_identity_is_the_dense_report(request, fixture, samples):
+    # the oracle reduces over the samples, the library over the per-cell
+    # draw counts of the same draws: the four sample moments are the same
+    # sums in another order, every other entry keeps its bits.  A moment
+    # and its standard error are compared relative to the moment, since a
+    # deterministic node's error is zero up to the sum's rounding
     sol = request.getfixturevalue(fixture)
     want = reference_moment_identity(sol, samples=samples)
-    assert moment_identity(sol, samples=samples) == want
+    got = moment_identity(sol, samples=samples)
     assert ("mc" in want) == (samples > 0)
+    got_mc, want_mc = got.pop("mc", {}), want.pop("mc", {})
+    assert got == want
+    assert got_mc.keys() == want_mc.keys()
+    for key, w in want_mc.items():
+        if key in ("mean", "mean_se", "second", "second_se"):
+            scale = abs(want_mc[key.removesuffix("_se")])
+            assert abs(got_mc[key] - w) <= 1e-12 * scale
+        else:
+            assert got_mc[key] == w
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_monte_carlo_check_forms_no_sample_sized_value_array(single_atom):
+    # drawing alone peaks at one float64 uniform plus one int64 index per
+    # sample (sample_H); the cross-check reduces over cell counts, so it
+    # adds less than one byte per sample to that, far from the complex
+    # value arrays of `samples` entries a per-sample reduction forms
+    samples = 100_000
+    sample_H(single_atom.measure, samples)  # one-time allocations
+    draws = _traced_peak(lambda: sample_H(single_atom.measure, samples))
+    peak = _traced_peak(lambda: moment_identity(single_atom,
+                                                samples=samples))
+    assert peak < draws + samples
 
 
 @pytest.mark.parametrize("fixture, margin, t_rows", [
@@ -532,6 +567,18 @@ def test_verify_path_stays_below_one_time_space_array():
     finally:
         tracemalloc.stop()
     assert peak < 129 * 41 ** 2 * 16
+
+
+def test_s0f_max_stays_below_one_pair_window_array():
+    # the S_0 F max runs one x_1 slab of the pair window at a time, so the
+    # suite's peak stays below one complex array on the window^{2n} nodes
+    point = SpectralPoint.matched(_SPEC, (1.0, -0.5))
+    measure = measure_for_atoms([point], _SPEC, (1.0,))
+    sol = assemble_u([point], measure, _SPEC.grid(41, 17), _SPEC, _W0)
+    res = {}
+    peak = _traced_peak(lambda: res.update(residual_suite(sol)))
+    window = 41 - 2 * res["collar_cells"]
+    assert peak < window ** 4 * 16
 
 
 # -- residual suite ------------------------------------------------------------
@@ -660,20 +707,20 @@ def test_linear_residual_matches_dense_s0f_reference(single_atom, atoms):
     assert abs(res["linear"] - want) <= 1e-8 * want
 
 
-def test_residual_suite_dirac_calls_do_not_grow_with_time_rows(
+def test_residual_suite_stencil_calls_do_not_grow_with_time_rows(
         single_atom, monkeypatch):
     point = single_atom.atoms[0]
     longer = assemble_u([point], single_atom.measure, _SPEC.grid(21, 13),
                         _SPEC, _W0)
     calls = []
-    original = cdburgers.calculus.dirac_apply
+    original = cdburgers.calculus.diff_axis
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    for module in (cdburgers.calculus, cdburgers.kernel):
-        monkeypatch.setattr(module, "dirac_apply", counted)
+    for module in (cdburgers.calculus, cdburgers.kernel, cdburgers.workbench):
+        monkeypatch.setattr(module, "diff_axis", counted)
     counts = []
     for sol in (single_atom, longer):
         calls.clear()
