@@ -426,21 +426,9 @@ def cumulative_integral(values: np.ndarray, h: float, axis: int = 0
 
 
 def quad_weights(m: int, h: float) -> np.ndarray:
-    """Node weights of the additive rule for a full-axis integral."""
-    w = np.zeros(m)
-    if m < 2:
-        raise ValueError("need at least 2 nodes to integrate")
-    if m == 2:
-        w[:] = 0.5 * h
-    elif m == 3:
-        w[:] = h * np.array([4, 16, 4]) / 12
-    else:
-        w[0:4] += h * np.array([9, 19, -5, 1]) / 24
-        w[-4:] += h * np.array([1, -5, 19, 9]) / 24
-        interior = np.array([-1, 13, 13, -1]) * h / 24
-        for k in range(1, m - 2):
-            w[k - 1: k + 3] += interior
-    return w
+    """Node weights of the additive rule for a full-axis integral: each
+    node's unit vector integrated with interval_increments."""
+    return interval_increments(np.eye(m), h).sum(axis=0).real
 
 
 @dataclass

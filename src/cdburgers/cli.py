@@ -316,8 +316,8 @@ def _run_ode(args) -> int:
 
 
 def _run_measure_check(args) -> int:
-    from .randmeasure import (AtomicRandomMeasure, Partition, expectation,
-                              sample_H, structural_function, xi_from_rule)
+    from .randmeasure import (AtomicRandomMeasure, Partition, sample_H,
+                              structural_function, xi_from_rule)
 
     cfg = _load_config(args)
     for key in ("reps", "p"):
@@ -339,10 +339,11 @@ def _run_measure_check(args) -> int:
                                   xi=xi, seed=int(cfg.get("seed", 0)))
     samples = int(cfg.get("samples", 100_000))
     real = sample_H(measure, samples)
-    coeff = real.coefficients()
     size = measure.size
     p = np.asarray(measure.p)
     xi_arr = np.asarray(measure.xi, dtype=np.complex128)
+    # c_j is a function of the drawn cell: row j of diag(xi)
+    coeff = np.diag(xi_arr)
 
     # per-sample orthogonality of distinct cells is structural: at most one
     # coefficient is nonzero per draw
@@ -350,16 +351,17 @@ def _run_measure_check(args) -> int:
     for i in range(size):
         for j in range(i + 1, size):
             cross_max = max(cross_max, float(np.max(np.abs(
-                coeff[:, i] * coeff[:, j]))))
+                coeff[i] * coeff[j]))))
 
-    # first and second moments against the closed forms xi p and xi^2 p
+    # first and second moments against the closed forms xi p and xi^2 p,
+    # reduced over the per-cell draw counts
     mean_gap = 0.0
     delta_gap = 0.0
     mean_pass = True
     delta_pass = True
     for j in range(size):
-        m1, se1 = expectation(coeff[:, j])
-        m2, se2 = expectation(coeff[:, j] * coeff[:, j])
+        m1, se1 = real.moments(coeff[j])
+        m2, se2 = real.moments(coeff[j] * coeff[j])
         want1 = xi_arr[j] * p[j]
         want2 = xi_arr[j] ** 2 * p[j]
         mean_gap = max(mean_gap, float(abs(m1 - want1)))
@@ -542,6 +544,9 @@ def cli_run(argv=None) -> int:
         return int(args.handler(args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except KeyError as exc:
+        print(f"error: missing config key '{exc.args[0]}'", file=sys.stderr)
         return 1
     except (PicardDivergence, RuntimeError, ZeroDivisionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

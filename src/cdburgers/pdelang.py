@@ -38,7 +38,6 @@ emits a normal form that reparses to the identical tree.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field, fields
 
@@ -807,7 +806,3 @@ def node_to_tree(node):
             value = [node_to_tree(v) for v in value]
         tree["value" if f.name == "text" else f.name] = value
     return tree
-
-
-def canonical_json(tree) -> str:
-    return json.dumps(tree, sort_keys=True, separators=(",", ":"))

@@ -17,10 +17,13 @@ over cell-aligned sets are finite sums of those atoms.  Step-function
 integrals, weighted measures, and the iterated-integral exchange all reduce
 to rearrangements of one finite sum, so their identities hold to rounding.
 
-Sampling uses one seeded generator and a single vectorized draw; Monte
-Carlo reductions go through numpy's pairwise summation, over the samples
-or over the per-cell draw counts, so every reported number is reproducible
-bit for bit from (seed, sample count).
+Because each draw picks one cell, every per-sample quantity is the value
+of the drawn cell: integrals, H(M) x and the coefficients are a per-cell
+table gathered by the drawn indices.  Sampling uses one seeded generator
+and a single vectorized draw.  The CLI's Monte Carlo moments reduce over
+the per-cell draw counts (Realizations.moments); expectation reduces a
+per-sample array.  Both use numpy's pairwise summation, so every reported
+number is reproducible bit for bit from (seed, sample count).
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ __all__ = [
     "sample_H",
     "structural_function",
     "integrate_step",
-    "weighted_measure",
     "WeightedMeasure",
     "fubini_check",
     "expectation",
@@ -81,6 +83,8 @@ def xi_from_rule(rep, m: int, gamma: complex = 0.0,
                  varsigma: complex = 0.0) -> complex:
     """Amplitude at a representative: gamma/(2 lambda_1 lambda_{m+2}) when
     gamma != 0, else varsigma/(2 lambda_1 lambda_{m+3})."""
+    if m < 1:
+        raise ValueError(f"need m >= 1, got m = {m}")
     lam = tuple(rep)
     if len(lam) != m + 3:
         raise ValueError(f"representative needs {m + 3} entries")
@@ -138,7 +142,8 @@ class AtomicRandomMeasure:
 
 
 class Realizations:
-    """Index draws of one sampling run with the coefficient matrix."""
+    """Index draws of one sampling run; per-sample values are gathers of a
+    per-cell table by the draws."""
 
     def __init__(self, measure: AtomicRandomMeasure, draws: np.ndarray):
         self.measure = measure
@@ -150,12 +155,8 @@ class Realizations:
 
     def coefficients(self) -> np.ndarray:
         """c[s, j] = xi_j 1{J_s = j}; at most one nonzero entry per row."""
-        J = self.measure.size
-        c = np.zeros((self.count, J), dtype=np.complex128)
         xi = np.asarray(self.measure.xi, dtype=np.complex128)
-        rows = np.arange(self.count)
-        c[rows, self.draws] = xi[self.draws]
-        return c
+        return np.diag(xi)[self.draws]
 
     def moments(self, values) -> tuple:
         """Monte Carlo mean and standard error of values[draws] from the
@@ -172,23 +173,16 @@ class Realizations:
         return mean, np.sqrt(var / self.count)
 
     def apply_H(self, cells, x) -> np.ndarray:
-        """Per-sample H(M) x = sum_{j in M} c_j v_j x over the cell set M.
+        """Per-sample H(M) x = sum_{j in M} c_j v_j x over the cell set M:
+        the step integral of x on the cells of M and zero elsewhere.
 
         The empty set gives exactly zero; since at most one summand is
         nonzero per sample, unions of disjoint sets add exactly.
         """
         cells = self.measure.partition.check_cells(cells)
-        x = np.asarray(x)
-        out = np.zeros((self.count,) + x.shape, dtype=np.complex128)
-        if not cells:
-            return out
-        mult = self.measure.multipliers()
-        xi = self.measure.xi
-        for j in cells:
-            hit = self.draws == j
-            if np.any(hit):
-                out[hit] += xi[j] * (mult[j] * x)
-        return out
+        zero = np.zeros(np.shape(x), dtype=np.complex128)
+        return integrate_step(self.measure, self, [
+            x if j in cells else zero for j in range(self.measure.size)])
 
 
 def sample_H(measure: AtomicRandomMeasure, count: int) -> Realizations:
@@ -246,13 +240,7 @@ def integrate_step(measure: AtomicRandomMeasure, real: Realizations,
     terms = [np.asarray(measure.xi[j] * (mult[j] * np.asarray(values[j])),
                         dtype=np.complex128)
              for j in range(measure.size)]
-    shape = np.broadcast_shapes(*[t.shape for t in terms])
-    out = np.zeros((real.count,) + shape, dtype=np.complex128)
-    for j in range(measure.size):
-        hit = real.draws == j
-        if np.any(hit):
-            out[hit] = np.broadcast_to(terms[j], shape)
-    return out
+    return np.stack(np.broadcast_arrays(*terms))[real.draws]
 
 
 class WeightedMeasure:
@@ -291,10 +279,6 @@ class WeightedMeasure:
         return integrate_step(self.measure, real, scaled)
 
 
-def weighted_measure(measure: AtomicRandomMeasure, g) -> WeightedMeasure:
-    return WeightedMeasure(measure, g)
-
-
 def fubini_check(measure: AtomicRandomMeasure, real: Realizations,
                  g: np.ndarray, h: np.ndarray,
                  weights: np.ndarray) -> dict:
@@ -312,9 +296,11 @@ def fubini_check(measure: AtomicRandomMeasure, real: Realizations,
     weights = np.asarray(weights, dtype=float)
     if g.shape != (len(h), measure.size):
         raise ValueError("g must be (quadrature nodes) x (cells)")
-    inner = np.array(
-        [integrate_step(measure, real, g[k]) for k in range(len(h))])
-    lhs = np.tensordot(weights * h, inner, axes=(0, 0))
+    # cell j's value is the column g[:, j], its node axis ahead of any
+    # multiplier axes, so inner[s, k] = c_J v_J g[k, J]
+    ones = (1,) * max(np.ndim(v) for v in measure.multipliers())
+    inner = integrate_step(measure, real, g.T.reshape(g.T.shape + ones))
+    lhs = np.tensordot(inner, weights * h, axes=(1, 0))
     f = np.tensordot(weights * h, g, axes=(0, 0))
     rhs = integrate_step(measure, real, f)
     gap = float(np.max(np.abs(lhs - rhs))) if real.count else 0.0

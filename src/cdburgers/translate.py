@@ -20,10 +20,10 @@ which is what the symbolic equivalence check below verifies.  Multiplication
 order inside products is preserved as written and never normalized; it
 matters as soon as any factor stops being scalar.
 
-The module also carries the point embedding and function lift/lower helpers,
-the evaluators of both sides of the translation, the classical vector
-calculus dictionary for n = 3 (div, grad, rot through a first-order symbol
-with right basis factors), and a numeric grid path.
+The module also carries the function lift/lower helpers, the evaluators
+of both sides of the translation, the classical vector calculus
+dictionary for n = 3 (div, grad, rot through a first-order symbol with
+right basis factors), and a numeric grid path.
 
 Two walkers serve every evaluation.  ``_apply_op`` folds an operator
 expression over its argument (sums add, negation negates, products compose
@@ -76,8 +76,6 @@ __all__ = [
     "minimal_level",
     "translate_pdo",
     "translate_system",
-    "embed_point",
-    "extract_point",
     "lift_function",
     "lower_function",
     "LiftedFunction",
@@ -245,16 +243,7 @@ def translate_system(program: Program, maps: TranslationMaps | None = None,
     return TranslatedPde(program, maps, comps, lhs, ghat)
 
 
-# -- points and functions across the embedding -----------------------------------
-
-
-def embed_point(x, emb: EmbeddingMap):
-    """Place a real n-vector on the coordinate slots of the algebra."""
-    return emb.embed(x)
-
-
-def extract_point(z, emb: EmbeddingMap) -> np.ndarray:
-    return emb.extract(z)
+# -- functions across the embedding -------------------------------------------
 
 
 @dataclass(frozen=True)

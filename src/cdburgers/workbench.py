@@ -275,7 +275,6 @@ class SolutionField:
     spec: SobolevBurgersSpec
     grid: Grid
     atoms: tuple
-    params: tuple
     measure: AtomicRandomMeasure
     trajectories: tuple
     kernels: tuple
@@ -325,12 +324,10 @@ def assemble_u(atoms, measure: AtomicRandomMeasure, grid: Grid,
     if not all(cfg.scalar_closed() for cfg in cfgs):
         raise ValueError("assembly of diagonal fields needs scalar kernels")
 
-    params = []
     trajectories = []
     kernels = []
     t_axis = grid.t_axis()
     for point, cfg in zip(atoms, cfgs):
-        params.append(lambda_to_params(point, spec))
         cs = CauchySpec(m=spec.m, c=spec.c, lam=point.lam_prime,
                         horizon=spec.horizon, tau=grid.tau)
         tr = solve_cauchy(cs)
@@ -344,7 +341,7 @@ def assemble_u(atoms, measure: AtomicRandomMeasure, grid: Grid,
         trajectories.append(tr)
         kernels.append(solve_K(cfg, grid))
     return SolutionField(spec=spec, grid=grid, atoms=atoms,
-                         params=tuple(params), measure=measure,
+                         measure=measure,
                          trajectories=tuple(trajectories),
                          kernels=tuple(kernels))
 

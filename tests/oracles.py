@@ -19,7 +19,10 @@ reference diagonal fields expand each atom's time factor times space
 factor on the whole t_count x N^n grid, and the reference scalar residuals
 and moment identity apply their stencils and products to those expanded
 fields.  The reference Cayley-Dickson product runs one einsum per output
-slot instead of one einsum over a gather table.
+slot instead of one einsum over a gather table.  The reference random
+measure values (coefficients, step integrals, H(M) x) fill a samples-long
+array one boolean mask per cell instead of gathering a per-cell table by
+the drawn indices.
 """
 
 from __future__ import annotations
@@ -526,3 +529,40 @@ def reference_moment_identity(sol, *, samples=0, node=None, t_index=None):
             "second_ok": bool(abs(m2 - enum[idx]) <= tol2),
         }
     return report
+
+
+def reference_coefficients(real):
+    """c[s, j] = xi_j 1{J_s = j}, written sample by sample."""
+    c = np.zeros((real.count, real.measure.size), dtype=np.complex128)
+    xi = np.asarray(real.measure.xi, dtype=np.complex128)
+    rows = np.arange(real.count)
+    c[rows, real.draws] = xi[real.draws]
+    return c
+
+
+def reference_integrate_step(measure, real, values):
+    """Per-sample step integral, one boolean mask per cell."""
+    mult = measure.multipliers()
+    terms = [np.asarray(measure.xi[j] * (mult[j] * np.asarray(values[j])),
+                        dtype=np.complex128)
+             for j in range(measure.size)]
+    shape = np.broadcast_shapes(*[t.shape for t in terms])
+    out = np.zeros((real.count,) + shape, dtype=np.complex128)
+    for j in range(measure.size):
+        hit = real.draws == j
+        if np.any(hit):
+            out[hit] = np.broadcast_to(terms[j], shape)
+    return out
+
+
+def reference_apply_H(real, cells, x):
+    """Per-sample H(M) x, accumulated one boolean mask per cell of M."""
+    cells = real.measure.partition.check_cells(cells)
+    x = np.asarray(x)
+    out = np.zeros((real.count,) + x.shape, dtype=np.complex128)
+    mult = real.measure.multipliers()
+    for j in cells:
+        hit = real.draws == j
+        if np.any(hit):
+            out[hit] += real.measure.xi[j] * (mult[j] * x)
+    return out

@@ -40,12 +40,12 @@ from cdburgers.randmeasure import (
     AtomicRandomMeasure,
     Partition,
     StructuralMeasure,
+    WeightedMeasure,
     expectation,
     fubini_check,
     integrate_step,
     sample_H,
     structural_function,
-    weighted_measure,
 )
 from cdburgers.temporal import CauchySpec, solve_cauchy
 from cdburgers.translate import SymbolicEnv, theorem1_gap, translate_system
@@ -434,7 +434,7 @@ def test_6_random_measure_identities():
     # weighted measure: the same finite sum in either order, per sample
     gw = (1.3 + 0.2j, -0.4)
     fw = (0.9, 2.0 - 1.0j)
-    wm = weighted_measure(meas, gw)
+    wm = WeightedMeasure(meas, gw)
     lhs = wm.integrate(fw, real)
     rhs = integrate_step(meas, real, [fw[j] * np.asarray(gw[j])
                                       for j in range(2)])

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 import cdburgers.kernel
 from cdburgers.calculus import load_field
 from cdburgers.cli import cli_run
+from cdburgers.randmeasure import AtomicRandomMeasure, Partition, sample_H
 from oracles import riccati_oracle
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -159,6 +161,45 @@ def test_measure_check_requires_p(tmp_path, capsys):
     assert not (tmp_path / "measure_report.json").exists()
 
 
+def test_measure_check_rejects_m_below_one(tmp_path, capsys):
+    # one entry per representative derives m = 1 - 3 = -2
+    cfg = {"reps": [[2.0], [4.0]], "p": [0.5, 0.5], "gamma": 1.0}
+    path = _write_cfg(tmp_path / "meas.json", cfg)
+    assert cli_run(["measure-check", "--config", path,
+                    "--out", str(tmp_path)]) == 1
+    assert "need m >= 1, got m = -2" in capsys.readouterr().err
+    assert not (tmp_path / "measure_report.json").exists()
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_measure_check_forms_no_sample_sized_array(tmp_path, capsys):
+    # drawing alone peaks at one float64 uniform plus one int64 index per
+    # sample (sample_H); each cell's moments reduce over cell counts, so
+    # the stage adds less than one byte per sample to that, far from the
+    # samples x cells coefficient matrix
+    samples = 100_000
+    cfg = dict(_MEASURE_CFG, samples=samples)
+    path = _write_cfg(tmp_path / "meas.json", cfg)
+    argv = ["measure-check", "--config", path, "--out", str(tmp_path)]
+    measure = AtomicRandomMeasure(
+        partition=Partition(reps=tuple(map(tuple, cfg["reps"])),
+                            diameter=1.0),
+        p=tuple(cfg["p"]), xi=(1.0, 1.0), seed=cfg["seed"])
+    assert cli_run(argv) == 0  # one-time allocations
+    draws = _traced_peak(lambda: sample_H(measure, samples))
+    peak = _traced_peak(lambda: cli_run(argv))
+    capsys.readouterr()
+    assert peak < draws + samples
+
+
 def test_kernel_artifacts_and_determinism(tmp_path):
     cfg = _write_cfg(tmp_path / "k.json", _KERNEL_CFG)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -241,6 +282,24 @@ def test_assemble_rejects_algebra_valued_kernels(tmp_path, capsys):
                     "--out", str(tmp_path)]) == 1
     assert "needs scalar kernels" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.cdgf"))
+
+
+@pytest.mark.parametrize("stage, cfg, key", [
+    ("kernel", dict(_KERNEL_CFG, grid={"n": 2, "lo": -0.5, "hi": 4.5}),
+     "count"),
+    ("assemble", {"problem": {k: v for k, v in _PROBLEM.items()
+                              if k != "alpha"},
+                  "matched": [[1.0, -0.5]], "p": [1.0], "w0": [0.0, 0.0],
+                  "grid": {"count": 11, "t_count": 7}}, "alpha"),
+    ("assemble", {"problem": _PROBLEM, "matched": [[1.0, -0.5]], "p": [1.0],
+                  "w0": [0.0, 0.0], "grid": {"count": 11}}, "t_count"),
+], ids=["kernel-grid-count", "assemble-problem-alpha",
+        "assemble-grid-t_count"])
+def test_missing_nested_config_key_exits_one(stage, cfg, key, tmp_path,
+                                             capsys):
+    path = _write_cfg(tmp_path / "cfg.json", cfg)
+    assert cli_run([stage, "--config", path, "--out", str(tmp_path)]) == 1
+    assert f"error: missing config key '{key}'" in capsys.readouterr().err
 
 
 def test_assemble_validates_config(tmp_path, capsys):

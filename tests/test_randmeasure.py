@@ -7,6 +7,11 @@ enumeration within three standard errors.
 
 import numpy as np
 import pytest
+from oracles import (
+    reference_apply_H,
+    reference_coefficients,
+    reference_integrate_step,
+)
 
 from cdburgers.calculus import DiracSpec, Grid, GridField, dirac_apply
 from cdburgers.randmeasure import (
@@ -14,6 +19,7 @@ from cdburgers.randmeasure import (
     Partition,
     Realizations,
     StructuralMeasure,
+    WeightedMeasure,
     expectation,
     fubini_check,
     integrate_step,
@@ -21,7 +27,6 @@ from cdburgers.randmeasure import (
     measure_to_json,
     sample_H,
     structural_function,
-    weighted_measure,
     xi_from_rule,
 )
 
@@ -238,7 +243,7 @@ def test_integral_linearity_exact_on_exact_floats():
 def test_unit_weight_reproduces_the_measure():
     meas = _two_cell(xi=(1.5, 0.5))
     real = sample_H(meas, 400)
-    wm = weighted_measure(meas, [1.0, 1.0])
+    wm = WeightedMeasure(meas, [1.0, 1.0])
     eta = wm.eta((0, 1), real)
     direct = real.apply_H((0, 1), np.array(1.0))
     assert np.array_equal(eta, direct)
@@ -246,7 +251,7 @@ def test_unit_weight_reproduces_the_measure():
 
 def test_weighted_structural_of_whole_space():
     meas = _two_cell(xi=(1.5, 0.5), p=(0.3, 0.7))
-    wm = weighted_measure(meas, [1.0, 1.0])
+    wm = WeightedMeasure(meas, [1.0, 1.0])
     assert wm.structural((0, 1)) == pytest.approx(
         sum(meas.structural_cells()), rel=1e-15)
 
@@ -256,7 +261,7 @@ def test_weighted_integral_is_the_same_sum_reordered():
     real = sample_H(meas, 1000)
     g = (1.3 + 0.2j, -0.4)
     f = (0.9, 2.0 - 1.0j)
-    wm = weighted_measure(meas, g)
+    wm = WeightedMeasure(meas, g)
     lhs = wm.integrate(f, real)
     rhs = integrate_step(meas, real, [f[j] * np.asarray(g[j])
                                       for j in range(2)])
@@ -351,6 +356,35 @@ def test_count_moments_of_one_draw_have_zero_error():
     assert se == 0.0
 
 
+# -- operator-valued cells -----------------------------------------------------
+
+
+def test_gathers_match_the_per_cell_mask_loops_with_array_multipliers():
+    # each cell multiplies by its own real field; the gathers of the
+    # per-cell table are the mask loops' arrays entry for entry
+    rng = np.random.default_rng(31)
+    mult = tuple(rng.standard_normal(4) for _ in range(3))
+    meas = AtomicRandomMeasure(partition=_three_cell().partition,
+                               p=(0.2, 0.3, 0.5), xi=(1.0, -0.5j, 2.0),
+                               multiplier=mult, seed=4)
+    real = sample_H(meas, 300)
+    x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    for cells in ((), (1,), (0, 2), (0, 1, 2)):
+        got = real.apply_H(cells, x)
+        assert got.shape == (300, 4)
+        assert np.array_equal(got, reference_apply_H(real, cells, x))
+    values = [rng.standard_normal(4), 0.5 - 1.0j, rng.standard_normal(4)]
+    got = integrate_step(meas, real, values)
+    assert got.shape == (300, 4)
+    assert np.array_equal(got, reference_integrate_step(meas, real, values))
+    assert np.array_equal(real.coefficients(), reference_coefficients(real))
+    g = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    rep = fubini_check(meas, real, g, rng.standard_normal(5),
+                       np.full(5, 0.25))
+    assert rep["lhs"].shape == (300, 4)
+    assert rep["max_gap"] <= 1e-12 * rep["scale"]
+
+
 # -- commutation with grid operators -------------------------------------------
 
 
@@ -383,6 +417,8 @@ def test_amplitude_rule_cases():
         xi_from_rule((2.0, 1.0, 1.0, 0.0, 0.25), m=2, gamma=1.0)
     with pytest.raises(ValueError, match="entries"):
         xi_from_rule((1.0, 2.0), m=2, gamma=1.0)
+    with pytest.raises(ValueError, match="m >= 1"):
+        xi_from_rule((2.0,), m=-2, gamma=1.0)
 
 
 def test_measure_json_round_trip():

@@ -4,6 +4,7 @@ import sympy as sp
 
 from cdburgers.algebra import CdElement, EmbeddingMap
 from cdburgers.calculus import Grid, GridField
+from cdburgers.kernel import report_json
 from cdburgers.pdelang import (
     Add,
     App,
@@ -17,7 +18,6 @@ from cdburgers.pdelang import (
     Pi,
     Pow,
     UndeclaredSymbolError,
-    canonical_json,
     parse_pde,
     pretty,
     pretty_program,
@@ -27,8 +27,6 @@ from cdburgers.translate import (
     TranslationMaps,
     apply_pdo_on_grid,
     assemble_uhat,
-    embed_point,
-    extract_point,
     lift_function,
     lower_function,
     minimal_level,
@@ -124,8 +122,8 @@ dt(u[2]) + u[1]*u[2] = f[2]""",
 
 def test_canonical_json_deterministic():
     prog = parse_pde("dt(u) + u*dx1(u) = 0")
-    a = canonical_json(prog.to_tree())
-    b = canonical_json(parse_pde("dt(u) + u*dx1(u) = 0").to_tree())
+    a = report_json(prog.to_tree())
+    b = report_json(parse_pde("dt(u) + u*dx1(u) = 0").to_tree())
     assert a == b
     assert '"kind":"app"' in a
 
@@ -179,9 +177,9 @@ def test_parse_rejects_a_name_declared_twice(src, line, col, message):
 
 def test_embed_point_example():
     emb = EmbeddingMap((1, 2), 2)
-    z = embed_point(np.array([1.0, 2.0]), emb)
+    z = emb.embed(np.array([1.0, 2.0]))
     assert z == CdElement.basis(2, 1) + CdElement.basis(2, 2) * 2.0
-    assert extract_point(CdElement.zero(2), emb).tolist() == [0.0, 0.0]
+    assert emb.extract(CdElement.zero(2)).tolist() == [0.0, 0.0]
 
 
 def test_embed_round_trip_and_isometry():
@@ -189,21 +187,21 @@ def test_embed_round_trip_and_isometry():
     rng = np.random.default_rng(11)
     for _ in range(1000):
         x = rng.standard_normal(3)
-        z = embed_point(x, emb)
-        assert np.array_equal(extract_point(z, emb), x)
+        z = emb.embed(x)
+        assert np.array_equal(emb.extract(z), x)
         assert z.norm_sq() == np.dot(x, x)
 
 
 def test_embed_dimension_mismatch():
     emb = EmbeddingMap((0, 1), 2)
     with pytest.raises(ValueError):
-        embed_point(np.array([1.0, 2.0, 3.0]), emb)
+        emb.embed(np.array([1.0, 2.0, 3.0]))
 
 
 def test_lift_lower_callable():
     emb = EmbeddingMap((0, 1), 2)
     h = lift_function(lambda x1, x2: x1, emb)
-    z = embed_point(np.array([0.7, -0.3]), emb)
+    z = emb.embed(np.array([0.7, -0.3]))
     assert h(z) == 0.7
     assert lower_function(h, emb) is h.source
     const = lift_function(lambda x1, x2: 4.5, emb)
@@ -218,7 +216,7 @@ def test_lift_lower_grid_field():
     h = lift_function(f, emb)
     for idx in ((0, 0), (2, 3), (4, 4)):
         x = np.array([g.axis(0)[idx[0]], g.axis(1)[idx[1]]])
-        assert h(embed_point(x, emb)) == f.values[idx]
+        assert h(emb.embed(x)) == f.values[idx]
     assert lower_function(h) is f
     with pytest.raises(ValueError):
         lower_function(h, EmbeddingMap((1, 2), 2))
@@ -380,8 +378,8 @@ def test_translate_insufficient_level_error():
 
 def test_translated_tree_serialization_is_stable():
     prog = parse_pde(HEAT)
-    a = canonical_json(translate_system(prog).to_tree())
-    b = canonical_json(translate_system(parse_pde(HEAT)).to_tree())
+    a = report_json(translate_system(prog).to_tree())
+    b = report_json(translate_system(parse_pde(HEAT)).to_tree())
     assert a == b
 
 
