@@ -24,7 +24,7 @@ ode
 measure-check
     {"reps": [[...], ...], "p": [...],  (required)
      "m": 1, "gamma": 0.0, "varsigma": 0.0,   (or explicit "xi": [...])
-     "diameter": 1.0, "seed": 0, "samples": 100000}
+     "diameter": 1.0, "seed": 0, "samples": 100000}   (samples > 0)
 assemble
     {"problem": {"alpha": .., "beta": .., "gamma": .., "varsigma": ..,
                  "c": [..], "n": 2, "lo": .., "hi": .., "horizon": ..,
@@ -32,13 +32,13 @@ assemble
      "atoms": [[lam, ...], ...] or "matched": [[lam_prime], ...],
      "p": [...], "w0": [...],                                  (required)
      "grid": {"count": .., "t_count": ..},                     (required)
-     "seed": 0, "tol": 1e-10, "samples": 0}
+     "seed": 0, "tol": 1e-10, "samples": 0}   (samples >= 0; 0 skips it)
 verify
     {"problem": {...},                                         (required)
      "lam_prime": [...], "w0": [...],                          (required)
      "levels": [[count, t_count], ...],                        (required)
      "collar": 2.0, "t_collar": null,
-     "seed": 0, "tol": 1e-10, "samples": 0}
+     "seed": 0, "tol": 1e-10, "samples": 0}   (samples >= 0; 0 skips it)
 
 Keys a stage does not read are ignored.
 
@@ -316,8 +316,9 @@ def _run_ode(args) -> int:
 
 
 def _run_measure_check(args) -> int:
-    from .randmeasure import (AtomicRandomMeasure, Partition, sample_H,
-                              structural_function, xi_from_rule)
+    from .randmeasure import (AtomicRandomMeasure, Partition, moments,
+                              sample_counts, structural_function,
+                              xi_from_rule)
 
     cfg = _load_config(args)
     for key in ("reps", "p"):
@@ -338,7 +339,7 @@ def _run_measure_check(args) -> int:
                                   p=tuple(float(v) for v in cfg["p"]),
                                   xi=xi, seed=int(cfg.get("seed", 0)))
     samples = int(cfg.get("samples", 100_000))
-    real = sample_H(measure, samples)
+    counts = sample_counts(measure, samples)
     size = measure.size
     p = np.asarray(measure.p)
     xi_arr = np.asarray(measure.xi, dtype=np.complex128)
@@ -355,13 +356,11 @@ def _run_measure_check(args) -> int:
 
     # first and second moments against the closed forms xi p and xi^2 p,
     # reduced over the per-cell draw counts
-    mean_gap = 0.0
-    delta_gap = 0.0
-    mean_pass = True
-    delta_pass = True
+    mean_gap = delta_gap = 0.0
+    mean_pass = delta_pass = True
     for j in range(size):
-        m1, se1 = real.moments(coeff[j])
-        m2, se2 = real.moments(coeff[j] * coeff[j])
+        m1, se1 = moments(counts, coeff[j])
+        m2, se2 = moments(counts, coeff[j] * coeff[j])
         want1 = xi_arr[j] * p[j]
         want2 = xi_arr[j] ** 2 * p[j]
         mean_gap = max(mean_gap, float(abs(m1 - want1)))
@@ -547,6 +546,9 @@ def cli_run(argv=None) -> int:
         return 1
     except KeyError as exc:
         print(f"error: missing config key '{exc.args[0]}'", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except (PicardDivergence, RuntimeError, ZeroDivisionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

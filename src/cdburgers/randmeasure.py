@@ -19,11 +19,12 @@ to rearrangements of one finite sum, so their identities hold to rounding.
 
 Because each draw picks one cell, every per-sample quantity is the value
 of the drawn cell: integrals, H(M) x and the coefficients are a per-cell
-table gathered by the drawn indices.  Sampling uses one seeded generator
-and a single vectorized draw.  The CLI's Monte Carlo moments reduce over
-the per-cell draw counts (Realizations.moments); expectation reduces a
-per-sample array.  Both use numpy's pairwise summation, so every reported
-number is reproducible bit for bit from (seed, sample count).
+table gathered by the drawn indices.  One seeded stream, read in chunks,
+gives sample_H's indices or sample_counts' per-cell counts; the CLI's
+Monte Carlo checks reduce those counts (moments), so nothing of length
+`samples` is formed, and expectation reduces a per-sample array.  Both
+fix their summation order: every reported number is reproducible bit for
+bit from (seed, sample count).
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ __all__ = [
     "Realizations",
     "xi_from_rule",
     "sample_H",
+    "sample_counts",
+    "moments",
     "structural_function",
     "integrate_step",
     "WeightedMeasure",
@@ -158,20 +161,6 @@ class Realizations:
         xi = np.asarray(self.measure.xi, dtype=np.complex128)
         return np.diag(xi)[self.draws]
 
-    def moments(self, values) -> tuple:
-        """Monte Carlo mean and standard error of values[draws] from the
-        per-cell draw counts n_j: mean = sum_j n_j v_j / N and var =
-        sum_j n_j |v_j - mean|^2 / (N - 1), so nothing of length N is
-        formed.  Same conventions as expectation (N = 1 gives se = 0)."""
-        values = np.asarray(values)
-        counts = np.bincount(self.draws, minlength=self.measure.size)
-        mean = np.add.reduce(counts * values) / self.count
-        if self.count == 1:
-            return mean, np.zeros_like(np.abs(mean))
-        dev = counts * np.abs(values - mean) ** 2
-        var = np.add.reduce(dev) / (self.count - 1)
-        return mean, np.sqrt(var / self.count)
-
     def apply_H(self, cells, x) -> np.ndarray:
         """Per-sample H(M) x = sum_{j in M} c_j v_j x over the cell set M:
         the step integral of x on the cells of M and zero elsewhere.
@@ -185,14 +174,43 @@ class Realizations:
             x if j in cells else zero for j in range(self.measure.size)])
 
 
+_CHUNK = 8192  # draws per streamed chunk: a 64 KiB index array
+
+
+def _draw_chunks(measure: AtomicRandomMeasure, count: int, chunk: int):
+    """The measure's seeded stream in chunks of `chunk` indices: choice with
+    p reads one uniform per draw, so every chunking gives the same draws."""
+    if count <= 0:
+        raise ValueError(f"need a positive sample count, got {count}")
+    rng = np.random.default_rng(measure.seed)
+    p = np.asarray(measure.p, dtype=float)
+    for start in range(0, count, chunk):
+        yield rng.choice(measure.size, size=min(chunk, count - start), p=p)
+
+
 def sample_H(measure: AtomicRandomMeasure, count: int) -> Realizations:
     """Draw `count` cell indices from the measure's seeded stream."""
-    if count <= 0:
-        raise ValueError("need a positive sample count")
-    rng = np.random.default_rng(measure.seed)
-    draws = rng.choice(measure.size, size=count,
-                       p=np.asarray(measure.p, dtype=float))
-    return Realizations(measure, draws)
+    return Realizations(measure, next(_draw_chunks(measure, count, count)))
+
+
+def sample_counts(measure: AtomicRandomMeasure, count: int) -> np.ndarray:
+    """Per-cell counts of sample_H's draws, streamed in _CHUNK pieces."""
+    return sum(np.bincount(draws, minlength=measure.size)
+               for draws in _draw_chunks(measure, count, _CHUNK))
+
+
+def moments(counts, values) -> tuple:
+    """Monte Carlo mean and standard error from per-cell draw counts n_j:
+    mean = sum_j n_j v_j / N, var = sum_j n_j |v_j - mean|^2 / (N - 1),
+    N = sum_j n_j.  Same conventions as expectation (N = 1 gives se = 0)."""
+    values = np.asarray(values)
+    total = int(np.sum(counts))
+    mean = np.add.reduce(counts * values) / total
+    if total == 1:
+        return mean, np.zeros_like(np.abs(mean))
+    dev = counts * np.abs(values - mean) ** 2
+    var = np.add.reduce(dev) / (total - 1)
+    return mean, np.sqrt(var / total)
 
 
 class StructuralMeasure:
@@ -205,10 +223,7 @@ class StructuralMeasure:
     def value(self, cells):
         """m(M): the multiplication factor summed over the cells of M."""
         cells = self.measure.partition.check_cells(cells)
-        total = 0.0
-        for j in cells:
-            total = total + self.cells[j]
-        return total
+        return sum((self.cells[j] for j in cells), 0.0)
 
     def bilinear(self, cells, x, y):
         """m_{x,y}(M) = (m(M) x, y) in the grid inner product."""
@@ -264,10 +279,7 @@ class WeightedMeasure:
         """n(N): the g-weighted structural atoms summed over N."""
         cells = self.measure.partition.check_cells(cells)
         atoms = self.measure.structural_cells()
-        total = 0.0
-        for j in cells:
-            total = total + atoms[j] * abs(self.g[j]) ** 2
-        return total
+        return sum((atoms[j] * abs(self.g[j]) ** 2 for j in cells), 0.0)
 
     def integrate(self, f, real: Realizations) -> np.ndarray:
         """integral of the cell-wise scalar f against eta: the same finite

@@ -63,7 +63,8 @@ from .kernel import (
 from .randmeasure import (
     AtomicRandomMeasure,
     Partition,
-    sample_H,
+    moments,
+    sample_counts,
     xi_from_rule,
 )
 from .temporal import CauchySpec, solve_cauchy
@@ -361,9 +362,9 @@ def moment_identity(sol: SolutionField, *, samples: int = 0,
     (it does exactly for a single atom, and fails for generic mixtures).
     Both are formed one time row at a time (SolutionField.moment_row).
     With samples > 0 a Monte Carlo cross-check runs at one diagonal node:
-    u there takes one value per cell, so the sample moments are reduced
-    over the per-cell draw counts (Realizations.moments), not over a
-    samples-long value array.
+    u there takes one value per cell, so its sample moments reduce over
+    per-cell draw counts streamed from the seeded draw (sample_counts);
+    nothing of length `samples` is formed.  samples < 0 is rejected.
     """
     second_max = structure_gap = square_gap = 0.0
     for ti in range(sol.grid.t_count):
@@ -387,15 +388,15 @@ def moment_identity(sol: SolutionField, *, samples: int = 0,
         "mean_square_exact": bool(square_gap == 0.0),
     }
 
-    if samples > 0:
+    if samples:
         if t_index is None:
             t_index = sol.grid.t_count // 2
         if node is None:
             node = tuple(c // 2 for c in sol.grid.counts)
-        real = sample_H(sol.measure, samples)
+        counts = sample_counts(sol.measure, samples)
         vals, _ = sol.enumerate_node(t_index, node)
-        m1, se1 = real.moments(vals)
-        m2, se2 = real.moments(vals * vals)
+        m1, se1 = moments(counts, vals)
+        m2, se2 = moments(counts, vals * vals)
         mean, enum = (r[tuple(node)] for r in sol.moment_row(t_index))
         # the 1e-12 floors absorb summation roundoff when a cell value is
         # deterministic and the standard error is exactly zero

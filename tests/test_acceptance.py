@@ -538,6 +538,11 @@ def test_8_byte_identical_artifacts(tmp_path):
     verify_cfg = {"problem": problem, "lam_prime": [1.0, -0.5],
                   "w0": [0.0, 0.0], "levels": [[21, 9]], "collar": 2.0,
                   "t_collar": 0.25}
+    # 20000 draws span three chunks of the streamed count
+    measure_cfg = {"reps": [[1.0, 0.5, 0.3, 0.2], [2.0, -0.5, 0.1, 0.4],
+                            [0.5, 1.5, -0.2, 0.3]],
+                   "p": [0.2, 0.3, 0.5], "gamma": 1.0, "seed": 3,
+                   "samples": 20000}
     algebra_cfg = {"levels": [2, 3], "trials": 20}
     translate_cfg = {
         "source": json.loads(TRANSLATE_GOLDEN.read_text())["source"]}
@@ -545,6 +550,7 @@ def test_8_byte_identical_artifacts(tmp_path):
               ("kernel", "kernel-p2", kernel_p2_cfg),
               ("assemble", "assemble", assemble_cfg),
               ("verify", "verify", verify_cfg),
+              ("measure-check", "measure", measure_cfg),
               ("algebra-check", "algebra", algebra_cfg),
               ("translate", "translate", translate_cfg))
     for _, name, cfg in stages:

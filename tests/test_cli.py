@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cdburgers.cli
 import cdburgers.kernel
 from cdburgers.calculus import load_field
 from cdburgers.cli import cli_run
-from cdburgers.randmeasure import AtomicRandomMeasure, Partition, sample_H
 from oracles import riccati_oracle
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -181,23 +181,18 @@ def _traced_peak(call):
 
 
 def test_measure_check_forms_no_sample_sized_array(tmp_path, capsys):
-    # drawing alone peaks at one float64 uniform plus one int64 index per
-    # sample (sample_H); each cell's moments reduce over cell counts, so
-    # the stage adds less than one byte per sample to that, far from the
+    # the stage streams per-cell draw counts in fixed chunks and reduces
+    # each cell's moments over them, so its peak stays under one byte per
+    # sample: far from a one-shot draw's 16 bytes per sample, or the
     # samples x cells coefficient matrix
-    samples = 100_000
-    cfg = dict(_MEASURE_CFG, samples=samples)
-    path = _write_cfg(tmp_path / "meas.json", cfg)
+    samples = 1_000_000
+    path = _write_cfg(tmp_path / "meas.json",
+                      dict(_MEASURE_CFG, samples=samples))
     argv = ["measure-check", "--config", path, "--out", str(tmp_path)]
-    measure = AtomicRandomMeasure(
-        partition=Partition(reps=tuple(map(tuple, cfg["reps"])),
-                            diameter=1.0),
-        p=tuple(cfg["p"]), xi=(1.0, 1.0), seed=cfg["seed"])
     assert cli_run(argv) == 0  # one-time allocations
-    draws = _traced_peak(lambda: sample_H(measure, samples))
     peak = _traced_peak(lambda: cli_run(argv))
     capsys.readouterr()
-    assert peak < draws + samples
+    assert peak < samples
 
 
 def test_kernel_artifacts_and_determinism(tmp_path):
@@ -300,6 +295,32 @@ def test_missing_nested_config_key_exits_one(stage, cfg, key, tmp_path,
     path = _write_cfg(tmp_path / "cfg.json", cfg)
     assert cli_run([stage, "--config", path, "--out", str(tmp_path)]) == 1
     assert f"error: missing config key '{key}'" in capsys.readouterr().err
+
+
+def test_assemble_rejects_negative_samples(tmp_path, capsys):
+    # samples = 0 skips the Monte Carlo check; a negative count is an error
+    cfg = _write_cfg(tmp_path / "a.json", {
+        "problem": _PROBLEM, "matched": [[1.0, -0.5]], "p": [1.0],
+        "w0": [0.0, 0.0], "grid": {"count": 11, "t_count": 7},
+        "samples": -5,
+    })
+    out = tmp_path / "asm"
+    assert cli_run(["assemble", "--config", cfg, "--out", str(out)]) == 1
+    assert "positive sample count, got -5" in capsys.readouterr().err
+    assert not (out / "assemble_report.json").exists()
+
+
+def test_out_of_memory_exits_one(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 385. GiB")
+
+    monkeypatch.setattr(cdburgers.cli, "solve_K", exhausted)
+    path = _write_cfg(tmp_path / "k.json", _KERNEL_CFG)
+    assert cli_run(["kernel", "--config", path,
+                    "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "error: out of memory: Unable to allocate 385. GiB" in err
+    assert "Traceback" not in err
 
 
 def test_assemble_validates_config(tmp_path, capsys):

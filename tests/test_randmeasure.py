@@ -25,7 +25,9 @@ from cdburgers.randmeasure import (
     integrate_step,
     measure_from_json,
     measure_to_json,
+    moments,
     sample_H,
+    sample_counts,
     structural_function,
     xi_from_rule,
 )
@@ -342,7 +344,7 @@ def test_count_moments_match_the_per_sample_reduction(count):
     real = sample_H(_three_cell(), count)
     v = np.array([0.3 - 1.2j, 2.5 + 0.1j, -0.7 + 0.0j])
     for values in (v, v * v):
-        mean, se = real.moments(values)
+        mean, se = moments(np.bincount(real.draws, minlength=3), values)
         want_mean, want_se = expectation(values[real.draws])
         assert abs(mean - want_mean) <= 1e-12 * abs(want_mean)
         assert abs(se - want_se) <= 1e-12 * abs(want_se)
@@ -351,9 +353,23 @@ def test_count_moments_match_the_per_sample_reduction(count):
 def test_count_moments_of_one_draw_have_zero_error():
     real = sample_H(_three_cell(), 1)
     v = np.array([0.3 - 1.2j, 2.5 + 0.1j, -0.7 + 0.0j])
-    mean, se = real.moments(v)
+    mean, se = moments(np.bincount(real.draws, minlength=3), v)
     assert mean == v[real.draws[0]]
     assert se == 0.0
+
+
+@pytest.mark.parametrize("count", [1, 8191, 8192, 8193, 3 * 8192 + 5])
+@pytest.mark.parametrize("meas", [
+    AtomicRandomMeasure(partition=Partition(reps=((1.0,),), diameter=1.0),
+                        p=(1.0,), xi=(2.0,), seed=5),
+    _two_cell(p=(0.0, 1.0), seed=11),
+    _three_cell(),
+], ids=["one-cell", "two-cell-zero-p", "three-cell"])
+def test_streamed_counts_are_the_counts_of_the_one_shot_draw(meas, count):
+    # the chunked stream reads the same uniforms as one draw of `count`,
+    # across and at the chunk boundaries
+    want = np.bincount(sample_H(meas, count).draws, minlength=meas.size)
+    assert np.array_equal(sample_counts(meas, count), want)
 
 
 # -- operator-valued cells -----------------------------------------------------
@@ -454,9 +470,12 @@ def test_measure_validation():
     with pytest.raises(ValueError, match="real valued"):
         AtomicRandomMeasure(partition=part, p=(0.5, 0.5), xi=(1.0, 1.0),
                             multiplier=(1.0j, 1.0))
+    meas = AtomicRandomMeasure(partition=part, p=(0.5, 0.5), xi=(1.0, 1.0))
     with pytest.raises(ValueError, match="positive sample count"):
-        sample_H(AtomicRandomMeasure(partition=part, p=(0.5, 0.5),
-                                     xi=(1.0, 1.0)), 0)
+        sample_H(meas, 0)
+    for count in (0, -5):
+        with pytest.raises(ValueError, match="positive sample count"):
+            sample_counts(meas, count)
 
 
 def test_refinement_chain_preserves_identities():

@@ -523,16 +523,15 @@ def _traced_peak(call):
 
 
 def test_monte_carlo_check_forms_no_sample_sized_value_array(single_atom):
-    # drawing alone peaks at one float64 uniform plus one int64 index per
-    # sample (sample_H); the cross-check reduces over cell counts, so it
-    # adds less than one byte per sample to that, far from the complex
-    # value arrays of `samples` entries a per-sample reduction forms
-    samples = 100_000
-    sample_H(single_atom.measure, samples)  # one-time allocations
-    draws = _traced_peak(lambda: sample_H(single_atom.measure, samples))
+    # the cross-check streams per-cell draw counts in fixed chunks and
+    # reduces over them, so its peak stays under one byte per sample: far
+    # from a one-shot draw's 16 bytes per sample, or the complex value
+    # arrays of `samples` entries a per-sample reduction forms
+    samples = 1_000_000
+    moment_identity(single_atom, samples=1)  # one-time allocations
     peak = _traced_peak(lambda: moment_identity(single_atom,
                                                 samples=samples))
-    assert peak < draws + samples
+    assert peak < samples
 
 
 @pytest.mark.parametrize("fixture, margin, t_rows", [
