@@ -323,6 +323,8 @@ class DiracSpec:
         """psi_j = weight for j = 1..n, zero otherwise, identity xi."""
         if level is None:
             level = max(2, n.bit_length())
+        if (1 << level) <= n:
+            raise ValueError(f"level {level} has too few units for n = {n}")
         w = [0.0] * (1 << level)
         for j in range(1, n + 1):
             w[j] = weight

@@ -457,6 +457,8 @@ def _run_verify(args) -> int:
         if key not in cfg:
             raise ValueError(f"verify config needs '{key}'")
     levels = [tuple(int(v) for v in row) for row in cfg["levels"]]
+    if not levels:
+        raise ValueError("verify config needs at least one level")
     if args.refine is not None:
         if not 1 <= args.refine <= len(levels):
             raise ValueError(

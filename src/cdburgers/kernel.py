@@ -17,14 +17,16 @@ quaternion variant p_1 and p_2 multiply on the right and no projection is
 taken.
 
 F(z, v) = f(z/2) f(v/2), f(s) = exp(kappa . s), so A K(x, y) = sum_s
-g_s(x) V_s(y): the y factors V_s, prefix sweeps of f(v/2), do not depend
-on K, and the x factors g_s are prefix sweeps of K's tail ray.  K is kept
-as its separated terms u_t(x) v_t(y), f(x/2) f(y/2) and g_s(x) V_s(y); its
-ray is sum_t u_t(w) R_t(w), R_t tail-window integrals of f(z/2) v_t(z)
-that need no K.  So the Picard solve builds the R_t once, and every sweep
-of every step acts on N^n nodes, none on N^{n+1} or N^{2n}.  The K dump
-writes the terms themselves, and the residual at x = y is evaluated from
-them one V factor at a time (Beylkin & Mohlenkamp, 2005).
+g_s(x) V_s(y).  A line integral from w0 is a sum of n staircase segments
+under left units i_{b_c}, each integrated once (_segments): the y factors
+V_s are segments of f(v/2), and the x factors g_s signed permutations
+(_chain) of the segments of K's tail ray.  K is kept as its terms
+u_t(x) v_t(y), f(x/2) f(y/2) and g_s(x) V_s(y); its ray is sum_t u_t(w)
+R_t(w), R_t tail-window integrals of f(z/2) v_t(z), free of K.  So the
+Picard solve builds the R_t once, every sweep acts on N^n nodes, none on
+N^{n+1} or N^{2n}, and the Frobenius certificate takes its algebra from
+the same _chain.  The K dump writes the terms, and the residual at x = y
+is evaluated from them one V factor at a time (Beylkin & Mohlenkamp, 2005).
 
 F comes from the closed family F(x, y) = exp(kappa . (x + y)/2).  Any
 function of the midpoint alone is annihilated by S_1, and membership in the
@@ -141,6 +143,10 @@ class KernelConfig:
     def __post_init__(self):
         if self.a[0] == 0:
             raise ValueError("a_1 must be nonzero")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if self.r_inf is not None and not self.r_inf > 0:
+            raise ValueError(f"r_inf must be positive, got {self.r_inf}")
         if self.variant not in ("complex", "quaternion"):
             raise ValueError(f"unknown variant {self.variant!r}")
         if len(self.w0) != len(self.kappa):
@@ -328,34 +334,37 @@ def s2a_apply(f: GridField, spec: DiracSpec, a) -> GridField:
 # ---------------------------------------------------------------------------
 
 
-def prefix_line_integrals(values: np.ndarray, grid: Grid, w0_idx, spec,
-                          group_offset: int) -> np.ndarray:
-    """Line integrals from w0 to every endpoint of one argument group.
-
-    `values` carries one array axis per grid axis of the integrated slot,
-    the group starting at `group_offset`; a trailing axis of length 2^level
-    holds algebra coefficients (added when absent).  The segment along grid
-    axis c picks up the left factor i_b psi_b^-1 N^-1 exactly as in
-    calculus.line_integral: same cumulative rule, axes before c already at
-    the endpoint, axes after c still at w0, so the result agrees with the
-    pointwise routine node for node.
-    """
-    n = grid.n
-    level = spec.level
-    dim = 1 << level
-    if not (values.ndim > group_offset + n and values.shape[-1] == dim):
-        values = values[..., None] * np.eye(dim)[0]  # scalars: coefficient 0
-    out = np.zeros(values.shape, dtype=np.complex128)
+def _segments(values: np.ndarray, grid: Grid, w0_idx, spec,
+              group_offset: int) -> list:
+    """The n staircase segments of the line integrals from w0 over the grid
+    axes of `values` from `group_offset` on: seg_c is the cumulative rule
+    along axis c from w0, axes before c at the endpoint and after c at w0
+    (kept with length 1), times psi_b^-1 N^-1; the line integral is
+    sum_c i_{b_c} seg_c.  Every other axis, coefficients too, rides along."""
+    n, segs = grid.n, []
     for c in range(n):
-        ax = group_offset + c
-        b, scale = _segment_factor(spec, c, n)
-        part = values
+        ax, part = group_offset + c, values
         for b2 in range(c + 1, n):  # axes after c still at w0
             part = np.take(part, [w0_idx[b2]], axis=group_offset + b2)
         cum = cumulative_integral(part, grid.spacings[c], axis=ax)
-        seg = (cum - np.take(cum, [w0_idx[c]], axis=ax)) * scale
-        out += np.broadcast_to(basis_mul_coeffs(b, seg, level), out.shape)
-    return out
+        segs.append((cum - np.take(cum, [w0_idx[c]], axis=ax))
+                    * _segment_factor(spec, c, n)[1])
+    return segs
+
+
+def prefix_line_integrals(values: np.ndarray, grid: Grid, w0_idx, spec,
+                          group_offset: int) -> np.ndarray:
+    """Line integrals from w0 over one argument group, sum_c i_{b_c} seg_c
+    of the _segments: node for node calculus.line_integral.  A trailing
+    axis of length 2^level holds algebra coefficients (added when absent).
+    Only the bench and the test oracles call it; the solve reads segments.
+    """
+    n, level = grid.n, spec.level
+    if not (values.ndim > group_offset + n and values.shape[-1] == 1 << level):
+        values = values[..., None] * np.eye(1 << level)[0]  # coefficient 0
+    segs = _segments(values, grid, w0_idx, spec, group_offset)
+    return sum((basis_mul_coeffs(spec.basis_for_axis(c, n), seg, level)
+                for c, seg in enumerate(segs)), np.zeros(values.shape))
 
 
 def _ray_ends(config: KernelConfig, grid: Grid):
@@ -407,20 +416,34 @@ def _weigh_q(Q: np.ndarray, config: KernelConfig) -> np.ndarray:
 
 def _y_factors(config: KernelConfig, grid: Grid) -> np.ndarray:
     """The y factors V_s of A K = sum_s g_s(x) V_s(y), shape (r,) + counts:
-    the n y-prefix segments Y_c of f(v/2), and when p_2 != 0 the n^2
-    segments Q_{c'' c} of their second y sweep (s = n + c'' n + c)."""
-    n = config.n
-    spec = config.dirac_spec()
+    the n y segments Y_c of f(v/2) (the i_{b_c} coefficients of its line
+    integral), and when p_2 != 0 the n^2 segments Q_{c'' c} of the Y_c
+    (s = n + c'' n + c)."""
+    n, spec = config.n, config.dirac_spec()
     w0_idx = grid.node_index(config.w0)
-    bs = [spec.basis_for_axis(c, n) for c in range(n)]
-    Y = np.moveaxis(prefix_line_integrals(_f_half(config, grid), grid, w0_idx,
-                                          spec, group_offset=0)[..., bs],
-                    -1, 0)
+    Y = _segments(_f_half(config, grid), grid, w0_idx, spec, 0)
+    Y = np.stack(np.broadcast_arrays(*Y))
     if _pnorm(config.p[1]) == 0:
         return Y
-    Q = prefix_line_integrals(Y, grid, w0_idx, spec, group_offset=1)
-    Q = np.moveaxis(Q[..., bs], -1, 0).reshape((n * n,) + Y.shape[1:])
-    return np.concatenate([Y, Q])
+    Q = np.stack(np.broadcast_arrays(*_segments(Y, grid, w0_idx, spec, 1)))
+    return np.concatenate([Y, Q.reshape((n * n,) + Y.shape[1:])])
+
+
+def _chain(segs, config: KernelConfig, scalar_out: bool) -> list:
+    """The x factors g_s, in _y_factors' order, from the x segments seg_c'
+    of i_b scale ray (coefficients last, i_b the tail axis's unit): G_c =
+    sum_c' i_{b_c'} i_{b_c} seg_c' (from +0.0 zeros) pairs with Y_c under
+    _weigh, and when p_2 != 0 _weigh_q(i_{b_c''} G_c) with Q_{c'' c}."""
+    n, level, spec = config.n, config.level, config.dirac_spec()
+    bs = [spec.basis_for_axis(c, n) for c in range(n)]
+    G = [sum((basis_mul_coeffs(b2, basis_mul_coeffs(b, seg, level), level)
+              for b2, seg in zip(bs, segs)), np.zeros(segs[-1].shape))
+         for b in bs]
+    gs = [_weigh(Gc, config, scalar_out) for Gc in G]
+    if _pnorm(config.p[1]) > 0:
+        gs += [_weigh_q(basis_mul_coeffs(b, Gc, level), config)
+               for b in bs for Gc in G]
+    return gs
 
 
 def _x_factors(ray: np.ndarray, edge: np.ndarray, config: KernelConfig,
@@ -431,8 +454,9 @@ def _x_factors(ray: np.ndarray, edge: np.ndarray, config: KernelConfig,
     in any layout (only its largest modulus is read).
 
     The y sweep of ray(w) f(v/2) falls on the scalar Y_c, so T = sum_c
-    G_c(x) Y_c(y), G_c the x-prefix sweep of i_{b_c} ray; the Q sweep of
-    T(x, .) pairs Q_{c'' c} with i_{b_c''} G_c.  No factors when p = 0.
+    G_c(x) Y_c(y).  The ray's n x segments are integrated once (a scalar
+    ray's with no coefficient axis, then put on i_b i_0 = i_b), and _chain
+    permutes them into the factors.  No factors when p = 0.
     """
     if min(grid.counts) < 4:
         raise ValueError("quadrature nodes exhausted: need at least 4 nodes "
@@ -442,27 +466,19 @@ def _x_factors(ray: np.ndarray, edge: np.ndarray, config: KernelConfig,
     if min(config.kappa) >= 0:
         raise ValueError("decay certificate missing: kappa has no decaying "
                          "ray")
-    n, level = config.n, config.level
-    spec = config.dirac_spec()
-    w0_idx = grid.node_index(config.w0)
-    scalar_out = config.scalar_closed() and ray.ndim == n
-    if ray.ndim == n:  # a scalar K is coefficient 0
-        ray = ray[..., None] * np.eye(1 << level)[0]
+    n, level, spec = config.n, config.level, config.dirac_spec()
     b, scale = _segment_factor(spec, config.tail_axis, n)
-    ray = basis_mul_coeffs(b, ray * scale, level)
+    scalar = ray.ndim == n
+    ray = ray * scale if scalar else basis_mul_coeffs(b, ray * scale, level)
+    segs = _segments(ray, grid, grid.node_index(config.w0), spec, 0)
+    if scalar:
+        segs = [seg[..., None] * np.eye(1 << level)[b] for seg in segs]
     # decay certificate measured at the outgoing edge slice; the v factor
     # is positive, so its maximum scales the edge maximum exactly
     rate = config.decay_rate
     cert = float(np.max(np.abs(edge))) * float(np.max(_f_half(config, grid)))
     bound = abs(scale) * cert / rate if rate > 0 else float("inf")
-    bs = [spec.basis_for_axis(c, n) for c in range(n)]
-    G = [prefix_line_integrals(basis_mul_coeffs(b, ray, level), grid,
-                               w0_idx, spec, group_offset=0) for b in bs]
-    gs = [_weigh(Gc, config, scalar_out) for Gc in G]
-    if _pnorm(config.p[1]) > 0:
-        gs += [_weigh_q(basis_mul_coeffs(b, Gc, level), config)
-               for b in bs for Gc in G]
-    return gs, bound
+    return _chain(segs, config, config.scalar_closed() and scalar), bound
 
 
 def _separated(gs, V: np.ndarray, index):
@@ -576,59 +592,43 @@ def estimate_A_norm(config: KernelConfig, grid: Grid) -> float:
     A = B R: the ray stage R reads each input node once, with weight
     scale W(w_a, zeta) f(z/2) (W the tail-window rows of the cumulative
     rule), so R R* = D is diagonal; B is separable, A K(x, y) =
-    sum_{c', s} L_{c', s}[X_{c'}[R K](x)] V_s(y), with X_{c'} the x-prefix
-    segment along axis c', V_s the y factors of _y_factors, L_{c', s} the
-    basis products and weights.  So ||A||_F^2 =
-    sum Sx[c', d'] Gy[s, t] sum_k <L_{c's} e_k, L_{d't} e_k>, with
-    Sx = sum_w d_w <X_{c'} delta_w, X_{d'} delta_w> (X_c delta_w is a product
-    of 1-D factors, so each inner product is a product of 1-D sums), Gy the
-    Gram matrix of the V_s, k over the input slots.  The Frobenius norm
-    dominates the spectral norm and hence every l2 step ratio of the Picard
-    iteration (the operator is strongly nonnormal, so its spectral radius
-    would not), so a gate on it is a certificate.  Fixed-order numpy sums.
+    sum_{c', s} L_{c', s}[X_{c'}[R K](x)] V_s(y), X_{c'} the x segment along
+    axis c', V_s the y factors, L the solve's own _chain run once on unit
+    segments (seg_j the unit at index j of a leading axis).  So ||A||_F^2 =
+    sum Sx[c', d'] Gy[s, t] sum_k <L_{c's} e_k, L_{d't} e_k> (Gy the Gram
+    matrix of the V_s, k over the input slots), and Sx = sum_w D_w
+    <X_{c'} delta_w, X_{d'} delta_w> is a product of 1-D sums over axes,
+    all fixed-order numpy sums.  The Frobenius norm dominates the spectral
+    norm, so a gate on it certifies every Picard l2 step ratio (the
+    operator is strongly nonnormal; its spectral radius would not).
     """
     if config.p_total == 0.0:
         return 0.0
     n, a, level = config.n, config.tail_axis, config.level
-    spec = config.dirac_spec()
-    w0_idx = grid.node_index(config.w0)
-    counts = grid.counts
-    bs = [spec.basis_for_axis(c, n) for c in range(n)]
-    scalar_out = config.scalar_closed()
-
+    spec, w0_idx = config.dirac_spec(), grid.node_index(config.w0)
     starts, ends = _ray_ends(config, grid)
-    fz = np.swapaxes(_f_half(config, grid)[..., None], a, n)  # z_a last
-    rule = cumulative_integral(np.eye(counts[a]), grid.spacings[a])
-    W = (rule[ends] - rule[starts]).reshape(
-        [counts[a] if c in (a, n) else 1 for c in range(n + 1)])
+    # per axis: D's factor d = |f(z/2)|^2 (summed over the tail window on
+    # axis a); X_c delta_w as an (x_ax, w_ax) matrix: the identity for
+    # ax < c, the scaled rule rows from w0 for ax = c, [w_ax = w0_ax] after
     b, scale = _segment_factor(spec, a, n)
-    d = abs(scale) ** 2 * np.sum(np.abs(W * fz) ** 2, axis=n)
-
-    # X_c delta_w along axis ax as an (x_ax, w_ax) matrix: the identity
-    # for ax < c, the scaled rule rows from w0 for ax = c, and
-    # [w_ax = w0_ax] for ax > c
-    term = d
-    for ax, k in enumerate(counts):
+    Sx = abs(scale) ** 2
+    for ax, k in enumerate(grid.counts):
+        d = np.abs(np.exp(0.5 * grid.axis(ax) * config.kappa[ax])) ** 2
         R = cumulative_integral(np.eye(k), grid.spacings[ax])
+        if ax == a:
+            d = np.sum(np.abs(R[ends] - R[starts]) ** 2 * d, axis=1)
         R = _segment_factor(spec, ax, n)[1] * (R - R[w0_idx[ax]])
         X = np.stack([np.eye(k)[[w0_idx[ax]] * k] if ax > c else
                       R if ax == c else np.eye(k) for c in range(n)])
-        term = term * np.einsum("cxw,exw->cew", X.conj(), X).reshape(
-            (n, n) + tuple(k if j == ax else 1 for j in range(n)))
-    Sx = np.sum(term.reshape(n, n, -1), axis=2)
-
+        Sx = Sx * np.einsum("cxw,exw,w->ce", X.conj(), X, d)
+    scalar_out = config.scalar_closed()
     E = np.eye(1 << level, dtype=np.complex128)[[b] if scalar_out else ...]
-    U = np.stack([basis_mul_coeffs(j, E, level) for j in bs])
-    U = np.stack([basis_mul_coeffs(j, U, level) for j in bs])
-    L = _weigh(U, config, scalar_out).reshape(n, n, len(E), -1)
-    if _pnorm(config.p[1]) > 0:
-        UQ = np.stack([basis_mul_coeffs(j, U, level) for j in bs])
-        LQ = np.moveaxis(_weigh_q(UQ, config), 0, 1)
-        L = np.concatenate([L, LQ.reshape(n, n * n, len(E), -1)], axis=1)
-    V = _y_factors(config, grid)
-    V = V.reshape(len(V), -1)
-    Gy = np.einsum("sy,ty->st", V.conj(), V)
-    total = np.einsum("cske,dtke,cd,st->", L.conj(), L, Sx, Gy)
+    L = np.stack(_chain([np.eye(n)[:, c, None, None] * E for c in range(n)],
+                        config, scalar_out), axis=1)
+    L = L.reshape(L.shape[:3] + (-1,))
+    V = _y_factors(config, grid).reshape(L.shape[1], -1)
+    total = np.einsum("cske,dtke,cd,st->", L.conj(), L, Sx,
+                      np.einsum("sy,ty->st", V.conj(), V))
     return float(np.sqrt(total.real))
 
 

@@ -22,7 +22,10 @@ fields.  The reference Cayley-Dickson product runs one einsum per output
 slot instead of one einsum over a gather table.  The reference random
 measure values (coefficients, step integrals, H(M) x) fill a samples-long
 array one boolean mask per cell instead of gathering a per-cell table by
-the drawn indices.
+the drawn indices.  The reference x and y factors of the kernel
+operator run one prefix_line_integrals sweep per axis on the dense
+coefficient axis, the same segments integrated n times, instead of
+integrating each staircase segment once.
 """
 
 from __future__ import annotations
@@ -34,14 +37,16 @@ import numpy as np
 from cdburgers.calculus import (
     DiracSpec,
     GridField,
+    _segment_factor,
     diff_axis,
     dirac_apply,
     interior_slices,
     segment_integral,
 )
-from cdburgers.algebra import _mul_tables, mul_coeffs
+from cdburgers.algebra import _mul_tables, basis_mul_coeffs, mul_coeffs
 from cdburgers.kernel import (
     _diagonal_pair,
+    _f_half,
     _p_coeffs,
     _pnorm,
     _scalar_weight,
@@ -265,6 +270,47 @@ def reference_apply_A(K, config, grid, info=None):
         out = out + _weigh_q(prefix_line_integrals(
             T, grid, w0_idx, spec, group_offset=n), config)
     return GridField(grid, "xy", out, level=lev)
+
+
+def reference_y_factors(config, grid):
+    """The y factors V_s of the separated operator through the public
+    route: the i_{b_c} coefficients of prefix_line_integrals of f(v/2), and
+    when p_2 != 0 those of a second sweep of them (s = n + c'' n + c)."""
+    n, spec = config.n, config.dirac_spec()
+    w0_idx = grid.node_index(config.w0)
+    bs = [spec.basis_for_axis(c, n) for c in range(n)]
+    Y = prefix_line_integrals(_f_half(config, grid), grid, w0_idx, spec,
+                              group_offset=0)
+    Y = np.moveaxis(Y[..., bs], -1, 0)
+    if _pnorm(config.p[1]) == 0:
+        return Y
+    Q = prefix_line_integrals(Y, grid, w0_idx, spec, group_offset=1)
+    Q = np.moveaxis(Q[..., bs], -1, 0).reshape((n * n,) + Y.shape[1:])
+    return np.concatenate([Y, Q])
+
+
+def reference_x_factors(ray, config, grid):
+    """The x factors g_s of the separated operator, per axis: the scaled
+    ray, on coefficient 0 when scalar, under the tail axis's unit i_b; then
+    G_c = prefix_line_integrals(i_{b_c} i_b (scale ray)) for each c,
+    weighed by the library's _weigh, and when p_2 != 0 _weigh_q of
+    i_{b_c''} G_c, in the order of reference_y_factors."""
+    n, level = config.n, config.level
+    spec = config.dirac_spec()
+    w0_idx = grid.node_index(config.w0)
+    scalar_out = config.scalar_closed() and ray.ndim == n
+    if ray.ndim == n:
+        ray = ray[..., None] * np.eye(1 << level)[0]
+    b, scale = _segment_factor(spec, config.tail_axis, n)
+    ray = basis_mul_coeffs(b, ray * scale, level)
+    bs = [spec.basis_for_axis(c, n) for c in range(n)]
+    G = [prefix_line_integrals(basis_mul_coeffs(j, ray, level), grid,
+                               w0_idx, spec, group_offset=0) for j in bs]
+    gs = [_weigh(Gc, config, scalar_out) for Gc in G]
+    if _pnorm(config.p[1]) > 0:
+        gs += [_weigh_q(basis_mul_coeffs(j, Gc, level), config)
+               for j in bs for Gc in G]
+    return gs
 
 
 def reference_solve_K(config, grid):

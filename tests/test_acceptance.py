@@ -527,6 +527,13 @@ def test_8_byte_identical_artifacts(tmp_path):
     }
     # p_2 != 0: the algebra-valued factors, Gram matrices and sup search
     kernel_p2_cfg = {**kernel_cfg, "p": [5e-06, 2e-06]}
+    # n = 3, tail on axis 1: the three-segment chain, its c' != c pairs and
+    # the certificate's three-operand einsum
+    kernel_n3_cfg = {
+        "a": [1.0, 0.0, -1.0], "p": [5e-04, 2e-04], "kappa": [0.0, -2.0, 0.0],
+        "w0": [0.0, 0.0, 0.0],
+        "grid": {"n": 3, "lo": -0.5, "hi": 4.5, "count": 11},
+    }
     problem = {"alpha": 1.0, "beta": 0.0, "gamma": 1e-5, "varsigma": 0.0,
                "c": [0.0], "n": 2, "lo": -0.5, "hi": 4.5, "horizon": 1.0}
     assemble_cfg = {
@@ -548,6 +555,7 @@ def test_8_byte_identical_artifacts(tmp_path):
         "source": json.loads(TRANSLATE_GOLDEN.read_text())["source"]}
     stages = (("kernel", "kernel", kernel_cfg),
               ("kernel", "kernel-p2", kernel_p2_cfg),
+              ("kernel", "kernel-n3", kernel_n3_cfg),
               ("assemble", "assemble", assemble_cfg),
               ("verify", "verify", verify_cfg),
               ("measure-check", "measure", measure_cfg),

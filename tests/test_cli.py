@@ -14,6 +14,7 @@ import pytest
 
 import cdburgers.cli
 import cdburgers.kernel
+import cdburgers.workbench
 from cdburgers.calculus import load_field
 from cdburgers.cli import cli_run
 from oracles import riccati_oracle
@@ -232,6 +233,23 @@ def test_kernel_refuses_noncontractive_weight(tmp_path, capsys):
     assert "contraction" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, message", [
+    (dict(max_iter=0), "max_iter must be >= 1, got 0"),
+    (dict(level=1), "level 1 has too few units for n = 2"),
+    (dict(level=2, w0=[0.0] * 4, grid={**_KERNEL_CFG["grid"], "n": 4}),
+     "level 2 has too few units for n = 4"),
+    (dict(r_inf=-3.0), "r_inf must be positive, got -3.0"),
+], ids=["max_iter-0", "level-1", "level-2-n4", "r_inf-negative"])
+def test_kernel_rejects_bad_inputs(extra, message, tmp_path, capsys):
+    path = _write_cfg(tmp_path / "k.json", dict(_KERNEL_CFG, **extra))
+    out = tmp_path / "run"
+    assert cli_run(["kernel", "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+    assert not list(out.glob("*"))
+
+
 def test_assemble_report_and_dumps(tmp_path):
     cfg = _write_cfg(tmp_path / "a.json", {
         "problem": _PROBLEM,
@@ -372,6 +390,22 @@ def test_verify_refine_out_of_range(tmp_path, capsys):
     assert cli_run(["verify", "--config", cfg, "--refine", "3",
                     "--out", str(tmp_path)]) == 1
     capsys.readouterr()
+
+
+def test_verify_rejects_an_empty_ladder(tmp_path, capsys, monkeypatch):
+    def solved(*args, **kwargs):
+        raise AssertionError("an empty ladder reached the solve")
+
+    monkeypatch.setattr(cdburgers.workbench, "refinement_study", solved)
+    cfg = _write_cfg(tmp_path / "v.json", {
+        "problem": _PROBLEM, "lam_prime": [1.0, -0.5], "w0": [0.0, 0.0],
+        "levels": [], "collar": 2.0,
+    })
+    out = tmp_path / "run"
+    assert cli_run(["verify", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: verify config needs at least one level" in err
+    assert not list(out.glob("*"))
 
 
 def test_module_invocation_round_trip(tmp_path):

@@ -508,6 +508,33 @@ def test_solver_matches_dense_picard_reference(kw, n):
                                                     rel=1e-13)
 
 
+@_PARITY
+def test_y_factors_are_the_prefix_sweep_coefficients(kw, n):
+    # Y_c is segment c of f(v/2), Q_{c'' c} segment c'' of Y_c: bit for bit
+    # the i_{b_c} coefficients of the public prefix sweeps
+    base, g = _SOLVE[n]
+    cfg = KernelConfig(**kw, **base)
+    assert np.array_equal(_y_factors(cfg, g),
+                          oracles.reference_y_factors(cfg, g))
+
+
+@_PARITY
+@pytest.mark.parametrize("algebra", [False, True],
+                         ids=["scalar-ray", "algebra-ray"])
+def test_x_factors_match_the_per_axis_prefix_sweeps(kw, n, algebra):
+    # the ray's n segments are integrated once and then permuted; the
+    # reference integrates them once per axis on the coefficient axis
+    base, g = _SOLVE[n]
+    cfg = KernelConfig(**kw, **base)
+    shape = g.counts + ((1 << cfg.level,) if algebra else ())
+    rng = np.random.default_rng(29)
+    ray = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got, _ = _x_factors(ray, ray, cfg, g)
+    want = oracles.reference_x_factors(ray, cfg, g)
+    assert len(got) == len(want) == (n if cfg.p[1] == 0.0 else n + n * n)
+    assert all(np.array_equal(u, w) for u, w in zip(got, want))
+
+
 @pytest.mark.parametrize("kw, n", [
     (dict(p=(0.1, 0.0)), 1),
     (dict(p=(0.03, 0.015)), 1),
@@ -777,6 +804,25 @@ def test_norm_estimate_matches_dense_frobenius_norm(kw, g):
     # zero; dropping them keeps every singular value and shrinks the SVD
     assert est >= np.linalg.norm(M[:, np.any(M != 0, axis=0)], 2) * (
         1.0 - 1e-9)
+
+
+@pytest.mark.parametrize("n, count", [(2, 81), (3, 21)])
+def test_norm_estimate_peak_stays_under_one_ray_table(n, count):
+    # Sx is a product over axes of 1-D sums and L comes from unit
+    # segments, so the certificate forms nothing on N^(n+1) nodes: its
+    # peak stays under one complex array of that size
+    a = (-1.0, -1.0, 0.0)
+    cfg = KernelConfig(a=a, p=(5e-6, 0.0), kappa=admissible_kappa(a, n),
+                       w0=(0.0,) * n)
+    g = Grid.box(n, -0.5, 4.5, count)
+    tracemalloc.start()
+    try:
+        est = estimate_A_norm(cfg, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < est < 1.0
+    assert peak < 16 * count ** (n + 1)
 
 
 # -- the Picard solver ---------------------------------------------------------
