@@ -97,11 +97,21 @@ def characteristic_lhs(a, ksq) -> complex:
 def admissible_kappa(a, n: int):
     """A decay vector satisfying the characteristic condition.
 
-    Solves the quadratic in k^2, takes the smallest real positive root, and
-    points the vector down the first axis as (-k, 0, ..., 0) so the tail
-    ray decays.  Raises if no real positive root exists.
+    Solves A k^4 + B k^2 + C = 0 (A = a_1/16, B = -a_2/4, C = a_3) in closed
+    form, roots q/A and C/q with q = -(B +- d)/2, d = sqrt(B^2 - 4AC), the
+    sign that avoids cancellation (complex a too); exactly 0 and -B/A when
+    C = 0.  Takes the smallest real positive root and points the vector
+    down the first axis as (-k, 0, ..., 0) so the tail ray decays.  Raises
+    if a_1 = 0, an entry is not finite, or no real positive root exists.
     """
-    roots = [complex(r) for r in np.roots([a[0] / 16.0, -a[1] / 4.0, a[2]])]
+    _check_finite("a", a)
+    if a[0] == 0:
+        raise ValueError("a_1 must be nonzero")
+    A, B, C = a[0] / 16.0, -a[1] / 4.0, a[2]
+    d = complex(np.sqrt(complex(B * B - 4 * A * C)))
+    q = -(B + d) / 2 if (B.conjugate() * d).real >= 0 else -(B - d) / 2
+    # q = 0 only if B = d = 0; for C = 0 this keeps np.roots' exact -B/A
+    roots = [q / A, C / q] if C != 0 and q != 0 else [0j, complex(-B / A)]
     real = [r.real for r in roots if abs(r.imag) < 1e-12 and r.real > 1e-14]
     if not real:
         raise ValueError(f"no real positive k^2 root for a = {a}")
@@ -110,8 +120,16 @@ def admissible_kappa(a, n: int):
     return tuple(kappa)
 
 
+def _check_finite(name: str, values) -> None:
+    entries = values if isinstance(values, (tuple, list)) else [values]
+    if not all(v is None or np.isfinite(np.asarray(v, dtype=complex)).all()
+               for v in entries):
+        raise ValueError(f"{name} must be finite, got {values}")
+
+
 def _pnorm(p_j) -> float:
-    return float(np.linalg.norm(np.atleast_1d(np.asarray(p_j, dtype=complex))))
+    """Largest coefficient modulus of a weight (callers test it against 0)."""
+    return float(np.max(np.abs(np.asarray(p_j, dtype=complex)), initial=0.0))
 
 
 def _p_coeffs(p_j, level: int) -> np.ndarray:
@@ -141,10 +159,14 @@ class KernelConfig:
     level: int = 2
 
     def __post_init__(self):
+        for name in ("a", "p", "kappa", "w0", "r_inf"):
+            _check_finite(name, getattr(self, name))
         if self.a[0] == 0:
             raise ValueError("a_1 must be nonzero")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
         if self.r_inf is not None and not self.r_inf > 0:
             raise ValueError(f"r_inf must be positive, got {self.r_inf}")
         if self.variant not in ("complex", "quaternion"):
@@ -153,12 +175,8 @@ class KernelConfig:
             raise ValueError("w0 and kappa dimensions differ")
         if self.variant == "quaternion" and self.level < 2:
             raise ValueError("quaternion variant needs level >= 2")
-        if self.variant == "complex":
-            for p_j in self.p:
-                if np.atleast_1d(np.asarray(p_j, dtype=complex)).size != 1:
-                    raise ValueError(
-                        "complex-scalar variant takes scalar weights p"
-                    )
+        if self.variant == "complex" and any(np.size(w) != 1 for w in self.p):
+            raise ValueError("complex-scalar variant takes scalar weights p")
 
     @property
     def q(self) -> tuple:
@@ -180,7 +198,7 @@ class KernelConfig:
 
     @property
     def ksq(self) -> float:
-        return float(np.dot(self.kappa, self.kappa))
+        return float(np.sum(np.square(self.kappa)))
 
     @property
     def tail_axis(self) -> int:
@@ -517,8 +535,8 @@ def _separated_norms(ds, V: np.ndarray):
     coefficient) rows in decreasing order of the bound sum_s |d_s| max |V_s|
     (inflated to cover rounding) in chunks of 1, 2, 4, ... up to 64 rows,
     forms their entries in _separated's order, so the max keeps its bits,
-    and stops once no row left can exceed it.  Fixed-order numpy sums;
-    (0.0, 0.0) without factors.
+    and stops once no row left can exceed it; a NaN row bound makes the
+    sup NaN.  Fixed-order numpy sums; (0.0, 0.0) without factors.
     """
     if not ds:
         return 0.0, 0.0
@@ -529,7 +547,7 @@ def _separated_norms(ds, V: np.ndarray):
     B = np.sum(np.abs(D) * np.max(np.abs(Vf), axis=1)[:, None], axis=0)
     B *= 1.0 + 1e-12
     order = np.argsort(-B, kind="stable")
-    sup, i, step = 0.0, 0, 1
+    sup, i, step = (np.nan if np.isnan(B).any() else 0.0), 0, 1
     while i < order.size and B[order[i]] >= sup:
         rows = order[i:i + step]
         out = 0.0
@@ -646,20 +664,17 @@ def solve_K(config: KernelConfig, grid: Grid,
     Stops when the sup-norm step falls under config.tol; raises
     PicardDivergence after three consecutive non-contracting steps in the
     grid l2 norm.  Refuses to start, unless forced, when the exact
-    Frobenius norm q of A reaches 1; below 1 it bounds the spectral norm,
-    so every l2 step contracts by q and fixed_point_bound = q / (1 - q)
-    times the last l2 step bounds the l2 distance to the fixed point.
-
-    The l2 step is a fixed-order numpy reduction, not a BLAS dot (whose
-    summation order follows the BLAS thread count), so the trace and the
-    divergence decision do not depend on the thread count.
+    Frobenius norm q of A is not below 1 (or NaN); below 1 it bounds the
+    spectral norm, so every l2 step contracts by q and fixed_point_bound =
+    q / (1 - q) times the last l2 step bounds the l2 distance to the fixed
+    point.
     """
     kf = build_F(config, grid)
     est = estimate_A_norm(config, grid)
-    if est >= 1.0 and not force:
+    if not est < 1.0 and not force:
         raise ValueError(
-            f"operator norm estimate {est:.4f} >= 1: Picard iteration "
-            "is not a contraction here (pass force=True to try anyway)"
+            f"operator norm estimate {est:.4f} is not below 1: Picard "
+            "iteration is not a contraction (pass force=True to try anyway)"
         )
     f, V = _f_half(config, grid), _y_factors(config, grid)
     tables = _ray_tables(np.stack([f, *V], axis=-1), config, grid)

@@ -96,7 +96,7 @@ def _rhs(spec: CauchySpec):
     def f(y: np.ndarray) -> np.ndarray:
         out = np.empty_like(y)
         out[: m - 1] = y[1:]
-        out[m - 1] = lam1 * y[0] * y[0] - np.dot(c, y)
+        out[m - 1] = lam1 * y[0] * y[0] - np.sum(c * y)
         return out
 
     return f

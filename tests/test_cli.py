@@ -239,7 +239,18 @@ def test_kernel_refuses_noncontractive_weight(tmp_path, capsys):
     (dict(level=2, w0=[0.0] * 4, grid={**_KERNEL_CFG["grid"], "n": 4}),
      "level 2 has too few units for n = 4"),
     (dict(r_inf=-3.0), "r_inf must be positive, got -3.0"),
-], ids=["max_iter-0", "level-1", "level-2-n4", "r_inf-negative"])
+    (dict(tol=-1.0), "tol must be positive, got -1.0"),
+    (dict(tol=0), "tol must be positive, got 0.0"),
+    (dict(tol=math.nan), "tol must be positive, got nan"),
+    (dict(p=[math.nan, 0.0]), "p must be finite, got (nan, 0.0)"),
+    (dict(a=[-1.0, math.inf, 0.0]), "a must be finite"),
+    (dict(kappa=[math.nan, 0.0]), "kappa must be finite"),
+    (dict(w0=[0.0, -math.inf]), "w0 must be finite"),
+    (dict(r_inf=math.inf), "r_inf must be finite, got inf"),
+    (dict(a=[0, -1, 0]), "a_1 must be nonzero"),
+], ids=["max_iter-0", "level-1", "level-2-n4", "r_inf-negative",
+        "tol-negative", "tol-0", "tol-nan", "p-nan", "a-inf", "kappa-nan",
+        "w0-inf", "r_inf-inf", "a1-0"])
 def test_kernel_rejects_bad_inputs(extra, message, tmp_path, capsys):
     path = _write_cfg(tmp_path / "k.json", dict(_KERNEL_CFG, **extra))
     out = tmp_path / "run"
@@ -247,6 +258,20 @@ def test_kernel_rejects_bad_inputs(extra, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"error: {message}" in err
     assert "Traceback" not in err
+    assert not list(out.glob("*"))
+
+
+def test_kernel_refuses_a_nan_certificate(tmp_path, capsys):
+    # f(x/2) overflows on this box and the Frobenius norm is NaN, which
+    # once passed the gate and reported a converged solve
+    path = _write_cfg(tmp_path / "k.json", dict(
+        _KERNEL_CFG, grid={"n": 2, "lo": -800.0, "hi": 800.0, "count": 11}))
+    out = tmp_path / "run"
+    with np.errstate(all="ignore"):
+        code = cli_run(["kernel", "--config", path, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: operator norm estimate nan is not below 1" in err
     assert not list(out.glob("*"))
 
 
@@ -476,3 +501,68 @@ def test_kernel_dump_is_the_size_of_its_terms(p, r, width, tmp_path):
     header = 4 + 4 + 4 + n * 24
     size = header + 4 + r * count ** n * (width + 1) * 16
     assert (tmp_path / "K.cdgf").stat().st_size == size
+
+
+_LIB_PAGES = r"openblas|mkl|blas|lapack|_umath_linalg"
+
+_PAGE_PROBE = """
+import json, re, sys
+from cdburgers.cli import cli_run
+
+def lib_rss():
+    total, found, lib = 0, False, False
+    with open('/proc/self/smaps') as fh:
+        for line in fh:
+            if re.match(r'[0-9a-f]+-[0-9a-f]+ ', line):
+                lib = re.search(sys.argv[1], line) is not None
+                found = found or lib
+            elif lib and line.startswith('Rss:'):
+                total += int(line.split()[1])
+    return total if found else None
+
+growth = {}
+for argv in json.loads(sys.argv[2]):
+    before = lib_rss()
+    if before is None:
+        break
+    assert cli_run(argv) == 0, argv
+    growth[argv[0]] = lib_rss() - before
+print(json.dumps(growth))
+"""
+
+
+def test_no_cli_stage_faults_in_blas_or_lapack_pages(tmp_path):
+    # the runtime side of tests/test_kernel.py's static BLAS guard: in one
+    # fresh process, no stage makes resident a page of the BLAS or LAPACK
+    # libraries (or numpy's _umath_linalg) that was not resident before it
+    if not Path("/proc/self/smaps").exists():
+        pytest.skip("no /proc/self/smaps")
+    cfgs = {
+        "kernel": _KERNEL_CFG,
+        "assemble": {"problem": _PROBLEM, "matched": [[1.0, -0.5]],
+                     "p": [1.0], "w0": [0.0, 0.0],
+                     "grid": {"count": 11, "t_count": 7}, "samples": 2000},
+        "verify": {"problem": _PROBLEM, "lam_prime": [1.0, -0.5],
+                   "w0": [0.0, 0.0], "levels": [[21, 9]], "collar": 2.0,
+                   "t_collar": 0.25},
+        "measure-check": _MEASURE_CFG,
+        "algebra-check": {"levels": [2, 3], "trials": 20},
+    }
+    runs = []
+    for stage in ("kernel", "assemble", "verify", "ode", "measure-check",
+                  "algebra-check"):
+        out = ["--out", str(tmp_path / stage)]
+        if stage == "ode":
+            runs.append([stage, "--m", "1", "--lambda", "1,1", "--c", "0.3"]
+                        + out)
+        else:
+            path = _write_cfg(tmp_path / f"{stage}.json", cfgs[stage])
+            runs.append([stage, "--config", path] + out)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PAGE_PROBE, _LIB_PAGES, json.dumps(runs)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    growth = json.loads(proc.stdout.splitlines()[-1])
+    if not growth:
+        pytest.skip("no BLAS or LAPACK library is mapped")
+    assert growth == dict.fromkeys(growth, 0), f"resident KiB gained: {growth}"

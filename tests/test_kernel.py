@@ -155,6 +155,55 @@ def test_admissible_kappa_rejects_rootless_coefficients():
         admissible_kappa((1.0, 0.0, 1.0), 1)
 
 
+def _np_roots_kappa(a):
+    """admissible_kappa's first entry by the companion-matrix eigensolve of
+    np.roots (the oracle), with the same selection rule; None if rootless."""
+    roots = [complex(r) for r in np.roots([a[0] / 16.0, -a[1] / 4.0, a[2]])]
+    real = [r.real for r in roots if abs(r.imag) < 1e-12 and r.real > 1e-14]
+    return -float(np.sqrt(min(real))) if real else None
+
+
+def _closed_form_kappa(a):
+    try:
+        return admissible_kappa(a, 1)[0]
+    except ValueError as exc:
+        assert "no real positive" in str(exc)
+        return None
+
+
+def test_admissible_kappa_keeps_the_bits_of_np_roots_when_a3_vanishes():
+    # C = 0: np.roots strips the trailing zero and returns -B/A and 0
+    vals = [-7.5, -3.0, -1.0, -0.3, 1e-3, 0.25, 1.0, 2.0, 1.0 / 3.0, 5e4]
+    for a in [(a1, a2, 0.0) for a1 in vals for a2 in vals + [0.0]]:
+        assert _closed_form_kappa(a) == _np_roots_kappa(a), a
+
+
+def test_admissible_kappa_matches_np_roots_off_a3_zero():
+    vals = [-6.0, -2.5, -1.0, -0.2, 0.3, 1.0, 1.7, 4.0]
+    seen = 0
+    for a1 in vals:
+        for a2 in vals + [0.0]:
+            for a3 in vals:
+                A, B, C = a1 / 16.0, -a2 / 4.0, a3
+                if abs(B * B - 4 * A * C) < 1e-6 * max(B * B, abs(A * C)):
+                    continue  # a near-double root: the eigensolve is off
+                want = _np_roots_kappa((a1, a2, a3))
+                got = _closed_form_kappa((a1, a2, a3))
+                assert (got is None) == (want is None), (a1, a2, a3)
+                if want is not None:
+                    seen += 1
+                    assert abs(got - want) <= 4e-15 * abs(want), (a1, a2, a3)
+    assert seen > 100
+
+
+def test_admissible_kappa_edge_cases():
+    assert admissible_kappa((1.0, 2.0, 1.0), 1) == (-2.0,)  # double root
+    with pytest.raises(ValueError, match="a_1 must be nonzero"):
+        admissible_kappa((0.0, -1.0, 0.0), 2)
+    with pytest.raises(ValueError, match="a must be finite"):
+        admissible_kappa((1.0, float("nan"), 0.0), 2)
+
+
 # -- building F ----------------------------------------------------------------
 
 
@@ -693,6 +742,15 @@ def test_separated_norms_match_the_dense_expansion(kw, n):
     assert _separated_norms(no_p, V) == (0.0, 0.0)
 
 
+def test_separated_norms_report_a_nan_factor():
+    # a NaN row bound is never >= the running sup, so the search skipped it
+    # and reported sup 0.0
+    V = np.ones((1, 3), dtype=complex)
+    for d in (np.full(3, np.nan + 0j), np.array([1.0, np.nan, 2.0]) + 0j):
+        sup, _ = _separated_norms([d], V)
+        assert math.isnan(sup)
+
+
 def test_separated_norms_search_past_rows_whose_bound_overstates():
     # rows 0..99 have the largest bound, but their two terms nearly cancel;
     # the max sits in rows the first chunks do not reach
@@ -886,6 +944,20 @@ def test_solver_refuses_above_unit_estimate_unless_forced():
     assert kf.report["fixed_point_bound"] is None
 
 
+def test_solver_refuses_a_nan_certificate():
+    # f(x/2) overflows on this box, so the Frobenius norm is NaN; the gate
+    # refuses it, and a forced run does not report convergence
+    cfg = KernelConfig(a=(-1.0, -1.0, 0.0), p=(5e-6, 0.0), kappa=(-2.0, 0.0),
+                       w0=(0.0, 0.0))
+    g = Grid.box(2, -800.0, 800.0, 11)
+    with np.errstate(all="ignore"):
+        assert math.isnan(estimate_A_norm(cfg, g))
+        with pytest.raises(ValueError, match="nan is not below 1"):
+            solve_K(cfg, g)
+        with pytest.raises(PicardDivergence):
+            solve_K(cfg, g, force=True)
+
+
 def test_solver_divergence_carries_the_trace():
     cfg = KernelConfig(a=(1.0, 0.0, -1.0), p=(9.0, 0.0), kappa=(-2.0,),
                        w0=(0.0,))
@@ -1018,22 +1090,25 @@ def test_report_serialization_is_deterministic():
     assert '"norm_estimate"' in blobs[0]
 
 
-# -- static guard: no thread-dependent BLAS reductions -------------------------
+# -- static guard: no BLAS or LAPACK call on a CLI stage's path ----------------
 #
 # OpenBLAS splits a long dot product across threads, so the order of its
 # partial sums, and with it the last bits of the result, follows the thread
-# count.  A value that reaches a written artifact must come from a numpy
-# reduction instead.  The exceptions are audited sites, each with its reason.
+# count; and a stage that calls BLAS or LAPACK once faults in their code
+# pages for that one call.  So no function a CLI stage reaches calls them:
+# reductions are numpy sums, and the characteristic quadratic is solved in
+# closed form.  The exceptions are sites no CLI stage reaches, each with
+# its reason.  Every np.linalg.* name counts, as do the LAPACK-routed
+# np.roots and np.polyfit.
 
-_BLAS_CALLS = {"linalg.norm", "dot", "vdot", "inner", "tensordot", "matmul"}
+_BLAS_CALLS = {"roots", "polyfit", "dot", "vdot", "inner", "tensordot",
+               "matmul"}
 
 _BLAS_ALLOWED = {
-    ("kernel", "_pnorm"): "one weight, at most 2^level <= 64 entries",
-    ("kernel", "KernelConfig.ksq"): "kappa, n entries",
-    ("algebra", "CdElement.norm_sq"): "one element, at most 64 entries",
-    ("temporal", "_rhs.f"): "Cauchy right-hand side, m entries",
-    ("calculus", "_box_integral"): "sobolev_norm, which no CLI stage writes",
-    ("randmeasure", "fubini_check"): "a check that no CLI stage writes",
+    ("algebra", "CdElement.norm_sq"): "one element, at most 64 entries; "
+                                      "no CLI stage calls it",
+    ("calculus", "_box_integral"): "sobolev_norm, which no CLI stage calls",
+    ("randmeasure", "fubini_check"): "a check that no CLI stage calls",
 }
 
 
@@ -1060,7 +1135,7 @@ def _blas_sites(tree):
             what = None
             if isinstance(child, ast.Call):
                 name = _numpy_name(child.func)
-                if name in _BLAS_CALLS:
+                if name in _BLAS_CALLS or (name or "").startswith("linalg."):
                     what = f"np.{name}"
                 elif name == "einsum" and any(
                         k.arg == "optimize" for k in child.keywords):
@@ -1081,6 +1156,7 @@ def test_blas_guard_flags_each_construct():
         "def f(a, b):\n"
         "    x = np.linalg.norm(a) + numpy.dot(a, b) + np.vdot(a, b)\n"
         "    y = np.inner(a, b) + np.tensordot(a, b) + np.matmul(a, b)\n"
+        "    z = np.roots(a) + np.polyfit(a, b, 1) + numpy.linalg.eigvals(a)\n"
         "    a @= b\n"
         "    return a @ b + np.einsum('i,i', a, b, optimize=True)\n"
         "class C:\n"
@@ -1090,7 +1166,8 @@ def test_blas_guard_flags_each_construct():
     sites = _blas_sites(ast.parse(src))
     assert sorted(w for _, w in sites) == sorted([
         "np.linalg.norm", "np.dot", "np.vdot", "np.inner", "np.tensordot",
-        "np.matmul", "@", "@", "np.einsum(optimize=...)"])
+        "np.matmul", "np.roots", "np.polyfit", "np.linalg.eigvals", "@", "@",
+        "np.einsum(optimize=...)"])
     assert {s for s, _ in sites} == {"f"}
 
 
@@ -1102,7 +1179,7 @@ def test_no_blas_reductions_outside_the_audited_sites():
                 found.add((path.stem, scope))
             else:
                 bad.append(f"{path.stem}.{scope}: {what}")
-    assert not bad, f"thread-count dependent BLAS reductions: {bad}"
+    assert not bad, f"BLAS or LAPACK calls outside the audited sites: {bad}"
     assert found == set(_BLAS_ALLOWED), (
         f"exceptions with no site left: {set(_BLAS_ALLOWED) - found}")
 
