@@ -49,8 +49,9 @@ config and seed produce byte-identical outputs.  The kernel dumps
 (K.cdgf, atom*_K.cdgf) hold K's separated terms (layout version 2), not
 its N^{2n} pair values; calculus.load_field expands them.
 
-Exit codes: 0 success, 1 validation error (bad flags, bad config, missing
-file), 2 numerical failure (divergence, blow-up, or a failed check).
+Exit codes: 0 success, 1 validation error (bad flags, bad config or a
+config value of the wrong type, missing file), 2 numerical failure
+(divergence, blow-up, or a failed check).
 """
 
 from __future__ import annotations
@@ -206,6 +207,8 @@ def _run_translate(args) -> int:
         source = Path(cfg["source_file"]).read_text()
     else:
         raise ValueError("translate config needs 'source' or 'source_file'")
+    if not isinstance(source, str):
+        raise ValueError(f"translate source must be a string, got {source!r}")
     from .pdelang import parse_pde
     from .translate import translate_system  # sympy: only this stage
 
@@ -548,6 +551,9 @@ def cli_run(argv=None) -> int:
         return 1
     except KeyError as exc:
         print(f"error: missing config key '{exc.args[0]}'", file=sys.stderr)
+        return 1
+    except (TypeError, AttributeError) as exc:
+        print(f"error: config value of the wrong type: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)

@@ -102,8 +102,10 @@ def admissible_kappa(a, n: int):
     sign that avoids cancellation (complex a too); exactly 0 and -B/A when
     C = 0.  Takes the smallest real positive root and points the vector
     down the first axis as (-k, 0, ..., 0) so the tail ray decays.  Raises
-    if a_1 = 0, an entry is not finite, or no real positive root exists.
+    if a does not have 3 entries, a_1 = 0, an entry is not finite, or no
+    real positive root exists.
     """
+    _check_length("a", a, 3)
     _check_finite("a", a)
     if a[0] == 0:
         raise ValueError("a_1 must be nonzero")
@@ -118,6 +120,11 @@ def admissible_kappa(a, n: int):
     kappa = np.zeros(n)
     kappa[0] = -float(np.sqrt(min(real)))
     return tuple(kappa)
+
+
+def _check_length(name: str, values, count: int) -> None:
+    if len(values) != count:
+        raise ValueError(f"{name} must have {count} entries, got {values}")
 
 
 def _check_finite(name: str, values) -> None:
@@ -159,6 +166,8 @@ class KernelConfig:
     level: int = 2
 
     def __post_init__(self):
+        _check_length("a", self.a, 3)
+        _check_length("p", self.p, 2)
         for name in ("a", "p", "kappa", "w0", "r_inf"):
             _check_finite(name, getattr(self, name))
         if self.a[0] == 0:

@@ -1,7 +1,7 @@
 """A small description language for polynomial systems of PDEs.
 
-A program is a sequence of line statements: declarations followed by
-equations.
+A program is a sequence of line statements, declarations and equations,
+one per line.
 
     dim 2
     unknown u
@@ -26,10 +26,19 @@ component, ``u[2]``.  Each equation line contributes one component of the
 system.
 
 If a program contains no declarations at all, a convenience context is
-inferred: ``u`` is a scalar unknown, ``L`` is the Laplacian macro, names
-applied to operator arguments are abstract operator symbols, every other
-name is a coefficient, and the dimension is the larger of 2 and the highest
-``dxN`` axis used.
+inferred from the tokens of its equations: ``u`` is a scalar unknown, ``L``
+is the Laplacian macro, a name written in front of brackets that hold
+``dt`` or a ``dxN`` is an abstract operator symbol, every other name is a
+coefficient, and the dimension is the larger of 2 and the highest ``dxN``
+axis used.
+
+A program is read in this order, and the first error met is reported:
+the declarations, line by line (equation sides and macro and polynomial
+bodies are kept as tokens until all are known); the macros in order, so a
+macro sees only the macros above it; each polynomial body, with its
+variable bound to ``dt``; the equations.  Each is parsed left to right by
+one recursive-descent parser that looks names up as it reads them, and
+applying a polynomial parses its body again, bound to the argument.
 
 Parsed macros and polynomials are inlined, so the resolved tree contains
 only the node types defined here.  Trees are immutable; the pretty-printer
@@ -217,7 +226,8 @@ _TOKEN_RE = re.compile(
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[()\[\]+\-*^=,])"
 )
 
-_KEYWORDS = {"dim", "unknown", "coeff", "source", "poly", "macro", "opsym", "eq"}
+_DECLARATIONS = {"dim", "unknown", "coeff", "source", "poly", "macro",
+                 "opsym"}
 _DX_RE = re.compile(r"dx(\d+)$")
 
 
@@ -244,45 +254,47 @@ def _tokenize_line(text: str, lineno: int) -> list[_Tok]:
     return toks
 
 
-# -- raw expression parser -----------------------------------------------------
-#
-# Raw nodes carry source locations; the resolver turns them into the
-# location-free dataclasses above.
-
-_R_NUM, _R_NAME, _R_COMP, _R_ADD, _R_SUB, _R_NEG = range(6)
-_R_MUL, _R_POW, _R_APP, _R_GROUP = range(6, 10)
+# -- parser --------------------------------------------------------------------
 
 
-@dataclass
-class _Raw:
-    tag: int
-    payload: object
-    children: tuple
-    line: int
-    col: int
+class _Parser:
+    """Recursive descent over one token list.  Each name is looked up in
+    the declarations as it is read, so every parse method returns a
+    resolved node together with the token its errors point at: the
+    operator of a sum, product, negation or power, the '(' of an
+    application or group, or the atom itself."""
 
-
-class _ExprParser:
-    def __init__(self, toks: list[_Tok], lineno: int):
+    def __init__(self, toks: list[_Tok], lineno: int, decls: _Decls,
+                 bound: dict | None = None, expanding: frozenset = frozenset()):
         self.toks = toks
         self.i = 0
         self.lineno = lineno
+        self.decls = decls
+        self.bound = bound or {}  # polynomial variable -> its argument
+        self.expanding = expanding  # polynomials whose bodies enclose this
 
     def peek(self) -> _Tok | None:
         return self.toks[self.i] if self.i < len(self.toks) else None
 
-    def error(self, msg: str, tok: _Tok | None = None):
+    def error(self, msg: str, tok: _Tok | None = None, cls=PdeSyntaxError):
         if tok is None:
             tok = self.peek()
         col = tok.col if tok else (self.toks[-1].col + len(self.toks[-1].text)
                                    if self.toks else 1)
-        raise PdeSyntaxError(msg, self.lineno, col)
+        raise cls(msg, self.lineno, col)
 
-    def eat(self, kind: str) -> _Tok:
+    def take(self, kind: str) -> _Tok | None:
+        """The next token, consumed, if it is a `kind`; else None."""
         tok = self.peek()
         if tok is None or tok.kind != kind:
-            self.error(f"expected {kind!r}", tok)
+            return None
         self.i += 1
+        return tok
+
+    def eat(self, kind: str) -> _Tok:
+        tok = self.take(kind)
+        if tok is None:
+            self.error(f"expected {kind!r}")
         return tok
 
     def eat_positive(self, what: str) -> int:
@@ -291,75 +303,152 @@ class _ExprParser:
             self.error(f"{what} must be a positive integer", tok)
         return int(tok.text)
 
-    def at_end(self) -> bool:
-        return self.i >= len(self.toks)
+    def whole(self, where: str):
+        """One expression that uses every token; `where` ends the message of
+        the trailing-token error."""
+        node, at = self.expr()
+        if self.peek() is not None:
+            self.error(f"trailing tokens {where}")
+        return node, at
 
-    def parse_expr(self) -> _Raw:
-        node = self.parse_term()
-        while (tok := self.peek()) is not None and tok.kind in "+-":
-            self.i += 1
-            rhs = self.parse_term()
-            tag = _R_ADD if tok.kind == "+" else _R_SUB
-            node = _Raw(tag, None, (node, rhs), tok.line, tok.col)
-        return node
+    def expr(self):
+        node, at = self.term()
+        while tok := self.take("+") or self.take("-"):
+            rhs = self.term()[0]
+            node, at = add(node, rhs if tok.kind == "+" else _neg(rhs)), tok
+        return node, at
 
-    def parse_term(self) -> _Raw:
-        node = self.parse_unary()
-        while (tok := self.peek()) is not None and tok.kind == "*":
-            self.i += 1
-            rhs = self.parse_unary()
-            node = _Raw(_R_MUL, None, (node, rhs), tok.line, tok.col)
-        return node
+    def term(self):
+        node, at = self.unary()
+        while tok := self.take("*"):
+            node, at = mul(node, self.unary()[0]), tok
+        return node, at
 
-    def parse_unary(self) -> _Raw:
-        tok = self.peek()
-        if tok is not None and tok.kind == "-":
-            self.i += 1
-            return _Raw(_R_NEG, None, (self.parse_unary(),), tok.line, tok.col)
-        return self.parse_power()
+    def unary(self):
+        if tok := self.take("-"):
+            return _neg(self.unary()[0]), tok
+        return self.power()
 
-    def parse_power(self) -> _Raw:
-        node = self.parse_postfix()
-        if (tok := self.peek()) is not None and tok.kind == "^":
-            self.i += 1
+    def power(self):
+        node, at = self.postfix()
+        if tok := self.take("^"):
             exp = self.eat_positive("exponent")
-            node = _Raw(_R_POW, exp, (node,), tok.line, tok.col)
+            node, at = (node if exp == 1 else Pow(node, exp)), tok
+        return node, at
+
+    def postfix(self):
+        node, at = self.atom()
+        while tok := self.take("("):
+            node, at = _apply(node, self.closed(), tok), tok
+        return node, at
+
+    def closed(self):
+        """An expression and the ')' that closes it."""
+        node = self.expr()[0]
+        self.eat(")")
         return node
 
-    def parse_postfix(self) -> _Raw:
-        node = self.parse_atom()
-        while (tok := self.peek()) is not None and tok.kind == "(":
-            self.i += 1
-            arg = self.parse_expr()
-            self.eat(")")
-            node = _Raw(_R_APP, None, (node, arg), tok.line, tok.col)
-        return node
+    def substitute(self, tok: _Tok):
+        """Operator polynomial substitution, Q(dt), with Q at `tok`."""
+        if tok.text in self.expanding:
+            self.error(f"operator polynomial {tok.text!r} refers to itself",
+                       tok)
+        at = self.eat("(")
+        arg = self.closed()
+        if _kind_at(arg, at) != "op":
+            self.error("operator polynomial applied to a non-operator", at)
+        return _expand(self.decls, tok.text, arg, self.expanding), at
 
-    def parse_atom(self) -> _Raw:
+    def atom(self):
+        if tok := self.take("("):
+            return self.closed(), tok
         tok = self.peek()
         if tok is None:
             self.error("unexpected end of expression")
+        if tok.kind not in ("num", "ident"):
+            self.error(f"unexpected token {tok.text!r}")
+        self.i += 1
         if tok.kind == "num":
-            self.i += 1
-            return _Raw(_R_NUM, tok.text, (), tok.line, tok.col)
-        if tok.kind == "ident":
-            self.i += 1
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "[":
-                self.i += 1
-                idx = self.eat_positive("component index")
-                self.eat("]")
-                return _Raw(_R_COMP, (tok.text, idx), (), tok.line, tok.col)
-            return _Raw(_R_NAME, tok.text, (), tok.line, tok.col)
-        if tok.kind == "(":
-            self.i += 1
-            inner = self.parse_expr()
-            self.eat(")")
-            return _Raw(_R_GROUP, None, (inner,), tok.line, tok.col)
-        self.error(f"unexpected token {tok.text!r}")
+            return Num(tok.text), tok
+        if self.take("["):
+            return self.component(tok), tok
+        if (nxt := self.peek()) is not None and nxt.kind == "(" \
+                and tok.text in self.decls.polys:
+            return self.substitute(tok)
+        return self.name(tok), tok
+
+    def name(self, tok: _Tok):
+        d, name = self.decls, tok.text
+        if name in self.bound:
+            return self.bound[name]
+        if name == "dt":
+            return DOp(0)
+        if m := _DX_RE.match(name):
+            axis = int(m.group(1))
+            if axis > d.dim:
+                self.error(f"derivative axis {axis} exceeds dim {d.dim}", tok)
+            return DOp(axis)
+        role = d.role_of(name)
+        if role in ("unknown", "source", "coeff"):
+            if role != "coeff" and getattr(d, role)[1] != 1:
+                self.error(f"vector {role} {name!r} needs a component index",
+                           tok)
+            return FieldSym(name, role, None)
+        if role == "opsym":
+            return OpName(name)
+        if role == "macro":
+            return d.macros[name]
+        if role == "poly":
+            self.error(f"operator polynomial {name!r} must be applied", tok)
+        self.error(f"undeclared symbol {name!r}", tok, UndeclaredSymbolError)
+
+    def component(self, tok: _Tok):
+        """`tok`[idx], read from past the '['."""
+        idx = self.eat_positive("component index")
+        self.eat("]")
+        role = self.decls.role_of(tok.text)
+        if role not in ("unknown", "source"):
+            self.error(f"{tok.text!r} is not an indexable unknown or source",
+                       tok, UndeclaredSymbolError)
+        count = getattr(self.decls, role)[1]
+        if idx > count:
+            self.error(f"component {idx} out of range for "
+                       f"{tok.text}[{count}]", tok)
+        return FieldSym(tok.text, role, idx)
 
 
-# -- program parsing and resolution --------------------------------------------
+def _expand(decls, name: str, arg, expanding=frozenset()):
+    """The body of polynomial `name`, parsed again with its variable bound
+    to `arg`."""
+    var, toks, lineno = decls.polys[name]
+    body = _Parser(toks, lineno, decls, {var: arg}, expanding | {name})
+    return body.whole("after polynomial body")[0]
+
+
+def _neg(node):
+    return node.arg if isinstance(node, Neg) else Neg(node)
+
+
+def _kind_at(node, tok: _Tok) -> str:
+    """kind_of, with its errors placed at `tok`."""
+    try:
+        return kind_of(node)
+    except ValueError as exc:
+        raise PdeSyntaxError(str(exc), tok.line, tok.col) from None
+
+
+def _apply(func, arg, tok: _Tok):
+    """func(arg), the application written at `tok`."""
+    fk, ak = _kind_at(func, tok), _kind_at(arg, tok)
+    if fk != "op":
+        raise PdeSyntaxError("only operators can be applied", tok.line, tok.col)
+    if ak == "op" and not isinstance(func, OpName):
+        return mul(func, arg)  # composition written as a chain
+    # a field argument, or an abstract symbol kept applied, as in Q(dt)
+    return App(func, arg)
+
+
+# -- programs ------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -403,7 +492,7 @@ class _Decls:
     source: tuple[str, int] | None = None
     coeffs: list = field(default_factory=list)
     opsyms: list = field(default_factory=list)
-    polys: dict = field(default_factory=dict)
+    polys: dict = field(default_factory=dict)  # name -> (var, toks, lineno)
     macros: dict = field(default_factory=dict)
 
     def role_of(self, name: str) -> str | None:
@@ -419,55 +508,53 @@ class _Decls:
 
 
 def parse_pde(text: str) -> Program:
-    """Parse program text; see the module docstring for the grammar."""
+    """Parse program text; see the module docstring for the grammar and
+    the order in which a program is read."""
     lines = text.splitlines()
     decls = _Decls()
-    raw_eqs: list[tuple[_Raw, _Raw, int]] = []
-    any_decl = False
+    sides: list[tuple[list[_Tok], list[_Tok], int]] = []
 
     for lineno, line in enumerate(lines, start=1):
         toks = _tokenize_line(line, lineno)
         if not toks:
             continue
-        head = toks[0]
-        if head.kind == "ident" and head.text in _KEYWORDS:
-            any_decl = any_decl or head.text != "eq"
-            _parse_statement(head.text, toks, lineno, decls, raw_eqs)
-        else:
-            _parse_equation_line(toks, lineno, raw_eqs)
+        if toks[0].text in _DECLARATIONS:
+            _parse_declaration(toks, lineno, decls)
+            continue
+        if toks[0].text == "eq" and len(toks) > 1:
+            toks = toks[1:]
+        eq_pos = [i for i, t in enumerate(toks) if t.kind == "="]
+        if len(eq_pos) != 1:
+            raise PdeSyntaxError("an equation needs exactly one '='", lineno,
+                                 toks[0].col)
+        sides.append((toks[:eq_pos[0]], toks[eq_pos[0] + 1:], lineno))
 
-    if not raw_eqs:
+    if not sides:
         raise PdeSyntaxError("program has no equations", len(lines) or 1, 1)
 
-    # resolved in order below: a macro body sees only the macros above it
+    implicit = decls == _Decls()  # no declaration at all
+    # parsed in order below: a macro body sees only the macros above it
     macro_lines, decls.macros = decls.macros, {}
-    implicit = not any_decl
     if implicit:
-        _infer_implicit_context(decls, raw_eqs)
+        _infer_implicit_context(decls, [side for lhs, rhs, _ in sides
+                                        for side in (lhs, rhs)])
     if decls.dim is None:
         raise PdeSyntaxError("missing dim declaration", 1, 1)
 
-    resolver = _Resolver(decls, implicit)
-    for name, (var, toks, lineno) in decls.polys.items():
-        decls.polys[name] = (var, _parse_whole(toks, lineno,
-                                               "after polynomial body"))
     for name, (toks, lineno) in macro_lines.items():
-        decls.macros[name] = resolver.resolve(
-            _parse_whole(toks, lineno, "after macro body"), expect="op")
+        decls.macros[name] = _parse_body(
+            toks, lineno, decls, "after macro body", "field",
+            "expected an operator expression")
+    # a polynomial body is checked even where it is never applied
+    for name in decls.polys:
+        _expand(decls, name, DOp(0))
 
+    unapplied = "equation side is an unapplied operator"
     equations = []
-    for lhs_raw, rhs_raw, lineno in raw_eqs:
-        lhs = resolver.resolve(lhs_raw)
-        rhs = resolver.resolve(rhs_raw)
-        for side, raw in ((lhs, lhs_raw), (rhs, rhs_raw)):
-            try:
-                k = kind_of(side)
-            except ValueError as exc:
-                raise PdeSyntaxError(str(exc), raw.line, raw.col) from None
-            if k == "op":
-                raise PdeSyntaxError("equation side is an unapplied operator",
-                                     raw.line, raw.col)
-        equations.append(Equation(lhs, rhs))
+    for lhs, rhs, lineno in sides:
+        equations.append(Equation(
+            _parse_body(lhs, lineno, decls, "before '='", "op", unapplied),
+            _parse_body(rhs, lineno, decls, "after equation", "op", unapplied)))
 
     return Program(
         dim=decls.dim,
@@ -479,9 +566,19 @@ def parse_pde(text: str) -> Program:
     )
 
 
-def _parse_statement(keyword, toks, lineno, decls, raw_eqs):
-    p = _ExprParser(toks, lineno)
+def _parse_body(toks, lineno, decls, where, wrong_kind, message):
+    """A macro body or an equation side, refused with `message` at its
+    root token if it is of `wrong_kind`."""
+    node, at = _Parser(toks, lineno, decls).whole(where)
+    if _kind_at(node, at) == wrong_kind:
+        raise PdeSyntaxError(message, at.line, at.col)
+    return node
+
+
+def _parse_declaration(toks, lineno, decls):
+    p = _Parser(toks, lineno, decls)
     p.i = 1  # past the keyword
+    keyword = toks[0].text
 
     def new_name() -> str:
         tok = p.eat("ident")
@@ -496,8 +593,7 @@ def _parse_statement(keyword, toks, lineno, decls, raw_eqs):
         else:
             name = new_name()
             count = 1
-            if p.peek() is not None and p.peek().kind == "[":
-                p.eat("[")
+            if p.take("["):
                 count = p.eat_positive("component count")
                 p.eat("]")
             value = (name, count)
@@ -507,8 +603,7 @@ def _parse_statement(keyword, toks, lineno, decls, raw_eqs):
     elif keyword in ("coeff", "opsym"):
         names = getattr(decls, keyword + "s")
         names.append(new_name())
-        while p.peek() is not None and p.peek().kind == ",":
-            p.eat(",")
+        while p.take(","):
             names.append(new_name())
     elif keyword == "poly":
         name = new_name()
@@ -517,194 +612,38 @@ def _parse_statement(keyword, toks, lineno, decls, raw_eqs):
         p.eat(")")
         p.eat("=")
         decls.polys[name] = (var, toks[p.i:], lineno)
-        return
-    elif keyword == "macro":
+    else:  # macro
         name = new_name()
         p.eat("=")
         decls.macros[name] = (toks[p.i:], lineno)
-        return
-    elif keyword == "eq":
-        _parse_equation_line(toks[1:], lineno, raw_eqs)
-        return
-    if keyword not in ("poly", "macro", "eq") and not p.at_end():
+    if keyword not in ("poly", "macro") and p.peek() is not None:
         p.error("trailing tokens after declaration")
 
 
-def _parse_equation_line(toks, lineno, raw_eqs):
-    eq_pos = [i for i, t in enumerate(toks) if t.kind == "="]
-    if len(eq_pos) != 1:
-        raise PdeSyntaxError("an equation needs exactly one '='", lineno,
-                             toks[0].col)
-    raw_eqs.append((_parse_whole(toks[: eq_pos[0]], lineno, "before '='"),
-                    _parse_whole(toks[eq_pos[0] + 1:], lineno,
-                                 "after equation"),
-                    lineno))
+def _infer_implicit_context(decls, sides):
+    """Default declarations for a bare equation list, read off the tokens
+    of its equation sides."""
+    names, applied_to_ops, max_axis = set(), set(), 0
+    for toks in sides:
+        callers = []  # per open bracket, the token in front of it
+        for prev, tok in zip([None, *toks], toks):
+            if tok.kind == "(":
+                callers.append(prev and prev.text)
+            elif tok.kind == ")":
+                del callers[-1:]
+            elif (m := _DX_RE.match(tok.text)) or tok.text == "dt":
+                max_axis = max(max_axis, int(m.group(1)) if m else 0)
+                applied_to_ops.update(callers)
+            elif tok.kind == "ident" and tok.text != "L":
+                names.add(tok.text)
+    applied_to_ops &= names  # a name applied to brackets that hold dt or dxN
 
-
-def _parse_whole(toks, lineno, where):
-    """One expression that uses every token; `where` ends the message of
-    the trailing-token error."""
-    p = _ExprParser(toks, lineno)
-    tree = p.parse_expr()
-    if not p.at_end():
-        p.error(f"trailing tokens {where}")
-    return tree
-
-
-def _infer_implicit_context(decls, raw_eqs):
-    """Default declarations for a bare equation list."""
-    names_applied_to_ops = set()
-    plain_names = set()
-    max_axis = [0]
-
-    def scan(node: _Raw, app_func: bool = False):
-        if node.tag == _R_NAME:
-            name = node.payload
-            m = _DX_RE.match(name)
-            if m:
-                max_axis[0] = max(max_axis[0], int(m.group(1)))
-            elif name not in ("dt", "u", "L"):
-                plain_names.add(name)
-        elif node.tag == _R_APP:
-            func, arg = node.children
-            if func.tag == _R_NAME and func.payload not in ("dt", "L") \
-                    and not _DX_RE.match(func.payload):
-                if _raw_is_oplike(arg):
-                    names_applied_to_ops.add(func.payload)
-                    plain_names.discard(func.payload)
-            scan(func)
-            scan(arg)
-            return
-        for c in node.children:
-            scan(c)
-
-    for lhs, rhs, _ in raw_eqs:
-        scan(lhs)
-        scan(rhs)
-
-    decls.dim = max(2, max_axis[0])
+    decls.dim = max(2, max_axis)
     decls.unknown = ("u", 1)
-    decls.opsyms = sorted(names_applied_to_ops)
-    decls.coeffs = sorted(plain_names - names_applied_to_ops)
-    terms = []
-    for j in range(1, decls.dim + 1):
-        terms.append(Pow(DOp(j), 2))
-    decls.macros["L"] = add(*terms)
-
-
-def _raw_is_oplike(node: _Raw) -> bool:
-    """Heuristic used only for implicit opsym inference."""
-    if node.tag == _R_NAME:
-        return node.payload == "dt" or bool(_DX_RE.match(node.payload))
-    return any(_raw_is_oplike(c) for c in node.children)
-
-
-class _Resolver:
-    def __init__(self, decls: _Decls, implicit: bool):
-        self.decls = decls
-        self.implicit = implicit
-
-    def resolve(self, raw: _Raw, expect: str | None = None, bound: dict | None
-                = None):
-        node = self._resolve(raw, bound or {})
-        if expect == "op" and kind_of(node) not in ("op", "const"):
-            raise PdeSyntaxError("expected an operator expression", raw.line,
-                                 raw.col)
-        return node
-
-    def _resolve(self, raw: _Raw, bound: dict):
-        d = self.decls
-        if raw.tag == _R_NUM:
-            return Num(raw.payload)
-        if raw.tag == _R_NAME:
-            name = raw.payload
-            if name in bound:
-                return bound[name]
-            if name == "dt":
-                return DOp(0)
-            m = _DX_RE.match(name)
-            if m:
-                axis = int(m.group(1))
-                if axis > d.dim:
-                    raise PdeSyntaxError(
-                        f"derivative axis {axis} exceeds dim {d.dim}",
-                        raw.line, raw.col)
-                return DOp(axis)
-            role = d.role_of(name)
-            if role in ("unknown", "source", "coeff"):
-                if role != "coeff" and getattr(d, role)[1] != 1:
-                    raise PdeSyntaxError(
-                        f"vector {role} {name!r} needs a component index",
-                        raw.line, raw.col)
-                return FieldSym(name, role, None)
-            if role == "opsym":
-                return OpName(name)
-            if role == "macro":
-                return d.macros[name]
-            if role == "poly":
-                raise PdeSyntaxError(
-                    f"operator polynomial {name!r} must be applied",
-                    raw.line, raw.col)
-            raise UndeclaredSymbolError(f"undeclared symbol {name!r}",
-                                        raw.line, raw.col)
-        if raw.tag == _R_COMP:
-            name, idx = raw.payload
-            role = d.role_of(name)
-            if role not in ("unknown", "source"):
-                raise UndeclaredSymbolError(
-                    f"{name!r} is not an indexable unknown or source",
-                    raw.line, raw.col)
-            count = getattr(d, role)[1]
-            if idx > count:
-                raise PdeSyntaxError(
-                    f"component {idx} out of range for {name}[{count}]",
-                    raw.line, raw.col)
-            return FieldSym(name, role, idx)
-        if raw.tag == _R_GROUP:
-            return self._resolve(raw.children[0], bound)
-        if raw.tag == _R_NEG:
-            inner = self._resolve(raw.children[0], bound)
-            return inner.arg if isinstance(inner, Neg) else Neg(inner)
-        if raw.tag in (_R_ADD, _R_SUB):
-            lhs = self._resolve(raw.children[0], bound)
-            rhs = self._resolve(raw.children[1], bound)
-            if raw.tag == _R_SUB:
-                rhs = rhs.arg if isinstance(rhs, Neg) else Neg(rhs)
-            return add(lhs, rhs)
-        if raw.tag == _R_MUL:
-            lhs = self._resolve(raw.children[0], bound)
-            rhs = self._resolve(raw.children[1], bound)
-            return mul(lhs, rhs)
-        if raw.tag == _R_POW:
-            base = self._resolve(raw.children[0], bound)
-            return base if raw.payload == 1 else Pow(base, raw.payload)
-        if raw.tag == _R_APP:
-            func_raw, arg_raw = raw.children
-            # operator polynomial substitution: Q(dt)
-            if func_raw.tag == _R_NAME and func_raw.payload in d.polys:
-                var, body = d.polys[func_raw.payload]
-                arg = self._resolve(arg_raw, bound)
-                if kind_of(arg) != "op":
-                    raise PdeSyntaxError(
-                        "operator polynomial applied to a non-operator",
-                        raw.line, raw.col)
-                return self._resolve(body, {**bound, var: arg})
-            func = self._resolve(func_raw, bound)
-            arg = self._resolve(arg_raw, bound)
-            try:
-                fk, ak = kind_of(func), kind_of(arg)
-            except ValueError as exc:
-                raise PdeSyntaxError(str(exc), raw.line, raw.col) from None
-            if fk != "op":
-                raise PdeSyntaxError("only operators can be applied",
-                                     raw.line, raw.col)
-            if isinstance(func, OpName):
-                # abstract symbol: keep the application, as in Q(dt)
-                return App(func, arg)
-            if ak == "op":
-                return mul(func, arg)  # composition written as a chain
-            return App(func, arg)
-        raise AssertionError(f"unhandled raw tag {raw.tag}")
+    decls.opsyms = sorted(applied_to_ops)
+    decls.coeffs = sorted(names - applied_to_ops - {"u"})
+    decls.macros["L"] = add(*(Pow(DOp(j), 2)
+                              for j in range(1, decls.dim + 1)))
 
 
 # -- pretty-printing -----------------------------------------------------------

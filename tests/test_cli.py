@@ -340,6 +340,36 @@ def test_missing_nested_config_key_exits_one(stage, cfg, key, tmp_path,
     assert f"error: missing config key '{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stage, cfg", [
+    ("translate", {"source": 5}),
+    ("kernel", dict(_KERNEL_CFG, grid=[1])),
+    ("kernel", dict(_KERNEL_CFG, a=-1)),
+    ("kernel", dict(_KERNEL_CFG, a=[-1, -1])),
+    ("kernel", dict(_KERNEL_CFG, p=[5e-06])),
+    ("kernel", dict(_KERNEL_CFG, w0=0)),
+    ("measure-check", dict(_MEASURE_CFG, reps=[1, 2])),
+    ("assemble", {"problem": dict(_PROBLEM, c=0), "matched": [[1.0, -0.5]],
+                  "p": [1.0], "w0": [0.0, 0.0],
+                  "grid": {"count": 11, "t_count": 7}}),
+    ("verify", {"problem": _PROBLEM, "lam_prime": [1.0, -0.5],
+                "w0": [0.0, 0.0], "levels": 21, "collar": 2.0}),
+    ("ode", {"lambda": [1.0, 1.0], "c": 5}),
+    ("algebra-check", {"levels": 2}),
+], ids=["translate-source", "kernel-grid", "kernel-a-scalar",
+        "kernel-a-short", "kernel-p-short", "kernel-w0-scalar",
+        "measure-check-reps", "assemble-problem-c", "verify-levels",
+        "ode-c", "algebra-check-levels"])
+def test_config_value_of_the_wrong_type_exits_one(stage, cfg, tmp_path,
+                                                  capsys):
+    path = _write_cfg(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "run"
+    assert cli_run([stage, "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: " in err
+    assert "Traceback" not in err
+    assert not list(out.glob("*"))
+
+
 def test_assemble_rejects_negative_samples(tmp_path, capsys):
     # samples = 0 skips the Monte Carlo check; a negative count is an error
     cfg = _write_cfg(tmp_path / "a.json", {

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -97,6 +99,52 @@ def test_parse_rejects_operator_equation_and_mixed_product():
         parse_pde("dim 2\nunknown u\n(u*dx1)(u) = 0")
 
 
+# declaration slots of the generated programs: each takes one of its lines,
+# or none at times, so a name may be missing, and a macro or polynomial may
+# use a name declared below it or not at all
+_DECL_SLOTS = [
+    ["dim 2", "dim 3"],
+    ["unknown u"],
+    ["source f", "source f[2]"],
+    ["coeff a, b", "coeff a"],
+    ["coeff nu"],
+    ["opsym G"],
+    ["poly Q(s) = s^2 + 2*s + 1", "poly Q(s) = a*s + M"],
+    ["poly P(s) = s + a"],
+    ["macro L = dx1^2 + dx2^2"],
+    ["macro M = a*L + b", "macro M = dx1 + K"],
+    ["macro K = dx2", "macro K = dx3"],
+]
+_EQ_LINES = [
+    "dt(u) + u*dx1(u) - dx1(dx1(u)) = 0",
+    "Q(dt)(u) = f",
+    "Q(dt)(-L^2 + a*L + b)(u) + nu*dx1(u^2) = 0",
+    "dt(u) - nu*L(u) = f[1]",
+    "M(u) + u^2 = f[2]",
+    "G(dt)(u) = a*u",
+    "P(dx2)(u) = b",
+    "eq dt(u) = K(u)",
+    "(-L^2)(u) + (a - b)*u = 0",
+    "dt(u) = (a - b)*u + G(dx1)(u)",
+]
+
+
+def _generated_programs(count, seed=0):
+    """Seeded shuffles of declaration and equation lines drawn from fixed
+    lists; an equation may come before the declarations it uses."""
+    rng = random.Random(seed)
+    programs = []
+    for _ in range(count):
+        # one program in ten has no declarations: the implicit context
+        keep = 0.0 if rng.random() < 0.1 else 0.97
+        lines = [rng.choice(slot) for slot in _DECL_SLOTS
+                 if rng.random() < keep]
+        lines += rng.sample(_EQ_LINES, rng.randint(1, 3))
+        rng.shuffle(lines)
+        programs.append("\n".join(lines))
+    return programs
+
+
 def test_pretty_parse_idempotent():
     sources = [
         "dt(u) + u*dx1(u) - dx1(dx1(u)) = 0",
@@ -114,10 +162,18 @@ coeff nu
 dt(u[1]) - nu*dx1(dx1(u[1])) + u[2]^3 = f[1]
 dt(u[2]) + u[1]*u[2] = f[2]""",
     ]
-    for src in sources:
-        once = pretty_program(parse_pde(src))
-        twice = pretty_program(parse_pde(once))
-        assert once == twice
+    programs = [parse_pde(src) for src in sources]
+    for src in _generated_programs(200):
+        try:
+            programs.append(parse_pde(src))
+        except PdeSyntaxError:
+            pass
+    assert len(programs) - len(sources) >= 20  # the generator reaches programs
+    for prog in programs:
+        once = pretty_program(prog)
+        again = parse_pde(once)
+        assert again.to_tree() == prog.to_tree()
+        assert pretty_program(again) == once
 
 
 def test_canonical_json_deterministic():
@@ -171,6 +227,46 @@ def test_parse_rejects_a_name_declared_twice(src, line, col, message):
     with pytest.raises(PdeSyntaxError, match=message) as exc:
         parse_pde(src)
     assert (exc.value.line, exc.value.col) == (line, col)
+
+
+def test_equations_may_precede_declarations():
+    late = parse_pde("dt(u) = a*u\ndim 2\nunknown u\ncoeff a")
+    early = parse_pde("dim 2\nunknown u\ncoeff a\ndt(u) = a*u")
+    assert late.to_tree() == early.to_tree()
+
+
+def test_implicit_context_reads_operator_symbols_off_the_brackets():
+    assert parse_pde("g(dx1(u)) = 0").opsyms == ("g",)
+    # the name ending one side is not applied to the start of the other
+    assert parse_pde("a = (dt)(u)").coeffs == ("a",)
+
+
+@pytest.mark.parametrize("src, line, col, message", [
+    ("dim 2\nunknown u\nmacro M = dx1 + K\nmacro K = dx2\ndt(u) = M(u)",
+     3, 17, "undeclared symbol 'K'"),
+    ("dim 2\nunknown u\npoly P(s) = s + zz\ndt(u) = 0", 3, 17,
+     "undeclared symbol 'zz'"),
+    ("h(u) + dt(u) = 0", 1, 2, "only operators can be applied"),
+    ("dim 2\nunknown u\ndx1 + dx2 = u", 3, 5,
+     "equation side is an unapplied operator"),
+    ("dim 2\nunknown u\nmacro L = dx1^2 + u^2\ndt(u) = L(u)", 3, 17,
+     "cannot add an operator to a field"),
+    ("dim 2\nunknown u\nmacro L = u\ndt(u) = L(u)", 3, 11,
+     "expected an operator expression"),
+    ("dim 2\nunknown u\npoly P(s) = P(s)\ndt(u) = 0", 3, 13,
+     "operator polynomial 'P' refers to itself"),
+    ("dim 2\nunknown u\neq\ndt(u) = 0", 3, 1,
+     "an equation needs exactly one '='"),
+], ids=["macro-uses-a-later-macro", "unused-poly-undeclared-name",
+        "field-applied", "unapplied-operator-side", "macro-adds-a-field",
+        "macro-is-a-field", "poly-refers-to-itself", "bare-eq"])
+def test_parse_error_positions(src, line, col, message):
+    with pytest.raises(PdeSyntaxError, match=message) as exc:
+        parse_pde(src)
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert isinstance(exc.value, UndeclaredSymbolError) == (
+        "undeclared" in message)
+
 
 # -- embedding and lifting -------------------------------------------------------
 
