@@ -558,6 +558,9 @@ def cli_run(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
+    except RecursionError as exc:  # a RuntimeError subclass: caught first
+        print(f"error: input nested too deeply: {exc}", file=sys.stderr)
+        return 1
     except (PicardDivergence, RuntimeError, ZeroDivisionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -510,15 +510,13 @@ def _x_factors(ray: np.ndarray, edge: np.ndarray, config: KernelConfig,
 
 def _separated(gs, V: np.ndarray, index):
     """sum_s g_s(x) V_s(y) on the pair nodes index = (x indices, y indices),
-    elementwise in a fixed order with any coefficient axis leading (so the
-    inner loops run over y), then moved last; 0.0 without factors."""
+    elementwise in order of s with any coefficient axis kept last; 0.0
+    without factors."""
     n = len(index) // 2
-    lead = bool(gs) and gs[0].ndim > n
     out = 0.0
     for g, v in zip(gs, V):
-        g = np.moveaxis(g, -1, 0) if lead else g
-        out = out + g[(...,) + tuple(index[:n])] * v[index[n:]]
-    return np.moveaxis(out, 0, -1) if lead else out
+        out = out + g[index[:n]] * v[index[n:] + (None,) * (g.ndim - n)]
+    return out
 
 
 def _pair_values(config: KernelConfig, grid: Grid, index, terms=()):
@@ -531,9 +529,7 @@ def _pair_values(config: KernelConfig, grid: Grid, index, terms=()):
     S = _separated([g for g, _ in terms], [v for _, v in terms], index)
     if config.scalar_closed():
         return F + S
-    e0 = np.eye(1 << config.level)[0].reshape((-1,) + (1,) * F.ndim)  # i_0
-    out = F * e0 + (np.moveaxis(S, -1, 0) if terms else S)
-    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
+    return F[..., None] * np.eye(1 << config.level)[0] + S  # F on i_0
 
 
 def _separated_norms(ds, V: np.ndarray):

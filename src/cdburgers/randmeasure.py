@@ -200,10 +200,12 @@ def sample_counts(measure: AtomicRandomMeasure, count: int) -> np.ndarray:
 
 
 def moments(counts, values) -> tuple:
-    """Monte Carlo mean and standard error from per-cell draw counts n_j:
-    mean = sum_j n_j v_j / N, var = sum_j n_j |v_j - mean|^2 / (N - 1),
-    N = sum_j n_j.  Same conventions as expectation (N = 1 gives se = 0)."""
+    """Monte Carlo mean and standard error over the leading axis of
+    `values`, with draw counts n_j per leading entry: mean = sum_j n_j v_j
+    / N, var = sum_j n_j |v_j - mean|^2 / (N - 1), N = sum_j n_j (N = 1
+    gives se = 0).  numpy's pairwise reduction fixes the summation order."""
     values = np.asarray(values)
+    counts = np.reshape(counts, (-1,) + (1,) * (values.ndim - 1))
     total = int(np.sum(counts))
     mean = np.add.reduce(counts * values) / total
     if total == 1:
@@ -330,16 +332,9 @@ def expectation(samples: np.ndarray) -> tuple:
     numpy's pairwise reduction fixes the summation order, so the result is
     a deterministic function of the sample array.
     """
-    samples = np.asarray(samples)
-    count = samples.shape[0]
-    if count == 0:
+    if len(samples) == 0:
         raise ValueError("need at least one sample")
-    mean = np.add.reduce(samples, axis=0) / count
-    if count == 1:
-        return mean, np.zeros_like(np.abs(mean))
-    dev = np.abs(samples - mean) ** 2
-    var = np.add.reduce(dev, axis=0) / (count - 1)
-    return mean, np.sqrt(var / count)
+    return moments(np.ones(len(samples), dtype=np.int64), samples)
 
 
 def measure_to_json(measure: AtomicRandomMeasure) -> str:

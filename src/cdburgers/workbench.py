@@ -125,6 +125,12 @@ class SobolevBurgersSpec:
     def m(self) -> int:
         return len(self.c)
 
+    @property
+    def base_a(self) -> tuple:
+        """Operator coefficients (-1, -alpha, beta): each atom's a is lambda_1
+        times these, so the characteristic equation and S_0 read them."""
+        return (-1.0, -self.alpha, self.beta)
+
     def grid(self, count: int, t_count: int) -> Grid:
         return Grid.box(self.n, self.lo, self.hi, count,
                         t_max=self.horizon, t_count=t_count)
@@ -224,7 +230,7 @@ def characteristic_kappa(spec: SobolevBurgersSpec) -> tuple:
     """Decay vector admissible for every atom: lambda_1 scales all three
     operator coefficients, so the characteristic equation does not depend
     on it."""
-    return admissible_kappa((-1.0, -spec.alpha, spec.beta), spec.n)
+    return admissible_kappa(spec.base_a, spec.n)
 
 
 def atom_kernel_config(point: SpectralPoint, spec: SobolevBurgersSpec,
@@ -455,77 +461,50 @@ def _t_margin_rows(grid: Grid, t_collar: float | None) -> int:
     return rows
 
 
-def _scalar_residuals(sol: SolutionField, margin: int, t_rows: int,
-                      qphis: list) -> dict:
-    """Window max norms of Q(d/dt) L E u + gamma_eff d(v)/dx_1 + sigma_eff v
-    for v = (E u)^2 (diagonal_mean) and v = E u^2 (diagonal_expect), with
-    qphis[j] = Q(d/dt) phi_j.  Each operator acts on one factor of the
-    SolutionField identities: Q(d/dt) L E u = sum_j (w_j Q phi_j) (L k_j),
-    and v is a sum of time weights times (gamma_eff d/dx_1 + sigma_eff)
-    (k_j k_l), so every stencil runs on V or on the time axis, and each
-    window row is summed from these few terms.
+def _time_residuals(sol: SolutionField, margin: int, t_rows: int,
+                    qphis: list, terms: list) -> dict:
+    """Window max norms of the three residuals that vary in time, from
+    qphis[j] = Q(d/dt) phi_j and terms[j] = kernel._diagonal_terms of K_j.
+    expectation is E{Q(d/dt) S_0 u + gamma pi_1 (sigma_x + sigma_y)(u^2) +
+    sigma u^2} at x = y, with E c_j = w_j = p_j xi_j and E c_j^2 = p_j
+    xi_j^2; diagonal_mean and diagonal_expect are Q(d/dt) L E u +
+    gamma_eff d(v)/dx_1 + sigma_eff v for v = (E u)^2 and v = E u^2, L the
+    scalar operator.  Every operator is linear, so each is a list of (time
+    weight, window field) pairs, with the weights w_j Q(d/dt) phi_j and
+    e_j = p_j xi_j^2 phi_j^2 formed once per atom; every stencil runs on V
+    or on the time axis, and one window row at a time is summed.
     """
-    grid, eff = sol.grid, sol.spec.effective_coefficients()
+    spec, grid = sol.spec, sol.grid
+    eff = spec.effective_coefficients()
     win = interior_slices(grid.counts, range(grid.n), margin)
     ks, phis, p, xi = sol._kdiag, sol._phi, sol.measure.p, sol.measure.xi
-    w = [p[j] * xi[j] for j in range(sol.size)]
+    atoms = range(sol.size)
+    w = [p[j] * xi[j] for j in atoms]
+    wq = [w[j] * qphis[j] for j in atoms]
+    e = [p[j] * xi[j] * xi[j] * (phis[j] * phis[j]) for j in atoms]
 
     def quad(k):
         return (eff["gamma"] * diff_axis(k, 0, grid.spacings[0], 1)
                 + eff["varsigma"] * k)[win]
 
-    lin = [(w[j] * qphis[j], _scalar_operator(ks[j], grid, eff)[win])
-           for j in range(sol.size)]
-    pairs = [(j, l) for j in range(sol.size) for l in range(j, sol.size)]
+    # linear terms before quadratic ones: interleaving them moves an ulp
+    expectation = (
+        [(wq[j], _aux_lhs(terms[j], spec.base_a)) for j in atoms]
+        + [(e[j], spec.gamma * terms[j][3]
+            + spec.varsigma * (terms[j][0] * terms[j][0])) for j in atoms])
+    lin = [(wq[j], _scalar_operator(ks[j], grid, eff)[win]) for j in atoms]
+    pairs = [(j, l) for j in atoms for l in range(j, sol.size)]
     mean = [((2 - (j == l)) * w[j] * w[l] * (phis[j] * phis[l]),
              quad(ks[j] * ks[l])) for j, l in pairs]
-    expect = [(p[j] * xi[j] * xi[j] * (phis[j] * phis[j]), x)
-              for (j, l), (_, x) in zip(pairs, mean) if j == l]
+    expect = [(e[j], x) for (j, l), (_, x) in zip(pairs, mean) if j == l]
 
-    def worst(terms):
-        return max(float(np.max(np.abs(sum(t[ti] * x for t, x in terms))))
+    def worst(fields):
+        return max(float(np.max(np.abs(sum(t[ti] * x for t, x in fields))))
                    for ti in range(t_rows, grid.t_count - t_rows))
 
-    return {"diagonal_mean": worst(lin + mean),
+    return {"expectation": worst(expectation),
+            "diagonal_mean": worst(lin + mean),
             "diagonal_expect": worst(lin + expect)}
-
-
-def _expectation_residual(sol: SolutionField, margin: int, t_rows: int,
-                          terms: list | None = None) -> float:
-    """Max norm over the diagonal window of the analytic expectation of
-    the doubled-variable equation:
-
-        E{ Q(d/dt) S_0 u + gamma pi_1 (sigma_x + sigma_y)(u^2)
-           + sigma u^2 } |_{x=y}.
-
-    The linear term uses E c_j = xi_j p_j per atom; the quadratic terms
-    use the second-moment structure E c_j^2 = xi_j^2 p_j.  Every operator
-    is linear and every time weight is a scalar, so each atom's S_0 K_j,
-    pi_1 (sigma_x + sigma_y)(K_j^2) and K_j^2 come once on the diagonal
-    window from kernel._diagonal_terms (or the caller's per-atom `terms`);
-    the time weights Q(d/dt) phi_j and phi_j^2 then scale them for all rows
-    in one broadcast.
-    """
-    spec = sol.spec
-    grid = sol.grid
-    n = grid.n
-    base_a = (-1.0, -spec.alpha, spec.beta)
-    rows = slice(t_rows, grid.t_count - t_rows)
-    tshape = (-1,) + (1,) * n
-    if terms is None:
-        terms = [_diagonal_terms(kf, grid, margin) for kf in sol.kernels]
-
-    lin = sig = quad = 0.0
-    for j, d in enumerate(terms):
-        xi, p = sol.measure.xi[j], sol.measure.p[j]
-        qphi = _q_time_apply(sol._phi[j], grid.tau, spec.c)[rows]
-        w2 = (xi ** 2 * p * sol._phi[j][rows] ** 2).reshape(tshape)
-        lin = lin + ((xi * p) * qphi).reshape(tshape) * _aux_lhs(
-            d, base_a)[None]
-        sig = sig + w2 * d[3][None]
-        quad = quad + w2 * (d[0] * d[0])[None]
-    lin += spec.gamma * sig + spec.varsigma * quad
-    return float(np.max(np.abs(lin)))
 
 
 def residual_suite(sol: SolutionField, *, collar: float | None = None,
@@ -542,7 +521,9 @@ def residual_suite(sol: SolutionField, *, collar: float | None = None,
     diagonal_mean: the scalar equation with effective coefficients for the
       deterministic mean, with (E u)^2 in the nonlinear terms.
     diagonal_expect: same linear part, with E(u^2) in the nonlinear terms.
-      Both act on the time and space factors (_scalar_residuals).
+    The last three vary in time: _time_residuals sums them one time row at
+    a time from per-atom time weights (Q(d/dt) phi_j is formed once, here)
+    and window fields, so no array spans both the time rows and the window.
     """
     grid = sol.grid
     spec = sol.spec
@@ -551,7 +532,6 @@ def residual_suite(sol: SolutionField, *, collar: float | None = None,
     if grid.t_count < max(5, 2 * t_rows + 1):
         raise ValueError("too few time samples for the window")
     dirac = sol.kernels[0].config.dirac_spec()
-    base_a = (-1.0, -spec.alpha, spec.beta)
 
     # F = f(x) f(y), f = exp(kappa . x/2) with kappa shared by every atom
     # (the first separated term of every kernel), so on the window S_0 F =
@@ -564,7 +544,7 @@ def residual_suite(sol: SolutionField, *, collar: float | None = None,
     win = interior_slices(s.shape, range(grid.n), margin)
     f, s, s2 = f.values[win], s[win], s2[win]
     fx, sx, s2x = (u[(...,) + (None,) * grid.n] for u in (f, s, s2))
-    a1, a2, a3 = base_a
+    a1, a2, a3 = spec.base_a
     s_norm = max(
         float(np.max(np.abs(a1 * (s2x[i] * f + 2 * sx[i] * s + fx[i] * s2)
                             + a2 * (sx[i] * f + fx[i] * s)
@@ -589,8 +569,7 @@ def residual_suite(sol: SolutionField, *, collar: float | None = None,
         "tau": grid.tau,
         "linear": linear,
         "pair": pair,
-        "expectation": _expectation_residual(sol, margin, t_rows, terms),
-        **_scalar_residuals(sol, margin, t_rows, qphis),
+        **_time_residuals(sol, margin, t_rows, qphis, terms),
     }
 
 

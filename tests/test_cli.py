@@ -92,6 +92,25 @@ def test_translate_rejects_malformed_source(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("depth, code", [(50, 0), (200, 1)])
+@pytest.mark.parametrize("open_, close", [("(", ")"), ("dt(", ")")],
+                         ids=["brackets", "dt"])
+def test_translate_deep_nesting_is_an_input_error(tmp_path, capsys, depth,
+                                                  code, open_, close):
+    # past Python's recursion limit the parser's RecursionError is an
+    # input error (exit 1), not a numerical failure (exit 2)
+    source = f"dt(u) = {open_ * depth}u{close * depth}"
+    cfg = _write_cfg(tmp_path / "deep.json", {"source": source})
+    out = tmp_path / "out"
+    assert cli_run(["translate", "--config", cfg, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: input nested too deeply")
+        assert not out.exists()
+    else:
+        assert (out / "translate_report.json").exists()
+
+
 def test_translate_report_matches_golden(tmp_path, capsys):
     # a program with poly, macro, vector unknown and source, coefficients
     # and a power; its source is stored in the golden report itself

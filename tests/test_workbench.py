@@ -39,11 +39,7 @@ from cdburgers.workbench import (
     residual_suite,
     study_csv,
 )
-from cdburgers.workbench import (
-    _expectation_residual,
-    _q_time_apply,
-    _scalar_residuals,
-)
+from cdburgers.workbench import _q_time_apply, _time_residuals
 from oracles import (
     reference_atom_diag,
     reference_aux_residual,
@@ -534,6 +530,14 @@ def test_monte_carlo_check_forms_no_sample_sized_value_array(single_atom):
     assert peak < samples
 
 
+def _time_residuals_of(sol, margin, t_rows):
+    """_time_residuals with the inputs residual_suite gives it."""
+    qphis = [_q_time_apply(phi, sol.grid.tau, sol.spec.c)
+             for phi in sol._phi]
+    terms = [_diagonal_terms(kf, sol.grid, margin) for kf in sol.kernels]
+    return _time_residuals(sol, margin, t_rows, qphis, terms)
+
+
 @pytest.mark.parametrize("fixture, margin, t_rows", [
     ("single_atom", 8, 2),
     ("two_atoms", 2, 2),
@@ -542,11 +546,10 @@ def test_factored_scalar_residuals_match_dense_reference(request, fixture,
                                                          margin, t_rows):
     # the two-atom case has the j != l cross terms of (E u)^2
     sol = request.getfixturevalue(fixture)
-    qphis = [_q_time_apply(phi, sol.grid.tau, sol.spec.c)
-             for phi in sol._phi]
-    got = _scalar_residuals(sol, margin, t_rows, qphis)
+    res = _time_residuals_of(sol, margin, t_rows)
+    got = (res["diagonal_mean"], res["diagonal_expect"])
     want = reference_scalar_residuals(sol, margin, t_rows)
-    for g, w in zip(got.values(), want):
+    for g, w in zip(got, want):
         assert w > 0.0
         assert abs(g - w) <= 1e-6 * w
 
@@ -566,6 +569,27 @@ def test_verify_path_stays_below_one_time_space_array():
     finally:
         tracemalloc.stop()
     assert peak < 129 * 41 ** 2 * 16
+
+
+def test_residual_suite_peak_stays_flat_in_t_count(monkeypatch):
+    # the time-varying residuals are summed one time row at a time from
+    # per-atom time weights and window fields, with Q(d/dt) phi_j formed
+    # once per atom: a fourfold t_count leaves the traced peak flat
+    point = SpectralPoint.matched(_SPEC, (1.0, -0.5))
+    measure = measure_for_atoms([point], _SPEC, (1.0,))
+    q_time_apply, calls = cdburgers.workbench._q_time_apply, []
+    monkeypatch.setattr(cdburgers.workbench, "_q_time_apply",
+                        lambda *a: calls.append(a) or q_time_apply(*a))
+    peaks = []
+    for t_count in (129, 513):
+        sol = assemble_u([point], measure, _SPEC.grid(41, t_count), _SPEC,
+                         _W0)
+        residual_suite(sol, collar=2.0, t_collar=0.25)  # one-time allocations
+        calls.clear()
+        peaks.append(_traced_peak(
+            lambda: residual_suite(sol, collar=2.0, t_collar=0.25)))
+        assert len(calls) == 1
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_s0f_max_stays_below_one_pair_window_array():
@@ -622,7 +646,7 @@ def test_expectation_residual_matches_per_row_reference(request, fixture,
     # to about 2e-10 relative, at count 11 they do not
     sol = request.getfixturevalue(fixture)
     want = reference_expectation_residual(sol, margin, t_rows)
-    got = _expectation_residual(sol, margin, t_rows)
+    got = _time_residuals_of(sol, margin, t_rows)["expectation"]
     assert want > 0.0
     rtol = 1e-8 if fixture == "single_atom" else 1e-12
     assert abs(got - want) <= rtol * want
