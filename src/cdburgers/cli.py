@@ -37,7 +37,8 @@ verify
     {"problem": {...},                                         (required)
      "lam_prime": [...], "w0": [...],                          (required)
      "levels": [[count, t_count], ...],                        (required)
-     "collar": 2.0, "t_collar": null,
+     "collar": 2.0,                                            (required)
+     "t_collar": null,
      "seed": 0, "tol": 1e-10, "samples": 0}   (samples >= 0; 0 skips it)
 
 Keys a stage does not read are ignored.
@@ -232,7 +233,7 @@ def _run_translate(args) -> int:
 
 
 def _write_trace(out: Path, trace: list) -> None:
-    keys = ("iter", "diff", "diff_l2", "ratio", "ratio_l2")
+    keys = ("iter", "diff", "ratio")
     rows = [",".join(keys)]
     for t in trace:
         rows.append(",".join("" if t[k] is None else repr(t[k])

@@ -24,7 +24,7 @@ V_s are segments of f(v/2), and the x factors g_s signed permutations
 u_t(x) v_t(y), f(x/2) f(y/2) and g_s(x) V_s(y); its ray is sum_t u_t(w)
 R_t(w), R_t tail-window integrals of f(z/2) v_t(z), free of K.  So the
 Picard solve builds the R_t once, every sweep acts on N^n nodes, none on
-N^{n+1} or N^{2n}, and the Frobenius certificate takes its algebra from
+N^{n+1} or N^{2n}, and the sup-norm certificate takes its algebra from
 the same _chain.  The K dump writes the terms, and the residual at x = y
 is evaluated from them one V factor at a time (Beylkin & Mohlenkamp, 2005).
 
@@ -285,7 +285,8 @@ class PicardDivergence(RuntimeError):
 
 
 def build_F(config: KernelConfig, grid: Grid) -> KernelField:
-    """Midpoint samples of F on V, gated by the characteristic condition."""
+    """Midpoint samples of F on V, gated by the characteristic condition;
+    a box where exp(kappa . x) overflows is refused before any exp."""
     resid = abs(characteristic_lhs(config.a, config.ksq))
     if resid > 1e-10:
         raise ValueError(
@@ -299,6 +300,10 @@ def build_F(config: KernelConfig, grid: Grid) -> KernelField:
     for c, (lo, hi) in zip(config.w0, grid.bounds):
         if not (lo < c < hi):
             raise ValueError("w0 must lie in the interior of V")
+    top = sum(max(k * lo, k * hi) for k, (lo, hi) in zip(config.kappa,
+                                                         grid.bounds))
+    if top > np.log(np.finfo(float).max):
+        raise ValueError("exp(kappa . x) overflows on this box")
     F = GridField.from_function(grid, "x", config.f_midpoint)
     return KernelField(F=F, config=config)
 
@@ -532,23 +537,19 @@ def _pair_values(config: KernelConfig, grid: Grid, index, terms=()):
     return F[..., None] * np.eye(1 << config.level)[0] + S  # F on i_0
 
 
-def _separated_norms(ds, V: np.ndarray):
-    """Sup and l2 norms of sum_s d_s(x) V_s(y) on V x V, without forming it.
+def _separated_sup(ds, V: np.ndarray) -> float:
+    """Sup norm of sum_s d_s(x) V_s(y) on V x V, without forming it.
 
-    l2^2 = sum_{s,t} Gx[s, t] Gy[s, t], Gx the Gram matrix of the d_s over
-    x and coefficients, Gy that of the V_s over y.  The sup visits (x,
-    coefficient) rows in decreasing order of the bound sum_s |d_s| max |V_s|
-    (inflated to cover rounding) in chunks of 1, 2, 4, ... up to 64 rows,
-    forms their entries in _separated's order, so the max keeps its bits,
-    and stops once no row left can exceed it; a NaN row bound makes the
-    sup NaN.  Fixed-order numpy sums; (0.0, 0.0) without factors.
+    Visits (x, coefficient) rows in decreasing order of the bound sum_s
+    |d_s| max |V_s| (inflated to cover rounding) in chunks of 1, 2, 4, ...
+    up to 64 rows, forms their entries in _separated's order, so the max
+    keeps its bits, and stops once no row left can exceed it; a NaN row
+    bound makes the sup NaN.  Fixed-order numpy sums; 0.0 without factors.
     """
     if not ds:
-        return 0.0, 0.0
+        return 0.0
     D = np.stack(ds).reshape(len(ds), -1)  # rows (x, coefficient)
     Vf = V[:len(ds)].reshape(len(ds), -1)
-    total = np.einsum("st,st->", np.einsum("sa,ta->st", D.conj(), D),
-                      np.einsum("sy,ty->st", Vf.conj(), Vf))
     B = np.sum(np.abs(D) * np.max(np.abs(Vf), axis=1)[:, None], axis=0)
     B *= 1.0 + 1e-12
     order = np.argsort(-B, kind="stable")
@@ -560,7 +561,7 @@ def _separated_norms(ds, V: np.ndarray):
             out = out + d[rows, None] * v
         sup = max(sup, float(np.max(np.abs(out))))
         i, step = i + step, min(2 * step, 64)
-    return sup, float(np.sqrt(max(total.real, 0.0)))
+    return sup
 
 
 def _term_rays(us, tables):
@@ -610,49 +611,47 @@ def apply_A(K: GridField, F, config: KernelConfig, grid: Grid,
 
 
 def estimate_A_norm(config: KernelConfig, grid: Grid) -> float:
-    """Frobenius norm of the discretized operator, computed exactly.
+    """Certified bound on the sup-norm operator norm of the discretized A.
 
-    A = B R: the ray stage R reads each input node once, with weight
-    scale W(w_a, zeta) f(z/2) (W the tail-window rows of the cumulative
-    rule), so R R* = D is diagonal; B is separable, A K(x, y) =
-    sum_{c', s} L_{c', s}[X_{c'}[R K](x)] V_s(y), X_{c'} the x segment along
-    axis c', V_s the y factors, L the solve's own _chain run once on unit
-    segments (seg_j the unit at index j of a leading axis).  So ||A||_F^2 =
-    sum Sx[c', d'] Gy[s, t] sum_k <L_{c's} e_k, L_{d't} e_k> (Gy the Gram
-    matrix of the V_s, k over the input slots), and Sx = sum_w D_w
-    <X_{c'} delta_w, X_{d'} delta_w> is a product of 1-D sums over axes,
-    all fixed-order numpy sums.  The Frobenius norm dominates the spectral
-    norm, so a gate on it certifies every Picard l2 step ratio (the
-    operator is strongly nonnormal; its spectral radius would not).
+    A = B R: the ray stage R reads K(w, z) along w's tail window with
+    weight scale W(w_a, z_a) f(z/2) (W the window rows of the cumulative
+    rule); B is separable, A K(x, y) = sum_{c, s} L_{c, s}[X_c[R K](x)]
+    V_s(y), X_c the x segment along axis c, V_s the y factors and L the
+    solve's own _chain run once on unit segments (seg_j the unit at index j
+    of a leading axis, k over the input slots).  X_c R is a Kronecker
+    product of 1-D maps (the identity before c, the rule rows from w0 on c,
+    w0 after c), each weighted by |f_ax|, or on the tail axis by sum_z
+    |W(w_a, z) f_a(z)|, so its max row sum Sx[c] = |scale| times the
+    product of the factors' max row sums (Van Loan, 2000).  The triangle
+    inequality over the chain terms gives the bound max_e sum_{c, s, k}
+    |L[c, s, k, e]| Sx[c] max |V_s|: it dominates ||A||_inf, so a gate on
+    it certifies every Picard sup-norm step ratio, and it stays flat in N
+    (A is a Volterra operator in x).  Fixed-order numpy sums; NaN when f
+    overflows.
     """
     if config.p_total == 0.0:
         return 0.0
     n, a, level = config.n, config.tail_axis, config.level
     spec, w0_idx = config.dirac_spec(), grid.node_index(config.w0)
     starts, ends = _ray_ends(config, grid)
-    # per axis: D's factor d = |f(z/2)|^2 (summed over the tail window on
-    # axis a); X_c delta_w as an (x_ax, w_ax) matrix: the identity for
-    # ax < c, the scaled rule rows from w0 for ax = c, [w_ax = w0_ax] after
     b, scale = _segment_factor(spec, a, n)
-    Sx = abs(scale) ** 2
+    Sx = np.full(n, abs(scale))
     for ax, k in enumerate(grid.counts):
-        d = np.abs(np.exp(0.5 * grid.axis(ax) * config.kappa[ax])) ** 2
+        d = np.abs(np.exp(0.5 * grid.axis(ax) * config.kappa[ax]))
         R = cumulative_integral(np.eye(k), grid.spacings[ax])
         if ax == a:
-            d = np.sum(np.abs(R[ends] - R[starts]) ** 2 * d, axis=1)
-        R = _segment_factor(spec, ax, n)[1] * (R - R[w0_idx[ax]])
-        X = np.stack([np.eye(k)[[w0_idx[ax]] * k] if ax > c else
-                      R if ax == c else np.eye(k) for c in range(n)])
-        Sx = Sx * np.einsum("cxw,exw,w->ce", X.conj(), X, d)
+            d = np.sum(np.abs(R[ends] - R[starts]) * d, axis=1)
+        X = np.abs(_segment_factor(spec, ax, n)[1] * (R - R[w0_idx[ax]]))
+        Sx = Sx * [d[w0_idx[ax]] if ax > c else np.max(d) if ax < c else
+                   np.max(np.sum(X * d, axis=1)) for c in range(n)]
     scalar_out = config.scalar_closed()
     E = np.eye(1 << level, dtype=np.complex128)[[b] if scalar_out else ...]
     L = np.stack(_chain([np.eye(n)[:, c, None, None] * E for c in range(n)],
                         config, scalar_out), axis=1)
-    L = L.reshape(L.shape[:3] + (-1,))
-    V = _y_factors(config, grid).reshape(L.shape[1], -1)
-    total = np.einsum("cske,dtke,cd,st->", L.conj(), L, Sx,
-                      np.einsum("sy,ty->st", V.conj(), V))
-    return float(np.sqrt(total.real))
+    L = np.abs(L.reshape(L.shape[:3] + (-1,)))
+    V = np.max(np.abs(_y_factors(config, grid).reshape(L.shape[1], -1)),
+               axis=1)
+    return float(np.max(np.einsum("cske,c,s->e", L, Sx, V)))
 
 
 def solve_K(config: KernelConfig, grid: Grid,
@@ -662,16 +661,15 @@ def solve_K(config: KernelConfig, grid: Grid,
     Iterates on the x factors of K_m = F + sum_s g_s(x) V_s(y): K_m's tail
     ray comes from the _ray_tables of f(y/2) and the V_s, built once, so
     no array reaches N^{n+1} nodes: kf.terms keeps K's terms (f(x/2),
-    f(y/2)), final (g_s, V_s).  The step norms and
-    final_residual, the sup norm of sum_s (g_s - (A K)_s) V_s, come from
-    the factors by _separated_norms.
+    f(y/2)), final (g_s, V_s).  Every norm is the sup norm over V x V and
+    coefficients, from the factors by _separated_sup: each step's diff and
+    ratio, and final_residual, that of sum_s (g_s - (A K)_s) V_s.
 
-    Stops when the sup-norm step falls under config.tol; raises
-    PicardDivergence after three consecutive non-contracting steps in the
-    grid l2 norm.  Refuses to start, unless forced, when the exact
-    Frobenius norm q of A is not below 1 (or NaN); below 1 it bounds the
-    spectral norm, so every l2 step contracts by q and fixed_point_bound =
-    q / (1 - q) times the last l2 step bounds the l2 distance to the fixed
+    Stops when the step falls under config.tol; raises PicardDivergence
+    after three consecutive step ratios >= 1.  Refuses to start, unless
+    forced, when the bound q on ||A||_inf (estimate_A_norm) is not below 1
+    (or NaN); below 1 every step contracts by q, and fixed_point_bound =
+    q / (1 - q) times the last step bounds the sup distance to the fixed
     point.
     """
     kf = build_F(config, grid)
@@ -685,34 +683,28 @@ def solve_K(config: KernelConfig, grid: Grid,
     tables = _ray_tables(np.stack([f, *V], axis=-1), config, grid)
     f0 = (f if config.scalar_closed()
           else f[..., None] * np.eye(1 << config.level)[0])
-    gs, trace = [], []
-    prev_diff = prev_l2 = None
-    consec = 0
+    gs, trace, prev, consec = [], [], None, 0
     for it in range(config.max_iter):
         new, _ = _x_factors(*_term_rays([f0] + gs, tables), config, grid)
-        diff, diff_l2 = _separated_norms(
+        diff = _separated_sup(
             [u - w for u, w in zip(new, gs or [0.0] * len(new))], V)
-        ratio = None if prev_diff in (None, 0.0) else diff / prev_diff
-        ratio_l2 = None if prev_l2 in (None, 0.0) else diff_l2 / prev_l2
-        trace.append({"iter": it, "diff": diff, "diff_l2": diff_l2,
-                      "ratio": ratio, "ratio_l2": ratio_l2})
+        ratio = None if prev in (None, 0.0) else diff / prev
+        trace.append({"iter": it, "diff": diff, "ratio": ratio})
         gs = new
         if diff < config.tol:
             break
-        consec = (consec + 1
-                  if (ratio_l2 is not None and ratio_l2 >= 1.0) else 0)
+        consec = consec + 1 if ratio is not None and ratio >= 1.0 else 0
         if consec >= 3:
             raise PicardDivergence(
-                f"no contraction: l2 step ratio >= 1 for 3 consecutive "
+                f"no contraction: step ratio >= 1 for 3 consecutive "
                 f"iterations (last diff {diff:.3e})", trace)
-        prev_diff = diff
-        prev_l2 = diff_l2
+        prev = diff
     else:
         raise PicardDivergence(
             f"no convergence within {config.max_iter} iterations "
             f"(last diff {trace[-1]['diff']:.3e})", trace)
     AK, bound = _x_factors(*_term_rays([f0] + gs, tables), config, grid)
-    residual = _separated_norms([u - w for u, w in zip(gs, AK)], V)[0]
+    residual = _separated_sup([u - w for u, w in zip(gs, AK)], V)
     kf.terms = [(f, f)] + list(zip(gs, V))
     kf.trace = trace
     kf.report = {
@@ -723,7 +715,7 @@ def solve_K(config: KernelConfig, grid: Grid,
         "converged": True,
         "final_residual": residual,
         "tail_bound": bound,
-        "fixed_point_bound": (est / (1.0 - est) * trace[-1]["diff_l2"]
+        "fixed_point_bound": (est / (1.0 - est) * trace[-1]["diff"]
                               if est < 1.0 else None),
     }
     return kf

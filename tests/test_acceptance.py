@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from cdburgers.calculus import (
     dirac_apply,
     interior_slices,
 )
+from cdburgers.cli import cli_run
 from cdburgers.kernel import (
     KernelConfig,
     admissible_kappa,
@@ -316,7 +318,7 @@ def test_4_kernel_solver():
     rho = kf.report["norm_estimate"]
     _check(failures, abs(rho - 0.5) <= 1e-10,
            f"norm estimate {rho} missed the 0.5 target")
-    ratios = [t["ratio_l2"] for t in kf.trace if t["ratio_l2"] is not None]
+    ratios = [t["ratio"] for t in kf.trace if t["ratio"] is not None]
     _check(failures, bool(ratios) and max(ratios) <= 0.6,
            f"iteration ratios exceed 0.6: {ratios}")
     _check(failures, kf.report["final_residual"] <= 10.0 * cfg.tol,
@@ -519,32 +521,38 @@ def test_7_end_to_end_refinement_study():
 # -- 8. deterministic artifacts --------------------------------------------------
 
 
-def test_8_byte_identical_artifacts(tmp_path):
-    failures = []
-    kernel_cfg = {
-        "a": [-1.0, -1.0, 0.0], "p": [5e-06, 0.0], "w0": [0.0, 0.0],
-        "grid": {"n": 2, "lo": -0.5, "hi": 4.5, "count": 11},
-    }
-    # p_2 != 0: the algebra-valued factors, Gram matrices and sup search
-    kernel_p2_cfg = {**kernel_cfg, "p": [5e-06, 2e-06]}
+_KERNEL_8 = {
+    "a": [-1.0, -1.0, 0.0], "p": [5e-06, 0.0], "w0": [0.0, 0.0],
+    "grid": {"n": 2, "lo": -0.5, "hi": 4.5, "count": 11},
+}
+_PROBLEM_8 = {"alpha": 1.0, "beta": 0.0, "gamma": 1e-5, "varsigma": 0.0,
+              "c": [0.0], "n": 2, "lo": -0.5, "hi": 4.5, "horizon": 1.0}
+# the stages that solve for K, as (stage, name, config)
+_NUMERIC_STAGES = (
+    ("kernel", "kernel", _KERNEL_8),
+    # p_2 != 0: the algebra-valued factors and the sup search
+    ("kernel", "kernel-p2", {**_KERNEL_8, "p": [5e-06, 2e-06]}),
     # n = 3, tail on axis 1: the three-segment chain, its c' != c pairs and
     # the certificate's three-operand einsum
-    kernel_n3_cfg = {
+    ("kernel", "kernel-n3", {
         "a": [1.0, 0.0, -1.0], "p": [5e-04, 2e-04], "kappa": [0.0, -2.0, 0.0],
         "w0": [0.0, 0.0, 0.0],
         "grid": {"n": 3, "lo": -0.5, "hi": 4.5, "count": 11},
-    }
-    problem = {"alpha": 1.0, "beta": 0.0, "gamma": 1e-5, "varsigma": 0.0,
-               "c": [0.0], "n": 2, "lo": -0.5, "hi": 4.5, "horizon": 1.0}
-    assemble_cfg = {
-        "problem": problem,
+    }),
+    ("assemble", "assemble", {
+        "problem": _PROBLEM_8,
         "matched": [[1.0, -0.5], [1.0, -1.0]], "p": [0.25, 0.75],
         "w0": [0.0, 0.0], "grid": {"count": 11, "t_count": 7},
         "samples": 512,
-    }
-    verify_cfg = {"problem": problem, "lam_prime": [1.0, -0.5],
-                  "w0": [0.0, 0.0], "levels": [[21, 9]], "collar": 2.0,
-                  "t_collar": 0.25}
+    }),
+    ("verify", "verify", {"problem": _PROBLEM_8, "lam_prime": [1.0, -0.5],
+                          "w0": [0.0, 0.0], "levels": [[21, 9]],
+                          "collar": 2.0, "t_collar": 0.25}),
+)
+
+
+def test_8_byte_identical_artifacts(tmp_path):
+    failures = []
     # 20000 draws span three chunks of the streamed count
     measure_cfg = {"reps": [[1.0, 0.5, 0.3, 0.2], [2.0, -0.5, 0.1, 0.4],
                             [0.5, 1.5, -0.2, 0.3]],
@@ -553,14 +561,9 @@ def test_8_byte_identical_artifacts(tmp_path):
     algebra_cfg = {"levels": [2, 3], "trials": 20}
     translate_cfg = {
         "source": json.loads(TRANSLATE_GOLDEN.read_text())["source"]}
-    stages = (("kernel", "kernel", kernel_cfg),
-              ("kernel", "kernel-p2", kernel_p2_cfg),
-              ("kernel", "kernel-n3", kernel_n3_cfg),
-              ("assemble", "assemble", assemble_cfg),
-              ("verify", "verify", verify_cfg),
-              ("measure-check", "measure", measure_cfg),
-              ("algebra-check", "algebra", algebra_cfg),
-              ("translate", "translate", translate_cfg))
+    stages = _NUMERIC_STAGES + (("measure-check", "measure", measure_cfg),
+                                ("algebra-check", "algebra", algebra_cfg),
+                                ("translate", "translate", translate_cfg))
     for _, name, cfg in stages:
         (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
 
@@ -590,3 +593,19 @@ def test_8_byte_identical_artifacts(tmp_path):
             _check(failures, want == got,
                    f"{rel} differs between runs 'one' and '{other}'")
     _verdict("deterministic artifacts", failures)
+
+
+def test_8_stages_raise_no_floating_point_error(tmp_path):
+    # an overflow, invalid operation or division by zero in a certificate
+    # or a solve fails here instead of printing a numpy warning
+    failures = []
+    for stage, name, cfg in _NUMERIC_STAGES:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        with np.errstate(over="raise", invalid="raise", divide="raise"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_run([stage, "--config", str(path),
+                            "--out", str(tmp_path / name)])
+        _check(failures, code == 0, f"{name} exited {code}")
+    _verdict("no floating-point errors", failures)

@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -239,7 +240,7 @@ def test_kernel_divergence_exits_two(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
     # the failure still leaves its trace, and no solved kernel
     rows = (tmp_path / "kernel_trace.csv").read_text().splitlines()
-    assert rows[0] == "iter,diff,diff_l2,ratio,ratio_l2"
+    assert rows[0] == "iter,diff,ratio"
     assert len(rows) >= 2
     assert not (tmp_path / "K.cdgf").exists()
 
@@ -281,16 +282,18 @@ def test_kernel_rejects_bad_inputs(extra, message, tmp_path, capsys):
 
 
 def test_kernel_refuses_a_nan_certificate(tmp_path, capsys):
-    # f(x/2) overflows on this box and the Frobenius norm is NaN, which
-    # once passed the gate and reported a converged solve
+    # F overflows on this box, where the certificate would be NaN; the box
+    # is refused before any exp, so numpy warns of nothing
     path = _write_cfg(tmp_path / "k.json", dict(
         _KERNEL_CFG, grid={"n": 2, "lo": -800.0, "hi": 800.0, "count": 11}))
     out = tmp_path / "run"
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = cli_run(["kernel", "--config", path, "--out", str(out)])
     assert code == 1
+    assert not caught
     err = capsys.readouterr().err
-    assert "error: operator norm estimate nan is not below 1" in err
+    assert err == "error: exp(kappa . x) overflows on this box\n"
     assert not list(out.glob("*"))
 
 
@@ -479,6 +482,17 @@ def test_verify_rejects_an_empty_ladder(tmp_path, capsys, monkeypatch):
     assert cli_run(["verify", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "error: verify config needs at least one level" in err
+    assert not list(out.glob("*"))
+
+
+def test_verify_requires_a_collar(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path / "v.json", {
+        "problem": _PROBLEM, "lam_prime": [1.0, -0.5], "w0": [0.0, 0.0],
+        "levels": [[21, 9]],
+    })
+    out = tmp_path / "run"
+    assert cli_run(["verify", "--config", cfg, "--out", str(out)]) == 1
+    assert "error: verify config needs 'collar'" in capsys.readouterr().err
     assert not list(out.glob("*"))
 
 
