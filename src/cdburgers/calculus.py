@@ -62,13 +62,16 @@ class Grid:
         if len(self.bounds) != len(self.counts):
             raise ValueError("bounds/counts length mismatch")
         for (lo, hi), m in zip(self.bounds, self.counts):
+            if not np.isfinite([lo, hi]).all():
+                raise ValueError(f"axis bounds must be finite, got {(lo, hi)}")
             if not hi > lo:
                 raise ValueError("degenerate axis bounds")
             if m < 2:
                 raise ValueError("need at least 2 nodes per axis")
         if (self.t_max is None) != (self.t_count is None):
             raise ValueError("time axis needs both t_max and t_count")
-        if self.t_count is not None and (self.t_count < 2 or self.t_max <= 0):
+        if self.t_count is not None and (self.t_count < 2
+                                         or not 0 < self.t_max < np.inf):
             raise ValueError("bad time axis")
 
     @classmethod

@@ -37,8 +37,8 @@ verify
     {"problem": {...},                                         (required)
      "lam_prime": [...], "w0": [...],                          (required)
      "levels": [[count, t_count], ...],                        (required)
-     "collar": 2.0,                                            (required)
-     "t_collar": null,
+     "collar": 2.0,                                      (required, >= 0)
+     "t_collar": null,                                  (>= 0 when given)
      "seed": 0, "tol": 1e-10, "samples": 0}   (samples >= 0; 0 skips it)
 
 Keys a stage does not read are ignored.
@@ -461,6 +461,10 @@ def _run_verify(args) -> int:
         if key not in cfg:
             raise ValueError(f"verify config needs '{key}'")
     levels = [tuple(int(v) for v in row) for row in cfg["levels"]]
+    for row in levels:
+        if len(row) != 2:
+            raise ValueError(f"verify level {list(row)} is not "
+                             "[count, t_count]")
     if not levels:
         raise ValueError("verify config needs at least one level")
     if args.refine is not None:

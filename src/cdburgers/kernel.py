@@ -50,7 +50,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .algebra import basis_mul_coeffs, mul_coeffs
+from .algebra import _mul_tables, basis_mul_coeffs, mul_coeffs
 from .calculus import (
     DiracSpec,
     Grid,
@@ -426,14 +426,12 @@ def _ray_tables(h: np.ndarray, config: KernelConfig, grid: Grid):
     return R, g[(slice(None),) * a + (slice(-1, None),)]
 
 
-def _weigh(T: np.ndarray, config: KernelConfig, scalar_out: bool):
-    """The p_1 term of A K from the T sweep: p_1 pi_1(T) in the complex
-    variant, right multiplication by p_1 in the quaternion one."""
+def _weigh(T: np.ndarray, config: KernelConfig):
+    """The p_1 term of A K from the T sweep: p_1 pi_1(T) on i_0 in the
+    complex variant, right multiplication by p_1 in the quaternion one."""
     p1, level = config.p[0], config.level
     if config.variant == "quaternion":
         return mul_coeffs(T, _p_coeffs(p1, level), level)
-    if scalar_out:
-        return _scalar_weight(p1) * T[..., 1]
     out = np.zeros_like(T)
     out[..., 0] = _scalar_weight(p1) * T[..., 1]
     return out
@@ -461,17 +459,23 @@ def _y_factors(config: KernelConfig, grid: Grid) -> np.ndarray:
     return np.concatenate([Y, Q.reshape((n * n,) + Y.shape[1:])])
 
 
-def _chain(segs, config: KernelConfig, scalar_out: bool) -> list:
+def _chain(segs, config: KernelConfig, unit: int | None = None) -> list:
     """The x factors g_s, in _y_factors' order, from the x segments seg_c'
-    of i_b scale ray (coefficients last, i_b the tail axis's unit): G_c =
-    sum_c' i_{b_c'} i_{b_c} seg_c' (from +0.0 zeros) pairs with Y_c under
-    _weigh, and when p_2 != 0 _weigh_q(i_{b_c''} G_c) with Q_{c'' c}."""
+    of i_b scale ray, coefficients last or scalars on i_unit: G_c = sum_c'
+    i_{b_c'} i_{b_c} seg_c' (from +0.0 zeros) pairs with Y_c under _weigh
+    or p_1 pi_1, and when p_2 != 0 _weigh_q(i_{b_c''} G_c) with Q_{c'' c}."""
     n, level, spec = config.n, config.level, config.dirac_spec()
     bs = [spec.basis_for_axis(c, n) for c in range(n)]
+    if unit is not None:  # units permute signed: one seg_c' lands on i_1
+        idx, sgn = _mul_tables(level)
+        return [_scalar_weight(config.p[0]) * sum(
+            (sgn[b, unit] * sgn[b2, k] * seg
+             for b2, seg in zip(bs, segs) if idx[b2, k] == 1),
+            np.zeros(segs[-1].shape)) for b, k in zip(bs, idx[bs, unit])]
     G = [sum((basis_mul_coeffs(b2, basis_mul_coeffs(b, seg, level), level)
               for b2, seg in zip(bs, segs)), np.zeros(segs[-1].shape))
          for b in bs]
-    gs = [_weigh(Gc, config, scalar_out) for Gc in G]
+    gs = [_weigh(Gc, config) for Gc in G]
     if _pnorm(config.p[1]) > 0:
         gs += [_weigh_q(basis_mul_coeffs(b, Gc, level), config)
                for b in bs for Gc in G]
@@ -487,8 +491,8 @@ def _x_factors(ray: np.ndarray, edge: np.ndarray, config: KernelConfig,
 
     The y sweep of ray(w) f(v/2) falls on the scalar Y_c, so T = sum_c
     G_c(x) Y_c(y).  The ray's n x segments are integrated once (a scalar
-    ray's with no coefficient axis, then put on i_b i_0 = i_b), and _chain
-    permutes them into the factors.  No factors when p = 0.
+    ray's on i_b i_0 = i_b, only under a scalar-closed config, where apply_A
+    does not lift K), and _chain permutes them.  No factors when p = 0.
     """
     if min(grid.counts) < 4:
         raise ValueError("quadrature nodes exhausted: need at least 4 nodes "
@@ -503,14 +507,12 @@ def _x_factors(ray: np.ndarray, edge: np.ndarray, config: KernelConfig,
     scalar = ray.ndim == n
     ray = ray * scale if scalar else basis_mul_coeffs(b, ray * scale, level)
     segs = _segments(ray, grid, grid.node_index(config.w0), spec, 0)
-    if scalar:
-        segs = [seg[..., None] * np.eye(1 << level)[b] for seg in segs]
     # decay certificate measured at the outgoing edge slice; the v factor
     # is positive, so its maximum scales the edge maximum exactly
     rate = config.decay_rate
     cert = float(np.max(np.abs(edge))) * float(np.max(_f_half(config, grid)))
     bound = abs(scale) * cert / rate if rate > 0 else float("inf")
-    return _chain(segs, config, config.scalar_closed() and scalar), bound
+    return _chain(segs, config, b if scalar else None), bound
 
 
 def _separated(gs, V: np.ndarray, index):
@@ -577,9 +579,9 @@ def apply_A(K: GridField, F, config: KernelConfig, grid: Grid,
 
     K is dense, so _ray_tables integrates H(z, j) = K((z with z_a -> j), z)
     along z_a (N^n x N nodes); the diagonal j = w_a is K's ray at w.  Forms
-    the x factors and expands sum_s g_s(x) V_s(y) on V x V.  Returns a
-    scalar pair field when the operator is scalar-closed (complex variant
-    with p_2 = 0) and the input is scalar, an algebra-valued one otherwise.
+    the x factors and expands sum_s g_s(x) V_s(y) on V x V.  A scalar K
+    is put on i_0 unless the operator is scalar-closed (complex variant
+    with p_2 = 0), so only a scalar-closed one maps it to a scalar field.
     The `info` dict, when given, receives the tail truncation bound.
     """
     if K.arity != "xy":
@@ -588,8 +590,7 @@ def apply_A(K: GridField, F, config: KernelConfig, grid: Grid,
         raise ValueError("field grid does not match")
     if K.is_algebra_valued and K.level != config.level:
         raise ValueError("field level does not match the config")
-    lev = (None if config.scalar_closed() and not K.is_algebra_valued
-           else config.level)
+    K = K if config.scalar_closed() else K.as_algebra(config.level)
     n, a = config.n, config.tail_axis
     ix = np.ix_(*[np.arange(k) for k in grid.counts + (grid.counts[a],)])
     xz = tuple(ix[n] if c == a else ix[c] for c in range(n))  # z_a -> j
@@ -599,10 +600,10 @@ def apply_A(K: GridField, F, config: KernelConfig, grid: Grid,
     if info is not None:
         info["tail_bound"] = bound
     if not gs:
-        return GridField.zeros(grid, "xy", level=lev)
+        return GridField.zeros(grid, "xy", level=K.level)
     pairs = np.ix_(*[np.arange(k) for k in grid.counts * 2])
     out = _separated(gs, _y_factors(config, grid), pairs)
-    return GridField(grid, "xy", out, level=lev)
+    return GridField(grid, "xy", out, level=K.level)
 
 
 # ---------------------------------------------------------------------------
@@ -644,14 +645,13 @@ def estimate_A_norm(config: KernelConfig, grid: Grid) -> float:
         X = np.abs(_segment_factor(spec, ax, n)[1] * (R - R[w0_idx[ax]]))
         Sx = Sx * [d[w0_idx[ax]] if ax > c else np.max(d) if ax < c else
                    np.max(np.sum(X * d, axis=1)) for c in range(n)]
-    scalar_out = config.scalar_closed()
-    E = np.eye(1 << level, dtype=np.complex128)[[b] if scalar_out else ...]
+    unit = b if config.scalar_closed() else None  # one scalar slot, on i_b
+    E = np.eye(1 << level if unit is None else 1, dtype=np.complex128)
     L = np.stack(_chain([np.eye(n)[:, c, None, None] * E for c in range(n)],
-                        config, scalar_out), axis=1)
-    L = np.abs(L.reshape(L.shape[:3] + (-1,)))
+                        config, unit), axis=1)
     V = np.max(np.abs(_y_factors(config, grid).reshape(L.shape[1], -1)),
                axis=1)
-    return float(np.max(np.einsum("cske,c,s->e", L, Sx, V)))
+    return float(np.max(np.einsum("cske,c,s->e", np.abs(L), Sx, V)))
 
 
 def solve_K(config: KernelConfig, grid: Grid,
@@ -676,7 +676,7 @@ def solve_K(config: KernelConfig, grid: Grid,
     est = estimate_A_norm(config, grid)
     if not est < 1.0 and not force:
         raise ValueError(
-            f"operator norm estimate {est:.4f} is not below 1: Picard "
+            f"operator norm estimate {est:.4g} is not below 1: Picard "
             "iteration is not a contraction (pass force=True to try anyway)"
         )
     f, V = _f_half(config, grid), _y_factors(config, grid)
@@ -787,7 +787,7 @@ def _aux_lhs(d: tuple, a, q=(0.0, 0.0)) -> np.ndarray:
 def _collar_cells(grid: Grid, collar: float | None) -> int:
     """Interior margin in cells: at least the composed stencil reach, and
     at least ``collar`` physical units when given; ValueError when the
-    grid leaves no node inside it.
+    collar is negative or not finite, or the grid leaves no node inside it.
 
     Refinement studies should pass the same ``collar`` at every level so
     the residual is compared over an identical physical window; the
@@ -795,6 +795,8 @@ def _collar_cells(grid: Grid, collar: float | None) -> int:
     """
     cells = S2_REACH
     if collar is not None:
+        if not 0 <= collar < np.inf:
+            raise ValueError(f"collar must be finite and >= 0, got {collar}")
         h = min(grid.spacings)
         cells = max(cells, int(np.ceil(collar / h - 1e-9)))
     if min(grid.counts) <= 2 * cells + 1:

@@ -454,9 +454,12 @@ def _t_margin_rows(grid: Grid, t_collar: float | None) -> int:
     """Time-interior margin in rows: at least the one-sided stencil reach,
     and at least ``t_collar`` time units when given (pass the same value
     at every level of a refinement ladder so the compared window is a
-    fixed slab of [0, T])."""
+    fixed slab of [0, T]); ValueError when it is negative or not finite."""
     rows = 2
     if t_collar is not None:
+        if not 0 <= t_collar < np.inf:
+            raise ValueError(
+                f"t_collar must be finite and >= 0, got {t_collar}")
         rows = max(rows, int(np.ceil(t_collar / grid.tau - 1e-9)))
     return rows
 

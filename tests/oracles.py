@@ -265,7 +265,8 @@ def reference_apply_A(K, config, grid, info=None):
         info["tail_bound"] = bound
     mid = prefix_line_integrals(inner, grid, w0_idx, spec, group_offset=n)
     T = prefix_line_integrals(mid, grid, w0_idx, spec, group_offset=0)
-    out = _weigh(T, config, scalar_out)
+    out = (_scalar_weight(config.p[0]) * T[..., 1] if scalar_out
+           else _weigh(T, config))
     if _pnorm(config.p[1]) > 0:
         out = out + _weigh_q(prefix_line_integrals(
             T, grid, w0_idx, spec, group_offset=n), config)
@@ -293,7 +294,8 @@ def reference_x_factors(ray, config, grid):
     """The x factors g_s of the separated operator, per axis: the scaled
     ray, on coefficient 0 when scalar, under the tail axis's unit i_b; then
     G_c = prefix_line_integrals(i_{b_c} i_b (scale ray)) for each c,
-    weighed by the library's _weigh, and when p_2 != 0 _weigh_q of
+    weighed as p_1 pi_1(G_c) for a scalar ray (scalar-closed configs only)
+    and by the library's _weigh otherwise, and when p_2 != 0 _weigh_q of
     i_{b_c''} G_c, in the order of reference_y_factors."""
     n, level = config.n, config.level
     spec = config.dirac_spec()
@@ -306,7 +308,8 @@ def reference_x_factors(ray, config, grid):
     bs = [spec.basis_for_axis(c, n) for c in range(n)]
     G = [prefix_line_integrals(basis_mul_coeffs(j, ray, level), grid,
                                w0_idx, spec, group_offset=0) for j in bs]
-    gs = [_weigh(Gc, config, scalar_out) for Gc in G]
+    gs = [_scalar_weight(config.p[0]) * Gc[..., 1] if scalar_out
+          else _weigh(Gc, config) for Gc in G]
     if _pnorm(config.p[1]) > 0:
         gs += [_weigh_q(basis_mul_coeffs(j, Gc, level), config)
                for j in bs for Gc in G]

@@ -39,6 +39,10 @@ def test_grid_validation():
         Grid(((0.0, 1.0),), (1,))
     with pytest.raises(ValueError):
         Grid(((0.0, 1.0),), (5,), t_max=1.0)  # t_count missing
+    with pytest.raises(ValueError, match="bounds must be finite"):
+        Grid(((0.0, np.inf),), (5,))
+    with pytest.raises(ValueError, match="bad time axis"):
+        Grid(((0.0, 1.0),), (5,), t_max=np.inf, t_count=5)
     g = Grid.box(2, 0.0, 1.0, 5)
     assert g.spacings == (0.25, 0.25)
     assert g.node_index((0.5, 0.75)) == (2, 3)

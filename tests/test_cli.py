@@ -268,9 +268,15 @@ def test_kernel_refuses_noncontractive_weight(tmp_path, capsys):
     (dict(w0=[0.0, -math.inf]), "w0 must be finite"),
     (dict(r_inf=math.inf), "r_inf must be finite, got inf"),
     (dict(a=[0, -1, 0]), "a_1 must be nonzero"),
+    # a bound far above 1 prints in exponent form, not as 300 digits
+    (dict(kappa=[-2.0, 0.0],
+          grid={"n": 2, "lo": -354.0, "hi": 354.0, "count": 11}),
+     "operator norm estimate 1.617e+308 is not below 1"),
+    (dict(grid={**_KERNEL_CFG["grid"], "hi": math.inf}),
+     "axis bounds must be finite, got (-0.5, inf)"),
 ], ids=["max_iter-0", "level-1", "level-2-n4", "r_inf-negative",
         "tol-negative", "tol-0", "tol-nan", "p-nan", "a-inf", "kappa-nan",
-        "w0-inf", "r_inf-inf", "a1-0"])
+        "w0-inf", "r_inf-inf", "a1-0", "estimate-huge", "hi-inf"])
 def test_kernel_rejects_bad_inputs(extra, message, tmp_path, capsys):
     path = _write_cfg(tmp_path / "k.json", dict(_KERNEL_CFG, **extra))
     out = tmp_path / "run"
@@ -493,6 +499,29 @@ def test_verify_requires_a_collar(tmp_path, capsys):
     out = tmp_path / "run"
     assert cli_run(["verify", "--config", cfg, "--out", str(out)]) == 1
     assert "error: verify config needs 'collar'" in capsys.readouterr().err
+    assert not list(out.glob("*"))
+
+
+@pytest.mark.parametrize("extra, message", [
+    (dict(collar=-1.0), "collar must be finite and >= 0, got -1.0"),
+    (dict(collar=math.inf), "collar must be finite and >= 0, got inf"),
+    (dict(t_collar=-3), "t_collar must be finite and >= 0, got -3.0"),
+    (dict(t_collar=math.inf), "t_collar must be finite and >= 0, got inf"),
+    (dict(levels=[[21]]), "verify level [21] is not [count, t_count]"),
+    (dict(levels=[[21, 9, 5]]),
+     "verify level [21, 9, 5] is not [count, t_count]"),
+], ids=["collar-negative", "collar-inf", "t_collar-negative", "t_collar-inf",
+        "levels-row-1", "levels-row-3"])
+def test_verify_rejects_bad_window_inputs(extra, message, tmp_path, capsys):
+    cfg = _write_cfg(tmp_path / "v.json", {
+        "problem": _PROBLEM, "lam_prime": [1.0, -0.5], "w0": [0.0, 0.0],
+        "levels": [[21, 9]], "collar": 2.0, **extra,
+    })
+    out = tmp_path / "run"
+    assert cli_run(["verify", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
     assert not list(out.glob("*"))
 
 

@@ -544,6 +544,28 @@ def test_apply_a_matches_dense_reference(kw, n):
                                                rel=1e-13)
 
 
+@pytest.mark.parametrize("kw, n", [
+    pytest.param(kw, n, id=name)
+    for (kw, n), name in zip(_PARITY.args[1], _PARITY.kwargs["ids"])
+    if not KernelConfig(**kw, **_SOLVE[n][0]).scalar_closed()])
+def test_apply_a_lifts_a_scalar_field_off_the_scalar_line(kw, n):
+    # _x_factors takes a scalar ray only under a scalar-closed config, so
+    # apply_A puts a scalar K on i_0 here: bit for bit the lifted field
+    base, g = _SOLVE[n]
+    cfg = KernelConfig(**kw, **base)
+    rng = np.random.default_rng(23)
+    shape = g.shape("xy")
+    K = GridField(g, "xy", rng.standard_normal(shape)
+                  + 1j * rng.standard_normal(shape))
+    got = apply_A(K, None, cfg, g)
+    want = reference_apply_A(K, cfg, g)
+    assert got.level == want.level == cfg.level
+    lifted = apply_A(K.as_algebra(cfg.level), None, cfg, g)
+    assert np.array_equal(got.values, lifted.values)
+    err = np.max(np.abs(got.values - want.values))
+    assert err <= 1e-13 * np.max(np.abs(want.values))
+
+
 @_PARITY
 def test_solver_matches_dense_picard_reference(kw, n):
     base, g = _SOLVE[n]
@@ -567,9 +589,15 @@ def test_y_factors_are_the_prefix_sweep_coefficients(kw, n):
                           oracles.reference_y_factors(cfg, g))
 
 
-@_PARITY
-@pytest.mark.parametrize("algebra", [False, True],
-                         ids=["scalar-ray", "algebra-ray"])
+# a scalar ray stands for its value on i_0 and needs a scalar-closed config
+_X_FACTOR_CASES = [
+    pytest.param(kw, n, algebra, id=f"{kind}-ray-{name}")
+    for algebra, kind in ((False, "scalar"), (True, "algebra"))
+    for (kw, n), name in zip(_PARITY.args[1], _PARITY.kwargs["ids"])
+    if algebra or KernelConfig(**kw, **_SOLVE[n][0]).scalar_closed()]
+
+
+@pytest.mark.parametrize("kw, n, algebra", _X_FACTOR_CASES)
 def test_x_factors_match_the_per_axis_prefix_sweeps(kw, n, algebra):
     # the ray's n segments are integrated once and then permuted; the
     # reference integrates them once per axis on the coefficient axis
@@ -654,6 +682,23 @@ def test_solver_peak_memory_stays_on_V():
         tracemalloc.stop()
     assert kf.report["converged"]
     assert peak < 40 * 2 ** 20
+
+
+def test_scalar_closed_x_factors_form_no_coefficient_axis():
+    # each scalar factor takes the one signed segment that lands on i_1,
+    # so the call peaks near its output; segments lifted onto a 2^level
+    # coefficient axis would peak near 11 times it
+    cfg, g = _gate_config(3, 5e-6), Grid.box(3, -0.5, 4.5, 21)
+    rng = np.random.default_rng(31)
+    ray = rng.standard_normal(g.counts) + 1j * rng.standard_normal(g.counts)
+    tracemalloc.start()
+    try:
+        gs, _ = _x_factors(ray, ray, cfg, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [u.shape for u in gs] == [g.counts] * 3
+    assert peak <= 4 * sum(u.nbytes for u in gs)
 
 
 @pytest.mark.parametrize("kw, n", [
