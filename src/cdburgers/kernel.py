@@ -543,24 +543,27 @@ def _separated_sup(ds, V: np.ndarray) -> float:
     """Sup norm of sum_s d_s(x) V_s(y) on V x V, without forming it.
 
     Visits (x, coefficient) rows in decreasing order of the bound sum_s
-    |d_s| max |V_s| (inflated to cover rounding) in chunks of 1, 2, 4, ...
-    up to 64 rows, forms their entries in _separated's order, so the max
+    |d_s| max |V_s| (summed one term at a time, inflated to cover
+    rounding) in chunks of 1, 2, 4, ... up to 64 rows, reads them from
+    the d_s in place, forms their entries in _separated's order, so the max
     keeps its bits, and stops once no row left can exceed it; a NaN row
     bound makes the sup NaN.  Fixed-order numpy sums; 0.0 without factors.
     """
     if not ds:
         return 0.0
-    D = np.stack(ds).reshape(len(ds), -1)  # rows (x, coefficient)
     Vf = V[:len(ds)].reshape(len(ds), -1)
-    B = np.sum(np.abs(D) * np.max(np.abs(Vf), axis=1)[:, None], axis=0)
+    B = np.zeros(ds[0].shape)  # rows (x, coefficient), C order
+    for d, v in zip(ds, Vf):  # one term at a time, in order of s
+        B += np.abs(d) * np.max(np.abs(v))
     B *= 1.0 + 1e-12
+    B = B.ravel()
     order = np.argsort(-B, kind="stable")
     sup, i, step = (np.nan if np.isnan(B).any() else 0.0), 0, 1
     while i < order.size and B[order[i]] >= sup:
-        rows = order[i:i + step]
+        rows = np.unravel_index(order[i:i + step], ds[0].shape)
         out = 0.0
-        for d, v in zip(D, Vf):
-            out = out + d[rows, None] * v
+        for d, v in zip(ds, Vf):
+            out = out + d[rows][:, None] * v
         sup = max(sup, float(np.max(np.abs(out))))
         i, step = i + step, min(2 * step, 64)
     return sup

@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import cdburgers.cli
 import cdburgers.kernel
 import cdburgers.workbench
 from cdburgers.calculus import load_field
@@ -415,7 +414,7 @@ def test_out_of_memory_exits_one(tmp_path, capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 385. GiB")
 
-    monkeypatch.setattr(cdburgers.cli, "solve_K", exhausted)
+    monkeypatch.setattr(cdburgers.kernel, "solve_K", exhausted)
     path = _write_cfg(tmp_path / "k.json", _KERNEL_CFG)
     assert cli_run(["kernel", "--config", path,
                     "--out", str(tmp_path)]) == 1
@@ -536,19 +535,32 @@ def test_module_invocation_round_trip(tmp_path):
 
 
 def test_cli_import_leaves_sympy_unloaded():
-    # each stage imports the modules only it needs on first use: sympy and
-    # the PDE parser for translate, workbench, randmeasure and temporal for
-    # the stages that use them; neither the import nor kernel --help loads
-    # any of them
+    # each stage imports the modules only it needs when it runs: numpy and
+    # the numeric layers, sympy and the PDE parser for translate, workbench,
+    # randmeasure and temporal for the stages that use them; neither the
+    # imports, any stage's --help nor a usage error loads any of them, and
+    # the package serves its algebra names on first use
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys\n"
+         "lazy = {'numpy', 'sympy'} | {'cdburgers.' + m for m in\n"
+         "    ('algebra', 'calculus', 'kernel', 'pdelang', 'workbench',\n"
+         "     'randmeasure', 'temporal')}\n"
+         "def check(when):\n"
+         "    assert not lazy & set(sys.modules), (when, sorted(sys.modules))\n"
+         "import cdburgers\n"
+         "check('import cdburgers')\n"
          "import cdburgers.cli\n"
-         "lazy = ['sympy'] + ['cdburgers.' + m for m in\n"
-         "    ('pdelang', 'workbench', 'randmeasure', 'temporal')]\n"
-         "assert not set(lazy) & set(sys.modules), sorted(sys.modules)\n"
-         "assert cdburgers.cli.cli_run(['kernel', '--help']) == 0\n"
-         "assert not set(lazy) & set(sys.modules), sorted(sys.modules)\n"],
+         "check('import cdburgers.cli')\n"
+         "for stage in ('algebra-check', 'translate', 'kernel', 'ode',\n"
+         "              'measure-check', 'assemble', 'verify'):\n"
+         "    assert cdburgers.cli.cli_run([stage, '--help']) == 0, stage\n"
+         "    check(stage + ' --help')\n"
+         "assert cdburgers.cli.cli_run(['kernel', '--bogus']) == 1\n"
+         "check('kernel --bogus')\n"
+         "from cdburgers import CdElement, cd_mul\n"
+         "import cdburgers.algebra as algebra\n"
+         "assert CdElement is algebra.CdElement and cd_mul is algebra.cd_mul\n"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
@@ -599,6 +611,9 @@ _LIB_PAGES = r"openblas|mkl|blas|lapack|_umath_linalg"
 
 _PAGE_PROBE = """
 import json, re, sys
+import numpy
+import cdburgers.kernel, cdburgers.workbench, cdburgers.randmeasure
+import cdburgers.temporal
 from cdburgers.cli import cli_run
 
 def lib_rss():
@@ -626,7 +641,9 @@ print(json.dumps(growth))
 def test_no_cli_stage_faults_in_blas_or_lapack_pages(tmp_path):
     # the runtime side of tests/test_kernel.py's static BLAS guard: in one
     # fresh process, no stage makes resident a page of the BLAS or LAPACK
-    # libraries (or numpy's _umath_linalg) that was not resident before it
+    # libraries (or numpy's _umath_linalg) that was not resident before it;
+    # the CLI loads numpy only when a stage runs, so the probe imports it
+    # and the stage layers before its first reading
     if not Path("/proc/self/smaps").exists():
         pytest.skip("no /proc/self/smaps")
     cfgs = {

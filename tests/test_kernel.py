@@ -808,6 +808,30 @@ def test_separated_norms_search_past_rows_whose_bound_overstates():
     assert _separated_sup(list(d), V) == np.max(np.abs(dense))
 
 
+def test_separated_sup_peak_stays_under_four_step_terms(monkeypatch):
+    # the row bound is summed one term at a time and the rows are read from
+    # the terms in place: the first step's sup at n = 3, N = 31 peaks near
+    # 3 step terms' bytes, and stacking the terms with their moduli took 6
+    class Captured(Exception):
+        pass
+
+    def capture(ds, V):
+        raise Captured(ds, V)
+
+    monkeypatch.setattr(cdburgers.kernel, "_separated_sup", capture)
+    with pytest.raises(Captured) as caught:
+        solve_K(_gate_config(3, 5e-6), Grid.box(3, -0.5, 4.5, 31))
+    ds, V = caught.value.args
+    tracemalloc.start()
+    try:
+        sup = _separated_sup(ds, V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ds) == 3 and 0.0 < sup < 1.0
+    assert peak <= 4 * ds[0].nbytes
+
+
 @pytest.mark.parametrize("kw, n", [(dict(p=(0.1, 0.0)), 1),
                                    (dict(p=(0.1, 0.05), r_inf=1.3), 2)],
                          ids=["scalar", "n2-p2-r_inf"])
