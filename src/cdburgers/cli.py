@@ -43,12 +43,14 @@ verify
 
 Keys a stage does not read are ignored.
 
-Artifacts are written into --out (default "."): JSON manifests through the
-canonical serializer (sorted keys, fixed separators), CSV tables, and
-binary field dumps in the documented calculus byte layout, so a fixed
-config and seed produce byte-identical outputs.  The kernel dumps
-(K.cdgf, atom*_K.cdgf) hold K's separated terms (layout version 2), not
-its N^{2n} pair values; calculus.load_field expands them.
+Artifacts are written into --out (default "."): JSON manifests, CSV
+tables, and binary field dumps in the documented calculus byte layout, so
+a fixed config and seed produce byte-identical outputs.  The numeric
+layers return plain dicts and rows; _json_text (sorted keys, fixed
+separators, complex as [re, im]) and _csv_text (floats by repr, None as an
+empty field, "\n" after every line) are the only encoders of --out text.
+The kernel dumps (K.cdgf, atom*_K.cdgf) hold K's separated terms (layout
+version 2), not its N^{2n} pair values; calculus.load_field expands them.
 
 Exit codes: 0 success, 1 validation error (bad flags, bad config or a
 config value of the wrong type, missing file), 2 numerical failure
@@ -98,10 +100,38 @@ def _write_text(out: Path, name: str, text: str) -> None:
     print(f"wrote {out / name}")
 
 
-def _emit(out: Path, name: str, report: dict) -> None:
-    from .kernel import report_json
+def _json_text(report: dict) -> str:
+    """Canonical JSON: sorted keys, fixed separators, complex as [re, im],
+    numpy scalars as their Python values, so equal runs write equal bytes."""
 
-    _write_text(out, name, report_json(report))
+    def plain(x):
+        if isinstance(x, complex):
+            return [x.real, x.imag]
+        if getattr(x, "ndim", None) == 0:  # a numpy scalar; no numpy import
+            return x.item()
+        raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+    return json.dumps(report, default=plain, sort_keys=True,
+                      separators=(",", ":"))
+
+
+def _csv_text(header, rows) -> str:
+    """CSV table: the header line, then one line per row with None as an
+    empty field and every other value by repr, each line ended by "\n"."""
+    lines = [",".join(header)]
+    lines += [",".join("" if v is None else repr(v) for v in row)
+              for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+def _emit(out: Path, name: str, report: dict) -> None:
+    _write_text(out, name, _json_text(report))
+
+
+def _require(cfg: dict, stage: str, keys) -> None:
+    for key in keys:
+        if key not in cfg:
+            raise ValueError(f"{stage} config needs '{key}'")
 
 
 def _finish(ok: bool, what: str) -> int:
@@ -230,11 +260,8 @@ def _run_translate(args) -> int:
 
 def _write_trace(out: Path, trace: list) -> None:
     keys = ("iter", "diff", "ratio")
-    rows = [",".join(keys)]
-    for t in trace:
-        rows.append(",".join("" if t[k] is None else repr(t[k])
-                             for k in keys))
-    _write_text(out, "kernel_trace.csv", "\n".join(rows) + "\n")
+    _write_text(out, "kernel_trace.csv",
+                _csv_text(keys, ([t[k] for k in keys] for t in trace)))
 
 
 def _run_kernel(args) -> int:
@@ -243,9 +270,7 @@ def _run_kernel(args) -> int:
                          run_report, solve_K)
 
     cfg = _load_config(args)
-    for key in ("a", "p", "w0", "grid"):
-        if key not in cfg:
-            raise ValueError(f"kernel config needs '{key}'")
+    _require(cfg, "kernel", ("a", "p", "w0", "grid"))
     g = cfg["grid"]
     grid = Grid.box(int(g.get("n", 2)), float(g["lo"]), float(g["hi"]),
                     int(g["count"]))
@@ -292,13 +317,16 @@ def _run_ode(args) -> int:
     horizon = float(args.horizon if args.horizon is not None
                     else cfg.get("horizon", 0.5))
     tau = args.tau if args.tau is not None else cfg.get("tau")
-    from .temporal import CauchySpec, solve_cauchy, trajectory_csv
+    from .temporal import CauchySpec, solve_cauchy
 
     spec = CauchySpec(m=m, c=c, lam=lam, horizon=horizon,
                       tau=None if tau is None else float(tau))
     traj = solve_cauchy(spec)
     out = _outdir(args)
-    _write_text(out, "trajectory.csv", trajectory_csv(traj))
+    _write_text(out, "trajectory.csv", _csv_text(
+        ("t", "re_phi", "im_phi", "residual"),
+        ((float(t), float(v.real), float(v.imag), float(r))
+         for t, v, r in zip(traj.times, traj.values, traj.residuals))))
     _emit(out, "ode_report.json", {
         "m": m, "c": list(c), "lambda": list(lam),
         "horizon": horizon, "tau": spec.step,
@@ -327,9 +355,7 @@ def _run_measure_check(args) -> int:
                               xi_from_rule)
 
     cfg = _load_config(args)
-    for key in ("reps", "p"):
-        if key not in cfg:
-            raise ValueError(f"measure-check config needs '{key}'")
+    _require(cfg, "measure-check", ("reps", "p"))
     reps = tuple(tuple(float(v) for v in row) for row in cfg["reps"])
     partition = Partition(reps=reps,
                           diameter=float(cfg.get("diameter", 1.0)))
@@ -430,9 +456,7 @@ def _run_assemble(args) -> int:
                  for row in cfg["matched"]]
     else:
         raise ValueError("config needs 'atoms' or 'matched'")
-    for key in ("p", "w0", "grid"):
-        if key not in cfg:
-            raise ValueError(f"assemble config needs '{key}'")
+    _require(cfg, "assemble", ("p", "w0", "grid"))
     grid = spec.grid(int(cfg["grid"]["count"]), int(cfg["grid"]["t_count"]))
     measure = measure_for_atoms(atoms, spec, tuple(cfg["p"]),
                                 seed=int(cfg.get("seed", 0)))
@@ -456,13 +480,11 @@ def _run_assemble(args) -> int:
 
 
 def _run_verify(args) -> int:
-    from .workbench import refinement_study, study_csv
+    from .workbench import REFINEMENT_COLUMNS, refinement_study
 
     cfg = _load_config(args)
     spec = _problem(cfg)
-    for key in ("lam_prime", "w0", "levels", "collar"):
-        if key not in cfg:
-            raise ValueError(f"verify config needs '{key}'")
+    _require(cfg, "verify", ("lam_prime", "w0", "levels", "collar"))
     levels = [tuple(int(v) for v in row) for row in cfg["levels"]]
     for row in levels:
         if len(row) != 2:
@@ -483,7 +505,8 @@ def _run_verify(args) -> int:
         seed=int(cfg.get("seed", 0)), tol=float(cfg.get("tol", 1e-10)),
         samples=int(cfg.get("samples", 0)))
     out = _outdir(args)
-    csv_text = study_csv(rows)
+    csv_text = _csv_text(REFINEMENT_COLUMNS, (
+        [row.get(k) for k in REFINEMENT_COLUMNS] for row in rows))
     _write_text(out, "refinement.csv", csv_text)
     ratios = [row[key] for row in rows for key in row
               if key.endswith("_ratio")]

@@ -45,7 +45,6 @@ exponential decay certificate, mirroring calculus.tail_integral.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -79,7 +78,6 @@ __all__ = [
     "aux_residual",
     "aux_diagnostics",
     "run_report",
-    "report_json",
     "prefix_line_integrals",
 ]
 
@@ -859,33 +857,12 @@ def aux_diagnostics(kf: KernelField, grid: Grid,
 # ---------------------------------------------------------------------------
 
 
-def _jsonable(x):
-    if isinstance(x, complex):
-        return [x.real, x.imag]
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, np.complexfloating):
-        return [float(x.real), float(x.imag)]
-    if isinstance(x, (tuple, list)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    return x
-
-
 def run_report(kf: KernelField, grid: Grid) -> dict:
-    """JSON-ready record of one solve: config echo, gates, trace."""
+    """Record of one solve: config echo, gates, trace."""
     c = kf.config
-    return _jsonable({
+    return {
         "config": {**asdict(c), "q": c.q},
         "grid": {"bounds": grid.bounds, "counts": grid.counts},
         "trace": kf.trace,
         **kf.report,
-    })
-
-
-def report_json(report: dict) -> str:
-    """Canonical serialization (JSON-ready values, sorted keys, fixed
-    separators), so equal runs produce byte-identical reports."""
-    return json.dumps(_jsonable(report), sort_keys=True,
-                      separators=(",", ":"))
+    }

@@ -29,7 +29,6 @@ bit from (seed, sample count).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +47,6 @@ __all__ = [
     "WeightedMeasure",
     "fubini_check",
     "expectation",
-    "measure_to_json",
-    "measure_from_json",
 ]
 
 
@@ -336,40 +333,3 @@ def expectation(samples: np.ndarray) -> tuple:
         raise ValueError("need at least one sample")
     return moments(np.ones(len(samples), dtype=np.int64), samples)
 
-
-def measure_to_json(measure: AtomicRandomMeasure) -> str:
-    """Canonical measure spec: cells, weights, amplitudes, seed."""
-
-    def c2(z):
-        z = complex(z)
-        return [z.real, z.imag]
-
-    blob = {
-        "reps": [[c2(v) for v in r] for r in measure.partition.reps],
-        "diameter": measure.partition.diameter,
-        "p": [float(v) for v in measure.p],
-        "xi": [c2(v) for v in measure.xi],
-        "multiplier": None if measure.multiplier is None else [
-            np.asarray(v).tolist() for v in measure.multiplier],
-        "seed": measure.seed,
-    }
-    return json.dumps(blob, sort_keys=True, separators=(",", ":"))
-
-
-def measure_from_json(blob: str) -> AtomicRandomMeasure:
-    d = json.loads(blob)
-
-    def fc(pair):
-        return complex(pair[0], pair[1])
-
-    reps = tuple(tuple(fc(v) for v in r) for r in d["reps"])
-    mult = d.get("multiplier")
-    return AtomicRandomMeasure(
-        partition=Partition(reps=reps, diameter=float(d["diameter"])),
-        p=tuple(float(v) for v in d["p"]),
-        xi=tuple(fc(v) for v in d["xi"]),
-        multiplier=None if mult is None else tuple(
-            np.asarray(v) if isinstance(v, list) else float(v)
-            for v in mult),
-        seed=int(d["seed"]),
-    )

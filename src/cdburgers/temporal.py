@@ -17,8 +17,6 @@ rather than restating it.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +25,6 @@ __all__ = [
     "CauchySpec",
     "Trajectory",
     "solve_cauchy",
-    "trajectory_csv",
 ]
 
 
@@ -161,14 +158,3 @@ def solve_cauchy(spec: CauchySpec) -> Trajectory:
         blowup_time=blowup_time,
         spec=spec,
     )
-
-
-def trajectory_csv(traj: Trajectory) -> str:
-    """CSV with columns t, re_phi, im_phi, residual."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["t", "re_phi", "im_phi", "residual"])
-    for t, v, r in zip(traj.times, traj.values, traj.residuals):
-        w.writerow([repr(float(t)), repr(float(v.real)),
-                    repr(float(v.imag)), repr(float(r))])
-    return buf.getvalue()

@@ -39,8 +39,6 @@ the cross constraint p_2 gamma = p_1 sigma automatically).
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +80,7 @@ __all__ = [
     "moment_identity",
     "residual_suite",
     "refinement_study",
-    "study_csv",
+    "REFINEMENT_COLUMNS",
 ]
 
 
@@ -358,8 +356,7 @@ def assemble_u(atoms, measure: AtomicRandomMeasure, grid: Grid,
 # ---------------------------------------------------------------------------
 
 
-def moment_identity(sol: SolutionField, *, samples: int = 0,
-                    node=None, t_index: int | None = None) -> dict:
+def moment_identity(sol: SolutionField, *, samples: int = 0) -> dict:
     """Check the second-moment structure of the assembled field.
 
     Analytic part: E u^2 computed by outcome enumeration must match the
@@ -367,10 +364,11 @@ def moment_identity(sol: SolutionField, *, samples: int = 0,
     reassociation, and the report states whether E(u^2) = (E u)^2 holds
     (it does exactly for a single atom, and fails for generic mixtures).
     Both are formed one time row at a time (SolutionField.moment_row).
-    With samples > 0 a Monte Carlo cross-check runs at one diagonal node:
-    u there takes one value per cell, so its sample moments reduce over
-    per-cell draw counts streamed from the seeded draw (sample_counts);
-    nothing of length `samples` is formed.  samples < 0 is rejected.
+    With samples > 0 a Monte Carlo cross-check runs at the centre node of
+    the middle time row: u there takes one value per cell, so its sample
+    moments reduce over per-cell draw counts streamed from the seeded draw
+    (sample_counts); nothing of length `samples` is formed.  samples < 0
+    is rejected.
     """
     second_max = structure_gap = square_gap = 0.0
     for ti in range(sol.grid.t_count):
@@ -395,10 +393,8 @@ def moment_identity(sol: SolutionField, *, samples: int = 0,
     }
 
     if samples:
-        if t_index is None:
-            t_index = sol.grid.t_count // 2
-        if node is None:
-            node = tuple(c // 2 for c in sol.grid.counts)
+        t_index = sol.grid.t_count // 2
+        node = tuple(c // 2 for c in sol.grid.counts)
         counts = sample_counts(sol.measure, samples)
         vals, _ = sol.enumerate_node(t_index, node)
         m1, se1 = moments(counts, vals)
@@ -583,6 +579,9 @@ def residual_suite(sol: SolutionField, *, collar: float | None = None,
 
 _STUDY_KEYS = ("linear", "pair", "expectation", "diagonal_mean",
                "diagonal_expect")
+# the columns of the refinement table, in order
+REFINEMENT_COLUMNS = ("count", "t_count", "h", "tau", *_STUDY_KEYS,
+                      *(f"{k}_ratio" for k in _STUDY_KEYS))
 
 
 def refinement_study(spec: SobolevBurgersSpec, lam_prime, levels, w0, *,
@@ -614,22 +613,3 @@ def refinement_study(spec: SobolevBurgersSpec, lam_prime, levels, w0, *,
         rows.append(row)
         prev = res
     return rows
-
-
-def study_csv(rows) -> str:
-    """Deterministic CSV rendering of a refinement study."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = ["count", "t_count", "h", "tau", *_STUDY_KEYS,
-              *[f"{k}_ratio" for k in _STUDY_KEYS]]
-    writer.writerow(header)
-    for row in rows:
-        out = []
-        for key in header:
-            v = row.get(key, "")
-            if isinstance(v, float):
-                out.append(repr(v))
-            else:
-                out.append(str(v))
-        writer.writerow(out)
-    return buf.getvalue()

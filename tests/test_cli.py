@@ -1,6 +1,7 @@
 """Tests for the command line front end: exit codes, artifacts, and the
 byte determinism of written reports."""
 
+import ast
 import csv
 import json
 import math
@@ -563,6 +564,57 @@ def test_cli_import_leaves_sympy_unloaded():
          "assert CdElement is algebra.CdElement and cd_mul is algebra.cd_mul\n"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+_LAYER_PROBE = """
+import json, sys
+from cdburgers.cli import cli_run
+
+for argv, absent in json.loads(sys.argv[1]):
+    assert cli_run(argv) == 0, argv
+    loaded = {'cdburgers.' + m for m in absent} & set(sys.modules)
+    assert not loaded, (argv[0], sorted(loaded))
+"""
+
+
+def test_stages_that_solve_no_kernel_load_no_kernel(tmp_path):
+    # cli alone encodes the reports, so writing one loads no numeric layer:
+    # ode, measure-check and algebra-check load neither kernel nor calculus,
+    # and translate (which lowers derivatives through calculus) no kernel
+    cfgs = {
+        "measure-check": dict(_MEASURE_CFG, samples=1000),
+        "algebra-check": {"levels": [2], "trials": 2},
+        "translate": {"source": "dt(u) + u*dx1(u) = 0"},
+    }
+    runs = [[["ode", "--m", "1", "--lambda", "1,1", "--horizon", "0.05",
+              "--out", str(tmp_path / "ode")], ["kernel", "calculus"]]]
+    for stage, cfg in cfgs.items():
+        path = _write_cfg(tmp_path / f"{stage}.json", cfg)
+        runs.append([[stage, "--config", path, "--out", str(tmp_path / stage)],
+                     ["kernel"] if stage == "translate"
+                     else ["kernel", "calculus"]])
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAYER_PROBE, json.dumps(runs)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "translate" / "translate_report.json").exists()
+
+
+def test_only_cli_imports_json_or_csv():
+    # the artifact text formats have one owner: the numeric layers return
+    # plain dicts and rows, and cli encodes them
+    importers = set()
+    for path in sorted(Path(cdburgers.kernel.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if {n.split(".")[0] for n in names} & {"json", "csv"}:
+                importers.add(path.stem)
+    assert importers == {"cli"}
 
 
 @pytest.mark.parametrize("stage, cfg", [

@@ -19,6 +19,7 @@ from cdburgers.algebra import basis_mul_coeffs
 from cdburgers.calculus import (DiracSpec, Grid, GridField, _segment_factor,
                                 dump_field, interior_slices, line_integral,
                                 load_field)
+from cdburgers.cli import _json_text
 from cdburgers.kernel import (
     KernelConfig,
     PicardDivergence,
@@ -39,7 +40,6 @@ from cdburgers.kernel import (
     estimate_A_norm,
     midpoint_pair_field,
     prefix_line_integrals,
-    report_json,
     run_report,
     s1_apply,
     s2a_apply,
@@ -1164,7 +1164,7 @@ def test_report_serialization_is_deterministic():
     blobs = []
     for _ in range(2):
         kf = solve_K(cfg, g)
-        blobs.append(report_json(run_report(kf, g)))
+        blobs.append(_json_text(run_report(kf, g)))
     assert blobs[0] == blobs[1]
     assert '"norm_estimate"' in blobs[0]
 

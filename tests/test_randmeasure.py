@@ -23,8 +23,6 @@ from cdburgers.randmeasure import (
     expectation,
     fubini_check,
     integrate_step,
-    measure_from_json,
-    measure_to_json,
     moments,
     sample_H,
     sample_counts,
@@ -435,16 +433,6 @@ def test_amplitude_rule_cases():
         xi_from_rule((1.0, 2.0), m=2, gamma=1.0)
     with pytest.raises(ValueError, match="m >= 1"):
         xi_from_rule((2.0,), m=-2, gamma=1.0)
-
-
-def test_measure_json_round_trip():
-    meas = _two_cell(xi=(1.5 + 0.5j, 0.5), p=(0.3, 0.7), seed=11)
-    blob = measure_to_json(meas)
-    back = measure_from_json(blob)
-    assert measure_to_json(back) == blob
-    assert back.seed == 11
-    assert np.array_equal(sample_H(back, 100).draws,
-                          sample_H(meas, 100).draws)
 
 
 # -- validation ----------------------------------------------------------------

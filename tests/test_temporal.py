@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from cdburgers.cli import cli_run
 from cdburgers.temporal import (
     CauchySpec,
     Trajectory,
     solve_cauchy,
-    trajectory_csv,
 )
 from oracles import riccati_oracle
 
@@ -148,11 +148,18 @@ def test_nearest_state_lookup():
     assert state.shape == (2,)
 
 
-def test_trajectory_csv_round_trip():
+def test_trajectory_csv_round_trip(tmp_path, capsys):
     spec = CauchySpec(m=1, c=(0.0,), lam=(1.0, 1.0), horizon=0.1, tau=1e-2)
     traj = solve_cauchy(spec)
-    blob = trajectory_csv(traj)
-    assert blob == trajectory_csv(solve_cauchy(spec))
+    blobs = []
+    for run in ("a", "b"):
+        assert cli_run(["ode", "--m", "1", "--c", "0", "--lambda", "1,1",
+                        "--horizon", "0.1", "--tau", "0.01",
+                        "--out", str(tmp_path / run)]) == 0
+        blobs.append((tmp_path / run / "trajectory.csv").read_text())
+    capsys.readouterr()
+    blob = blobs[0]
+    assert blob == blobs[1]
     rows = list(csv.reader(io.StringIO(blob)))
     assert rows[0] == ["t", "re_phi", "im_phi", "residual"]
     assert len(rows) == len(traj.times) + 1

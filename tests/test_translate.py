@@ -6,7 +6,7 @@ import sympy as sp
 
 from cdburgers.algebra import CdElement, EmbeddingMap
 from cdburgers.calculus import Grid, GridField
-from cdburgers.kernel import report_json
+from cdburgers.cli import _json_text
 from cdburgers.pdelang import (
     Add,
     App,
@@ -178,8 +178,8 @@ dt(u[2]) + u[1]*u[2] = f[2]""",
 
 def test_canonical_json_deterministic():
     prog = parse_pde("dt(u) + u*dx1(u) = 0")
-    a = report_json(prog.to_tree())
-    b = report_json(parse_pde("dt(u) + u*dx1(u) = 0").to_tree())
+    a = _json_text(prog.to_tree())
+    b = _json_text(parse_pde("dt(u) + u*dx1(u) = 0").to_tree())
     assert a == b
     assert '"kind":"app"' in a
 
@@ -474,8 +474,8 @@ def test_translate_insufficient_level_error():
 
 def test_translated_tree_serialization_is_stable():
     prog = parse_pde(HEAT)
-    a = report_json(translate_system(prog).to_tree())
-    b = report_json(translate_system(parse_pde(HEAT)).to_tree())
+    a = _json_text(translate_system(prog).to_tree())
+    b = _json_text(translate_system(parse_pde(HEAT)).to_tree())
     assert a == b
 
 

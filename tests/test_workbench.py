@@ -16,6 +16,7 @@ import cdburgers.calculus
 import cdburgers.kernel
 import cdburgers.workbench
 from cdburgers.calculus import Grid, _d1
+from cdburgers.cli import _csv_text
 from cdburgers.kernel import (
     _aux_lhs,
     _diagonal_pair,
@@ -26,6 +27,7 @@ from cdburgers.kernel import (
 )
 from cdburgers.randmeasure import expectation, sample_H
 from cdburgers.workbench import (
+    REFINEMENT_COLUMNS,
     AtomParams,
     SobolevBurgersSpec,
     SpectralPoint,
@@ -37,7 +39,6 @@ from cdburgers.workbench import (
     moment_identity,
     refinement_study,
     residual_suite,
-    study_csv,
 )
 from cdburgers.workbench import _q_time_apply, _time_residuals
 from oracles import (
@@ -849,7 +850,12 @@ def test_study_csv_layout_and_float_round_trip():
          "expectation_ratio": 0.05, "diagonal_mean_ratio": 0.05,
          "diagonal_expect_ratio": 0.05},
     ]
-    text = study_csv(rows)
+
+    def table():
+        return _csv_text(REFINEMENT_COLUMNS, (
+            [row.get(k) for k in REFINEMENT_COLUMNS] for row in rows))
+
+    text = table()
     lines = text.splitlines()
     assert lines[0].startswith("count,t_count,h,tau,linear,pair")
     assert lines[0].count(",") == 13
@@ -858,4 +864,4 @@ def test_study_csv_layout_and_float_round_trip():
     assert float(cells[4]) == 1.25e-3
     assert cells[10] == ""  # no ratios on the first level
     assert float(lines[2].split(",")[10]) == 0.05
-    assert study_csv(rows) == text
+    assert table() == text
