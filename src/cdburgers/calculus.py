@@ -59,6 +59,8 @@ class Grid:
     t_count: int | None = None
 
     def __post_init__(self):
+        if not self.counts:
+            raise ValueError("grid needs at least one axis")
         if len(self.bounds) != len(self.counts):
             raise ValueError("bounds/counts length mismatch")
         for (lo, hi), m in zip(self.bounds, self.counts):
@@ -208,10 +210,6 @@ class GridField:
             if self.arity == "x":
                 raise ValueError('arity-"x" field has no y slot')
             return tuple(range(off + n, off + 2 * n))
-        if slot == "t":
-            if self.arity != "txy":
-                raise ValueError("field has no time axis")
-            return (0,)
         raise ValueError(f"unknown slot {slot!r}")
 
     def max_abs(self) -> float:

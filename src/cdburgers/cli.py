@@ -2,33 +2,35 @@
 
 Usage::
 
-    cdburgers <subcommand> [--config FILE] [--out DIR] [flags]
+    cdburgers <subcommand> [--config FILE] [--out DIR]
 
-Subcommands and their JSON config schemas (all keys optional unless noted):
+Every stage reads its inputs from the --config file alone.  Subcommands and
+their JSON config schemas (all keys optional unless noted):
 
 algebra-check
     {"levels": [2, 3, 4], "trials": 200, "seed": 0}
+                            (levels non-empty, each in [0, 6]; trials >= 1)
 translate
-    {"source": "<equation text>"} or {"source_file": "path"}   (one required)
+    {"source": "<equation text>"}                              (required)
 kernel
     {"a": [a1, a2, a3],                 (required)
      "p": [p1, p2],                     (required)
      "w0": [w, ...],                    (required)
      "grid": {"n": 2, "lo": 0.0, "hi": 1.0, "count": 9},       (required)
      "kappa": [...],        default: smallest admissible root
-     "r_inf": null, "tol": 1e-10, "max_iter": 40, "level": 2,
-     "force": false}
+     "r_inf": null, "tol": 1e-10, "max_iter": 40, "force": false}
 ode
-    flags --m, --lambda (comma separated), --c, --horizon, --tau; or the
-    same keys in a config file ("lambda" as a list)
+    {"lambda": [lambda_1, ..., lambda_{m+1}],                  (required)
+     "c": [c_0, ..., c_{m-1}],  default: all 0
+     "horizon": 0.5, "tau": null}       (tau null: horizon / 1000)
 measure-check
     {"reps": [[...], ...], "p": [...],  (required)
-     "m": 1, "gamma": 0.0, "varsigma": 0.0,   (or explicit "xi": [...])
+     "gamma": 0.0, "varsigma": 0.0,     (or explicit "xi": [...])
      "diameter": 1.0, "seed": 0, "samples": 100000}   (samples > 0)
 assemble
     {"problem": {"alpha": .., "beta": .., "gamma": .., "varsigma": ..,
-                 "c": [..], "n": 2, "lo": .., "hi": .., "horizon": ..,
-                 "level": 2},                                  (required)
+                 "c": [..], "n": 2, "lo": .., "hi": .., "horizon": ..},
+                                                               (required)
      "atoms": [[lam, ...], ...] or "matched": [[lam_prime], ...],
      "p": [...], "w0": [...],                                  (required)
      "grid": {"count": .., "t_count": ..},                     (required)
@@ -41,7 +43,11 @@ verify
      "t_collar": null,                                  (>= 0 when given)
      "seed": 0, "tol": 1e-10, "samples": 0}   (samples >= 0; 0 skips it)
 
-Keys a stage does not read are ignored.
+Keys a stage does not read are ignored.  Two values are derived, not
+read: the Cayley-Dickson level of kernel, assemble and verify is the
+smallest that holds the n coordinate units and the weights p
+(KernelConfig.level), and the degree m of Q is len(lambda) - 1 for ode and
+len(reps[0]) - 3 for measure-check.
 
 Artifacts are written into --out (default "."): JSON manifests, CSV
 tables, and binary field dumps in the documented calculus byte layout, so
@@ -52,9 +58,9 @@ empty field, "\n" after every line) are the only encoders of --out text.
 The kernel dumps (K.cdgf, atom*_K.cdgf) hold K's separated terms (layout
 version 2), not its N^{2n} pair values; calculus.load_field expands them.
 
-Exit codes: 0 success, 1 validation error (bad flags, bad config or a
-config value of the wrong type, missing file), 2 numerical failure
-(divergence, blow-up, or a failed check).
+Exit codes: 0 success, 1 validation error (bad flags, bad config, a
+config value of the wrong type or a non-finite integer, missing file), 2
+numerical failure (divergence, blow-up, or a failed check).
 
 Each stage imports numpy and the numeric modules it uses only when it
 runs, so --help and usage errors load no numeric module.
@@ -147,11 +153,16 @@ def _finish(ok: bool, what: str) -> int:
 def _run_algebra_check(args) -> int:
     import numpy as np
 
-    from .algebra import CdElement, cd_mul, pi_project
+    from .algebra import MAX_LEVEL, CdElement, cd_mul, pi_project
 
     cfg = _load_config(args)
     levels = cfg.get("levels", [2, 3, 4])
     trials = int(cfg.get("trials", 200))
+    if trials < 1:
+        raise ValueError(f"algebra-check 'trials' must be >= 1, got {trials}")
+    if not levels or not all(0 <= int(r) <= MAX_LEVEL for r in levels):
+        raise ValueError("algebra-check 'levels' must be a non-empty list "
+                         f"of levels in [0, {MAX_LEVEL}], got {levels}")
     seed = int(cfg.get("seed", 0))
     rng = np.random.default_rng(seed)
 
@@ -228,12 +239,8 @@ def _run_algebra_check(args) -> int:
 
 def _run_translate(args) -> int:
     cfg = _load_config(args)
-    if "source" in cfg:
-        source = cfg["source"]
-    elif "source_file" in cfg:
-        source = Path(cfg["source_file"]).read_text()
-    else:
-        raise ValueError("translate config needs 'source' or 'source_file'")
+    _require(cfg, "translate", ("source",))
+    source = cfg["source"]
     if not isinstance(source, str):
         raise ValueError(f"translate source must be a string, got {source!r}")
     from .pdelang import parse_pde
@@ -280,7 +287,7 @@ def _run_kernel(args) -> int:
     config = KernelConfig(
         a=a, p=tuple(cfg["p"]), kappa=kappa, w0=tuple(cfg["w0"]),
         r_inf=cfg.get("r_inf"), max_iter=int(cfg.get("max_iter", 40)),
-        tol=float(cfg.get("tol", 1e-10)), level=int(cfg.get("level", 2)))
+        tol=float(cfg.get("tol", 1e-10)))
     try:
         kf = solve_K(config, grid, force=bool(cfg.get("force", False)))
     except PicardDivergence as exc:
@@ -303,20 +310,12 @@ def _run_kernel(args) -> int:
 
 def _run_ode(args) -> int:
     cfg = _load_config(args)
-    m = int(args.m if args.m is not None else cfg.get("m", 1))
-    if args.lam is not None:
-        lam = tuple(float(v) for v in args.lam.split(","))
-    elif "lambda" in cfg:
-        lam = tuple(float(v) for v in cfg["lambda"])
-    else:
-        raise ValueError("ode needs --lambda or a config with 'lambda'")
-    if args.c is not None:
-        c = tuple(float(v) for v in args.c.split(","))
-    else:
-        c = tuple(float(v) for v in cfg.get("c", [0.0] * m))
-    horizon = float(args.horizon if args.horizon is not None
-                    else cfg.get("horizon", 0.5))
-    tau = args.tau if args.tau is not None else cfg.get("tau")
+    _require(cfg, "ode", ("lambda",))
+    lam = tuple(float(v) for v in cfg["lambda"])
+    m = len(lam) - 1
+    c = tuple(float(v) for v in cfg.get("c", [0.0] * m))
+    horizon = float(cfg.get("horizon", 0.5))
+    tau = cfg.get("tau")
     from .temporal import CauchySpec, solve_cauchy
 
     spec = CauchySpec(m=m, c=c, lam=lam, horizon=horizon,
@@ -362,7 +361,7 @@ def _run_measure_check(args) -> int:
     if "xi" in cfg:
         xi = tuple(complex(v) for v in cfg["xi"])
     else:
-        m = int(cfg.get("m", len(reps[0]) - 3))
+        m = len(reps[0]) - 3
         xi = tuple(
             xi_from_rule(rep, m, gamma=complex(cfg.get("gamma", 0.0)),
                          varsigma=complex(cfg.get("varsigma", 0.0)))
@@ -438,8 +437,7 @@ def _problem(cfg: dict):
         alpha=pr["alpha"], beta=pr["beta"], gamma=pr["gamma"],
         varsigma=pr["varsigma"], c=tuple(pr["c"]), n=int(pr.get("n", 2)),
         lo=float(pr.get("lo", 0.0)), hi=float(pr.get("hi", 1.0)),
-        horizon=float(pr.get("horizon", 1.0)),
-        level=int(pr.get("level", 2)))
+        horizon=float(pr.get("horizon", 1.0)))
 
 
 def _run_assemble(args) -> int:
@@ -492,11 +490,6 @@ def _run_verify(args) -> int:
                              "[count, t_count]")
     if not levels:
         raise ValueError("verify config needs at least one level")
-    if args.refine is not None:
-        if not 1 <= args.refine <= len(levels):
-            raise ValueError(
-                f"--refine must be between 1 and {len(levels)}")
-        levels = levels[: args.refine]
     rows = refinement_study(
         spec, tuple(cfg["lam_prime"]), levels, tuple(cfg["w0"]),
         collar=float(cfg["collar"]),
@@ -540,30 +533,19 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--out", default=".", help="artifact directory")
         p.set_defaults(handler=handler)
-        return p
 
     stage("algebra-check", _run_algebra_check,
           "doubling-algebra property sweep")
     stage("translate", _run_translate,
           "lower a PDE over the doubling algebra")
     stage("kernel", _run_kernel, "solve the auxiliary kernel equation")
-    ode = stage("ode", _run_ode, "integrate the temporal Cauchy problem")
-    ode.add_argument("--m", type=int, default=None,
-                     help="polynomial degree")
-    ode.add_argument("--lambda", dest="lam", default=None,
-                     help="comma separated parameter vector")
-    ode.add_argument("--c", default=None,
-                     help="comma separated lower coefficients")
-    ode.add_argument("--horizon", type=float, default=None)
-    ode.add_argument("--tau", type=float, default=None)
+    stage("ode", _run_ode, "integrate the temporal Cauchy problem")
     stage("measure-check", _run_measure_check,
           "atomic random measure identity checks")
     stage("assemble", _run_assemble,
           "assemble a stochastic solution field")
-    verify = stage("verify", _run_verify,
-                   "residual refinement study of an assembled solution")
-    verify.add_argument("--refine", type=int, default=None,
-                        help="number of refinement levels to run")
+    stage("verify", _run_verify,
+          "residual refinement study of an assembled solution")
     return parser
 
 
@@ -577,7 +559,7 @@ def cli_run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return int(args.handler(args))
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyError as exc:

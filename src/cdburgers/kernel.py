@@ -142,16 +142,16 @@ def _p_coeffs(p_j, level: int) -> np.ndarray:
     tuple, embedded in the level-`level` algebra."""
     arr = np.atleast_1d(np.asarray(p_j, dtype=np.complex128))
     out = np.zeros(1 << level, dtype=np.complex128)
-    if arr.size > out.size:
-        raise ValueError("weight has more coefficients than the algebra")
     out[: arr.size] = arr
     return out
 
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Data of one auxiliary problem: operator coefficients, integral
-    weights, kernel decay, basepoint, and solver knobs."""
+    """Data of one auxiliary problem: operator coefficients a, integral
+    weights p, kernel decay kappa, basepoint w0, and the solver's tail cap
+    r_inf, iteration cap max_iter, step tolerance tol and weight variant.
+    The algebra level is derived from n and p (see `level`)."""
 
     a: tuple  # (a_1, a_2, a_3), a_1 != 0
     p: tuple  # (p_1, p_2); entries scalar or coefficient tuples
@@ -161,7 +161,6 @@ class KernelConfig:
     max_iter: int = 40
     tol: float = 1e-10
     variant: str = "complex"  # "complex" or "quaternion"
-    level: int = 2
 
     def __post_init__(self):
         _check_length("a", self.a, 3)
@@ -180,8 +179,6 @@ class KernelConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if len(self.w0) != len(self.kappa):
             raise ValueError("w0 and kappa dimensions differ")
-        if self.variant == "quaternion" and self.level < 2:
-            raise ValueError("quaternion variant needs level >= 2")
         if self.variant == "complex" and any(np.size(w) != 1 for w in self.p):
             raise ValueError("complex-scalar variant takes scalar weights p")
 
@@ -198,6 +195,13 @@ class KernelConfig:
     @property
     def n(self) -> int:
         return len(self.kappa)
+
+    @property
+    def level(self) -> int:
+        """The smallest algebra holding the n coordinate units (the level
+        DiracSpec.standard picks) and every coefficient of p_1 and p_2."""
+        coeffs = max(np.size(w) for w in self.p)
+        return max(DiracSpec.standard(self.n).level, (coeffs - 1).bit_length())
 
     @property
     def p_total(self) -> float:
@@ -861,7 +865,7 @@ def run_report(kf: KernelField, grid: Grid) -> dict:
     """Record of one solve: config echo, gates, trace."""
     c = kf.config
     return {
-        "config": {**asdict(c), "q": c.q},
+        "config": {**asdict(c), "level": c.level, "q": c.q},
         "grid": {"bounds": grid.bounds, "counts": grid.counts},
         "trace": kf.trace,
         **kf.report,

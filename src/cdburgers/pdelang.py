@@ -468,9 +468,6 @@ class Program:
     def k(self) -> int:
         return len(self.equations)
 
-    def pretty(self) -> str:
-        return pretty_program(self)
-
     def to_tree(self) -> dict:
         return {
             "dim": self.dim,

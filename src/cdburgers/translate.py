@@ -219,16 +219,12 @@ def _tag(s: int, expr):
     return expr if s == 0 else BasisFactor(s, expr)
 
 
-def translate_system(program: Program, maps: TranslationMaps | None = None,
-                     level: int | None = None, q_indices=None,
-                     l_indices=None) -> TranslatedPde:
+def translate_system(program: Program, level: int | None = None,
+                     q_indices=None, l_indices=None) -> TranslatedPde:
     """Apply the rewriting to a whole parsed system."""
     if program.unknown is None:
         raise ValueError("program declares no unknown")
     n, m, k = program.dim, program.m, program.k
-    if maps is not None:  # given maps pass the same level check
-        level, q_indices, l_indices = (maps.level, maps.q_indices,
-                                       maps.l_indices)
     maps = TranslationMaps.defaults(n, m, k, level=level, q_indices=q_indices,
                                     l_indices=l_indices)
     if len(maps.q_indices) != m:

@@ -101,7 +101,6 @@ class SobolevBurgersSpec:
     lo: float = 0.0
     hi: float = 1.0
     horizon: float = 1.0
-    level: int = 2
 
     def __post_init__(self):
         if self.alpha == 0:
@@ -110,8 +109,6 @@ class SobolevBurgersSpec:
             raise ValueError("need |gamma| + |varsigma| > 0")
         if self.n < 2:
             raise ValueError("spatial dimension must be at least 2")
-        if self.n >= (1 << self.level):
-            raise ValueError("algebra level too small for the dimension")
         if len(self.c) < 1:
             raise ValueError("temporal polynomial needs degree >= 1")
         if not self.hi > self.lo:
@@ -236,12 +233,11 @@ def atom_kernel_config(point: SpectralPoint, spec: SobolevBurgersSpec,
     params = lambda_to_params(point, spec)
     return KernelConfig(a=params.a, p=params.p,
                         kappa=characteristic_kappa(spec), w0=tuple(w0),
-                        tol=tol, level=spec.level)
+                        tol=tol)
 
 
 def measure_for_atoms(atoms, spec: SobolevBurgersSpec, p, *,
-                      seed: int = 0, diameter: float = 1.0
-                      ) -> AtomicRandomMeasure:
+                      seed: int = 0) -> AtomicRandomMeasure:
     """Atomic measure whose cells are the lambda vectors, with amplitudes
     from the published rule."""
     reps = []
@@ -257,7 +253,7 @@ def measure_for_atoms(atoms, spec: SobolevBurgersSpec, p, *,
         reps.append(tuple(row))
         xis.append(lambda_to_params(point, spec).xi)
     return AtomicRandomMeasure(
-        partition=Partition(reps=tuple(reps), diameter=diameter),
+        partition=Partition(reps=tuple(reps), diameter=1.0),
         p=tuple(p), xi=tuple(xis), seed=seed)
 
 

@@ -352,7 +352,7 @@ def reference_expectation_residual(sol, margin, t_rows):
     spec = sol.spec
     grid = sol.grid
     n = grid.n
-    dirac = DiracSpec.standard(n, spec.level)
+    dirac = DiracSpec.standard(n)
     base_a = (-1.0, -spec.alpha, spec.beta)
 
     s0k = []
@@ -434,7 +434,7 @@ def reference_linear_residual(sol, margin, t_rows):
     the window max of |S_0 F|, with S_0 = S_{2,a} at a = (-1, -alpha, beta)
     applied to the midpoint pair field F on all of V x V."""
     spec, grid = sol.spec, sol.grid
-    dirac = DiracSpec.standard(grid.n, spec.level)
+    dirac = DiracSpec.standard(grid.n)
     fpair = midpoint_pair_field(sol.kernels[0].config, grid)
     s0f = s2a_apply(fpair, dirac, (-1.0, -spec.alpha, spec.beta)).values
     win = interior_slices(s0f.shape[:-1], range(2 * grid.n), margin)

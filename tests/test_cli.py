@@ -1,6 +1,7 @@
 """Tests for the command line front end: exit codes, artifacts, and the
 byte determinism of written reports."""
 
+import argparse
 import ast
 import csv
 import json
@@ -17,7 +18,7 @@ import pytest
 import cdburgers.kernel
 import cdburgers.workbench
 from cdburgers.calculus import load_field
-from cdburgers.cli import cli_run
+from cdburgers.cli import _build_parser, cli_run
 from oracles import riccati_oracle
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -61,6 +62,18 @@ def test_help_exits_zero(capsys):
     assert "algebra-check" in capsys.readouterr().out
 
 
+def test_every_stage_reads_its_config_alone():
+    # each value has one route, its config key: no stage takes an argument
+    # besides --config and --out
+    parser = _build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for name, stage in sub.choices.items():
+        flags = [f for a in stage._actions
+                 for f in a.option_strings or [a.dest]]
+        assert sorted(flags) == ["--config", "--help", "--out", "-h"], name
+
+
 def test_algebra_check_report(tmp_path):
     cfg = _write_cfg(tmp_path / "alg.json", {"trials": 20, "seed": 1})
     assert cli_run(["algebra-check", "--config", cfg,
@@ -72,6 +85,27 @@ def test_algebra_check_report(tmp_path):
     assert report["alternativity_max"] <= 1e-10
     assert report["power_associativity_max"] <= 1e-10
     assert report["projection_max"] <= 1e-12
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"trials": 0}, "'trials' must be >= 1, got 0"),
+    ({"trials": -1}, "'trials' must be >= 1, got -1"),
+    ({"levels": []}, "'levels' must be a non-empty list of levels in "
+                     "[0, 6], got []"),
+    ({"levels": [-1]}, "'levels' must be a non-empty list of levels in "
+                       "[0, 6], got [-1]"),
+    ({"levels": [2, 7]}, "'levels' must be a non-empty list of levels in "
+                         "[0, 6], got [2, 7]"),
+], ids=["trials-0", "trials-negative", "levels-empty", "level-negative",
+        "level-7"])
+def test_algebra_check_refuses_a_sweep_that_checks_nothing(extra, message,
+                                                          tmp_path, capsys):
+    # a sweep with no trials or no levels checks nothing and must not pass
+    path = _write_cfg(tmp_path / "alg.json", {"trials": 2, **extra})
+    out = tmp_path / "run"
+    assert cli_run(["algebra-check", "--config", path, "--out", str(out)]) == 1
+    assert f"error: algebra-check {message}\n" == capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_translate_writes_lowered_tree(tmp_path, capsys):
@@ -125,9 +159,9 @@ def test_translate_report_matches_golden(tmp_path, capsys):
 
 
 def test_ode_matches_closed_form(tmp_path):
+    cfg = _write_cfg(tmp_path / "ode.json", {"lambda": [1.0, 1.0]})
     out = tmp_path / "ode"
-    assert cli_run(["ode", "--m", "1", "--lambda", "1,1",
-                    "--out", str(out)]) == 0
+    assert cli_run(["ode", "--config", cfg, "--out", str(out)]) == 0
     with open(out / "trajectory.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert float(rows[-1]["t"]) == pytest.approx(0.5)
@@ -141,8 +175,9 @@ def test_ode_matches_closed_form(tmp_path):
 
 
 def test_ode_blowup_exits_two(tmp_path, capsys):
-    code = cli_run(["ode", "--m", "1", "--lambda", "8,1",
-                    "--horizon", "2.0", "--out", str(tmp_path)])
+    cfg = _write_cfg(tmp_path / "ode.json",
+                     {"lambda": [8.0, 1.0], "horizon": 2.0})
+    code = cli_run(["ode", "--config", cfg, "--out", str(tmp_path)])
     assert code == 2
     assert "blew up" in capsys.readouterr().err
     report = json.loads((tmp_path / "ode_report.json").read_text())
@@ -150,9 +185,12 @@ def test_ode_blowup_exits_two(tmp_path, capsys):
     assert report["blowup_time"] < 2.0
 
 
-def test_ode_requires_lambda(capsys):
-    assert cli_run(["ode", "--m", "1"]) == 1
-    capsys.readouterr()
+def test_ode_requires_lambda(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path / "ode.json", {"c": [0.0], "horizon": 0.5})
+    out = tmp_path / "run"
+    assert cli_run(["ode", "--config", cfg, "--out", str(out)]) == 1
+    assert "error: ode config needs 'lambda'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 _MEASURE_CFG = {
@@ -255,9 +293,6 @@ def test_kernel_refuses_noncontractive_weight(tmp_path, capsys):
 
 @pytest.mark.parametrize("extra, message", [
     (dict(max_iter=0), "max_iter must be >= 1, got 0"),
-    (dict(level=1), "level 1 has too few units for n = 2"),
-    (dict(level=2, w0=[0.0] * 4, grid={**_KERNEL_CFG["grid"], "n": 4}),
-     "level 2 has too few units for n = 4"),
     (dict(r_inf=-3.0), "r_inf must be positive, got -3.0"),
     (dict(tol=-1.0), "tol must be positive, got -1.0"),
     (dict(tol=0), "tol must be positive, got 0.0"),
@@ -274,9 +309,13 @@ def test_kernel_refuses_noncontractive_weight(tmp_path, capsys):
      "operator norm estimate 1.617e+308 is not below 1"),
     (dict(grid={**_KERNEL_CFG["grid"], "hi": math.inf}),
      "axis bounds must be finite, got (-0.5, inf)"),
-], ids=["max_iter-0", "level-1", "level-2-n4", "r_inf-negative",
-        "tol-negative", "tol-0", "tol-nan", "p-nan", "a-inf", "kappa-nan",
-        "w0-inf", "r_inf-inf", "a1-0", "estimate-huge", "hi-inf"])
+    (dict(grid={**_KERNEL_CFG["grid"], "count": math.inf}),
+     "cannot convert float infinity to integer"),
+    (dict(grid={**_KERNEL_CFG["grid"], "n": 0}, w0=[]),
+     "grid needs at least one axis"),
+], ids=["max_iter-0", "r_inf-negative", "tol-negative", "tol-0", "tol-nan",
+        "p-nan", "a-inf", "kappa-nan", "w0-inf", "r_inf-inf", "a1-0",
+        "estimate-huge", "hi-inf", "count-inf", "n-0"])
 def test_kernel_rejects_bad_inputs(extra, message, tmp_path, capsys):
     path = _write_cfg(tmp_path / "k.json", dict(_KERNEL_CFG, **extra))
     out = tmp_path / "run"
@@ -383,10 +422,20 @@ def test_missing_nested_config_key_exits_one(stage, cfg, key, tmp_path,
                 "w0": [0.0, 0.0], "levels": 21, "collar": 2.0}),
     ("ode", {"lambda": [1.0, 1.0], "c": 5}),
     ("algebra-check", {"levels": 2}),
+    # a JSON Infinity where an integer is read
+    ("verify", {"problem": _PROBLEM, "lam_prime": [1.0, -0.5],
+                "w0": [0.0, 0.0], "levels": [[math.inf, 9]], "collar": 2.0}),
+    ("assemble", {"problem": _PROBLEM, "matched": [[1.0, -0.5]], "p": [1.0],
+                  "w0": [0.0, 0.0],
+                  "grid": {"count": math.inf, "t_count": 7}}),
+    ("measure-check", dict(_MEASURE_CFG, seed=math.inf)),
+    ("algebra-check", {"trials": math.inf}),
 ], ids=["translate-source", "kernel-grid", "kernel-a-scalar",
         "kernel-a-short", "kernel-p-short", "kernel-w0-scalar",
         "measure-check-reps", "assemble-problem-c", "verify-levels",
-        "ode-c", "algebra-check-levels"])
+        "ode-c", "algebra-check-levels", "verify-levels-inf",
+        "assemble-count-inf", "measure-check-seed-inf",
+        "algebra-check-trials-inf"])
 def test_config_value_of_the_wrong_type_exits_one(stage, cfg, tmp_path,
                                                   capsys):
     path = _write_cfg(tmp_path / "cfg.json", cfg)
@@ -443,8 +492,7 @@ def verify_run(tmp_path_factory):
         "t_collar": 0.25,
     })
     out = root / "run"
-    code = cli_run(["verify", "--config", cfg, "--refine", "2",
-                    "--out", str(out)])
+    code = cli_run(["verify", "--config", cfg, "--out", str(out)])
     return code, out
 
 
@@ -460,19 +508,6 @@ def test_verify_two_level_table(verify_run, capsys):
     for key in ("linear", "pair", "expectation", "diagonal_mean",
                 "diagonal_expect"):
         assert report["rows"][1][f"{key}_ratio"] < 1.0
-
-
-def test_verify_refine_out_of_range(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path / "v.json", {
-        "problem": _PROBLEM,
-        "lam_prime": [1.0, -0.5],
-        "w0": [0.0, 0.0],
-        "levels": [[21, 9]],
-        "collar": 2.0,
-    })
-    assert cli_run(["verify", "--config", cfg, "--refine", "3",
-                    "--out", str(tmp_path)]) == 1
-    capsys.readouterr()
 
 
 def test_verify_rejects_an_empty_ladder(tmp_path, capsys, monkeypatch):
@@ -526,10 +561,11 @@ def test_verify_rejects_bad_window_inputs(extra, message, tmp_path, capsys):
 
 
 def test_module_invocation_round_trip(tmp_path):
+    cfg = _write_cfg(tmp_path / "ode.json", {"lambda": [1.0, -1.0]})
     out = tmp_path / "sub"
     proc = subprocess.run(
-        [sys.executable, "-m", "cdburgers.cli", "ode", "--m", "1",
-         "--lambda", "1,-1", "--out", str(out)],
+        [sys.executable, "-m", "cdburgers.cli", "ode", "--config", cfg,
+         "--out", str(out)],
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert (out / "trajectory.csv").exists()
@@ -582,12 +618,12 @@ def test_stages_that_solve_no_kernel_load_no_kernel(tmp_path):
     # ode, measure-check and algebra-check load neither kernel nor calculus,
     # and translate (which lowers derivatives through calculus) no kernel
     cfgs = {
+        "ode": {"lambda": [1.0, 1.0], "horizon": 0.05},
         "measure-check": dict(_MEASURE_CFG, samples=1000),
         "algebra-check": {"levels": [2], "trials": 2},
         "translate": {"source": "dt(u) + u*dx1(u) = 0"},
     }
-    runs = [[["ode", "--m", "1", "--lambda", "1,1", "--horizon", "0.05",
-              "--out", str(tmp_path / "ode")], ["kernel", "calculus"]]]
+    runs = []
     for stage, cfg in cfgs.items():
         path = _write_cfg(tmp_path / f"{stage}.json", cfg)
         runs.append([[stage, "--config", path, "--out", str(tmp_path / stage)],
@@ -706,19 +742,15 @@ def test_no_cli_stage_faults_in_blas_or_lapack_pages(tmp_path):
         "verify": {"problem": _PROBLEM, "lam_prime": [1.0, -0.5],
                    "w0": [0.0, 0.0], "levels": [[21, 9]], "collar": 2.0,
                    "t_collar": 0.25},
+        "ode": {"lambda": [1.0, 1.0], "c": [0.3]},
         "measure-check": _MEASURE_CFG,
         "algebra-check": {"levels": [2, 3], "trials": 20},
     }
     runs = []
-    for stage in ("kernel", "assemble", "verify", "ode", "measure-check",
-                  "algebra-check"):
-        out = ["--out", str(tmp_path / stage)]
-        if stage == "ode":
-            runs.append([stage, "--m", "1", "--lambda", "1,1", "--c", "0.3"]
-                        + out)
-        else:
-            path = _write_cfg(tmp_path / f"{stage}.json", cfgs[stage])
-            runs.append([stage, "--config", path] + out)
+    for stage, cfg in cfgs.items():
+        path = _write_cfg(tmp_path / f"{stage}.json", cfg)
+        runs.append([stage, "--config", path,
+                     "--out", str(tmp_path / stage)])
     proc = subprocess.run(
         [sys.executable, "-c", _PAGE_PROBE, _LIB_PAGES, json.dumps(runs)],
         capture_output=True, text=True)

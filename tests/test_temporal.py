@@ -6,6 +6,7 @@ sympy's ODE solver before anything trusts it.
 
 import csv
 import io
+import json
 import math
 
 import numpy as np
@@ -152,9 +153,11 @@ def test_trajectory_csv_round_trip(tmp_path, capsys):
     spec = CauchySpec(m=1, c=(0.0,), lam=(1.0, 1.0), horizon=0.1, tau=1e-2)
     traj = solve_cauchy(spec)
     blobs = []
+    cfg = tmp_path / "ode.json"
+    cfg.write_text(json.dumps({"c": [0.0], "lambda": [1.0, 1.0],
+                               "horizon": 0.1, "tau": 0.01}))
     for run in ("a", "b"):
-        assert cli_run(["ode", "--m", "1", "--c", "0", "--lambda", "1,1",
-                        "--horizon", "0.1", "--tau", "0.01",
+        assert cli_run(["ode", "--config", str(cfg),
                         "--out", str(tmp_path / run)]) == 0
         blobs.append((tmp_path / run / "trajectory.csv").read_text())
     capsys.readouterr()

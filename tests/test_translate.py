@@ -466,10 +466,10 @@ def test_translate_insufficient_level_error():
     prog = parse_pde("dim 2\nunknown u\ndt(u) = 0")
     with pytest.raises(ValueError):
         translate_system(prog, level=1)
-    # five equations need 2^t1 >= 5, so a level-2 maps object is too small
+    # five equations need 2^t1 >= 5, so level 2 is too small
     five = parse_pde("dim 2\nunknown u\n" + "\n".join(["dt(u) = 0"] * 5))
     with pytest.raises(ValueError):
-        translate_system(five, maps=TranslationMaps(2, (0, 1), (0,)))
+        translate_system(five, level=2, q_indices=(0,), l_indices=(0, 1))
 
 
 def test_translated_tree_serialization_is_stable():

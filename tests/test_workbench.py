@@ -173,8 +173,6 @@ def test_spec_validation_messages():
         SobolevBurgersSpec(**{**ok, "gamma": 0.0, "varsigma": 0.0})
     with pytest.raises(ValueError, match="at least 2"):
         SobolevBurgersSpec(**{**ok, "n": 1})
-    with pytest.raises(ValueError, match="algebra level too small"):
-        SobolevBurgersSpec(**{**ok, "n": 4, "level": 2})
     with pytest.raises(ValueError, match="degree >= 1"):
         SobolevBurgersSpec(**{**ok, "c": ()})
     with pytest.raises(ValueError, match="degenerate box"):
