@@ -26,7 +26,7 @@ ode
 measure-check
     {"reps": [[...], ...], "p": [...],  (required)
      "gamma": 0.0, "varsigma": 0.0,     (or explicit "xi": [...])
-     "diameter": 1.0, "seed": 0, "samples": 100000}   (samples > 0)
+     "seed": 0, "samples": 100000}      (samples > 0)
 assemble
     {"problem": {"alpha": .., "beta": .., "gamma": .., "varsigma": ..,
                  "c": [..], "n": 2, "lo": .., "hi": .., "horizon": ..},
@@ -356,8 +356,7 @@ def _run_measure_check(args) -> int:
     cfg = _load_config(args)
     _require(cfg, "measure-check", ("reps", "p"))
     reps = tuple(tuple(float(v) for v in row) for row in cfg["reps"])
-    partition = Partition(reps=reps,
-                          diameter=float(cfg.get("diameter", 1.0)))
+    partition = Partition(reps=reps)
     if "xi" in cfg:
         xi = tuple(complex(v) for v in cfg["xi"])
     else:

@@ -294,10 +294,10 @@ def build_F(config: KernelConfig, grid: Grid) -> KernelField:
         raise ValueError(
             f"kappa is inadmissible: characteristic residual {resid:.3e}"
         )
-    if config.p_total > 0 and min(config.kappa) >= 0:
-        raise ValueError("kappa has no decaying ray direction for the tail")
     if grid.n != config.n:
         raise ValueError("grid dimension does not match kappa")
+    if config.p_total > 0 and min(config.kappa) >= 0:
+        raise ValueError("kappa has no decaying ray direction for the tail")
     grid.node_index(config.w0)
     for c, (lo, hi) in zip(config.w0, grid.bounds):
         if not (lo < c < hi):
@@ -743,16 +743,17 @@ def _scalar_weight(q_j) -> complex:
     return complex(arr.reshape(-1)[0])
 
 
-def _diagonal_terms(kf: KernelField, grid: Grid, margin: int) -> tuple:
+def _diagonal_terms(terms, spec: DiracSpec, grid: Grid, margin: int) -> tuple:
     """K, L K, L^2 K and pi_1 (sigma_x + sigma_y)(K^2) at x = y on the
-    window, L = sigma_x^2 + sigma_y^2, from K = sum_t u_t(x) v_t(y) by
+    window, L = sigma_x^2 + sigma_y^2, from K = sum_t u_t(x) v_t(y) given
+    as its terms (u_t, v_t), by
     L (u v) = s u v + u s v, L^2 (u v) = s^2 u v + 2 s u s v + u s^2 v
     (s = sigma^2 on V), K^2 = sum_{s,t} (u_s u_t)(x) (v_s v_t)(y) and
     sigma_x (a(x) b(y)) = (sigma a)(x) b(y): every operator acts on V, with
     the pair operators' stencils.  Algebra-valued factors raise ValueError.
     """
-    n, spec = grid.n, kf.config.dirac_spec()
-    if any(np.ndim(u) > n for u, _ in kf.terms):
+    n = grid.n
+    if any(np.ndim(u) > n for u, _ in terms):
         raise ValueError("the factored residual needs scalar factors")
     win = interior_slices(grid.counts, range(n), margin)
 
@@ -767,15 +768,15 @@ def _diagonal_terms(kf: KernelField, grid: Grid, margin: int) -> tuple:
         return -(diff_axis(u, ax, grid.spacings[ax]) * psi)[win]
 
     k = lk = l2k = sk2 = 0.0
-    for u, v in kf.terms:
+    for u, v in terms:
         su, sv = sq(u), sq(v)
         s2u, s2v = sq(su)[win], sq(sv)[win]
         u, v, su, sv = u[win], v[win], su[win], sv[win]
         k = k + u * v
         lk = lk + (su * v + u * sv)
         l2k = l2k + (s2u * v + 2 * su * sv + u * s2v)
-    for us, vs in kf.terms:
-        for ut, vt in kf.terms:
+    for us, vs in terms:
+        for ut, vt in terms:
             uu, vv = us * ut, vs * vt
             sk2 = sk2 + (sig(uu) * vv[win] + uu[win] * sig(vv))
     return k, lk, l2k, sk2
@@ -789,21 +790,27 @@ def _aux_lhs(d: tuple, a, q=(0.0, 0.0)) -> np.ndarray:
     return a[0] * l2k + a[1] * lk + a[2] * k + q1 * sk2 + q2 * (k * k)
 
 
+def _margin(reach: int, width: float | None, step: float, name: str) -> int:
+    """Margin in steps: at least ``reach``, and at least ``width`` units
+    when given; ValueError (naming ``name``) when the width is negative or
+    not finite."""
+    if width is None:
+        return reach
+    if not 0 <= width < np.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {width}")
+    return max(reach, int(np.ceil(width / step - 1e-9)))
+
+
 def _collar_cells(grid: Grid, collar: float | None) -> int:
     """Interior margin in cells: at least the composed stencil reach, and
-    at least ``collar`` physical units when given; ValueError when the
-    collar is negative or not finite, or the grid leaves no node inside it.
+    at least ``collar`` physical units when given (_margin); ValueError
+    also when the grid leaves no node inside it.
 
     Refinement studies should pass the same ``collar`` at every level so
     the residual is compared over an identical physical window; the
     default cell-count margin shrinks physically as h does.
     """
-    cells = S2_REACH
-    if collar is not None:
-        if not 0 <= collar < np.inf:
-            raise ValueError(f"collar must be finite and >= 0, got {collar}")
-        h = min(grid.spacings)
-        cells = max(cells, int(np.ceil(collar / h - 1e-9)))
+    cells = _margin(S2_REACH, collar, min(grid.spacings), "collar")
     if min(grid.counts) <= 2 * cells + 1:
         raise ValueError("grid too coarse for the fourth-order stencil: "
                          f"need more than {2 * cells + 1} nodes per axis")
@@ -818,7 +825,8 @@ def aux_residual(kf: KernelField, grid: Grid,
     x = y, inside the stencil collar of the fourth-order operator (or a
     wider window of ``collar`` physical units), from kf.terms on V only.
     """
-    d = _diagonal_terms(kf, grid, _collar_cells(grid, collar))
+    d = _diagonal_terms(kf.terms, kf.config.dirac_spec(), grid,
+                        _collar_cells(grid, collar))
     return float(np.max(np.abs(_aux_lhs(d, kf.config.a, kf.config.q))))
 
 

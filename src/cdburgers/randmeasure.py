@@ -55,7 +55,6 @@ class Partition:
     """Finite cells of the parameter space, each with a representative."""
 
     reps: tuple  # per-cell representative, a tuple of complex entries
-    diameter: float  # bound on the largest cell diameter
 
     def __post_init__(self):
         if len(self.reps) == 0:
@@ -64,8 +63,6 @@ class Partition:
         for r in self.reps:
             if len(r) != width:
                 raise ValueError("representatives have mixed dimensions")
-        if not (np.isfinite(self.diameter) and self.diameter > 0):
-            raise ValueError("diameter bound must be positive and finite")
 
     @property
     def size(self) -> int:

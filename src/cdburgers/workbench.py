@@ -43,18 +43,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import (
-    Grid,
-    GridField,
-    diff_axis,
-    interior_slices,
-)
+from .calculus import Grid, diff_axis, interior_slices
 from .kernel import (
     KernelConfig,
     _collar_cells,
     _aux_lhs,
     _diagonal_terms,
-    _sigma_sq,
+    _margin,
     admissible_kappa,
     solve_K,
 )
@@ -253,7 +248,7 @@ def measure_for_atoms(atoms, spec: SobolevBurgersSpec, p, *,
         reps.append(tuple(row))
         xis.append(lambda_to_params(point, spec).xi)
     return AtomicRandomMeasure(
-        partition=Partition(reps=tuple(reps), diameter=1.0),
+        partition=Partition(reps=tuple(reps)),
         p=tuple(p), xi=tuple(xis), seed=seed)
 
 
@@ -442,20 +437,6 @@ def _scalar_operator(k: np.ndarray, grid: Grid, eff: dict) -> np.ndarray:
     return -lap2 + eff["alpha"] * lap + eff["beta"] * k
 
 
-def _t_margin_rows(grid: Grid, t_collar: float | None) -> int:
-    """Time-interior margin in rows: at least the one-sided stencil reach,
-    and at least ``t_collar`` time units when given (pass the same value
-    at every level of a refinement ladder so the compared window is a
-    fixed slab of [0, T]); ValueError when it is negative or not finite."""
-    rows = 2
-    if t_collar is not None:
-        if not 0 <= t_collar < np.inf:
-            raise ValueError(
-                f"t_collar must be finite and >= 0, got {t_collar}")
-        rows = max(rows, int(np.ceil(t_collar / grid.tau - 1e-9)))
-    return rows
-
-
 def _time_residuals(sol: SolutionField, margin: int, t_rows: int,
                     qphis: list, terms: list) -> dict:
     """Window max norms of the three residuals that vary in time, from
@@ -509,10 +490,16 @@ def residual_suite(sol: SolutionField, *, collar: float | None = None,
     linear: the separated product Q(d/dt)phi * S_0 F per atom, weighted by
       E c_j (zero in the continuum since F satisfies the characteristic
       condition and the product separates); F is the same for every atom.
+      Like pair and expectation it is read at x = y: inside the window
+      every stencil is translation invariant, so it acts on each factor of
+      F = f(x) f(y), f = exp(kappa . x/2), as multiplication by its symbol;
+      S_0 F = c_h F there, and |F| = |f(x)| |f(y)| peaks at x = y.
     pair: the auxiliary pair-equation diagonal residual of each kernel.
     expectation: the doubled-variable equation in expectation, diagonal.
-      Both take each kernel's window values of K, L K, L^2 K and
-      pi_1 (sigma_x + sigma_y)(K^2) from one kernel._diagonal_terms call.
+      All three take their window values of K, L K, L^2 K and
+      pi_1 (sigma_x + sigma_y)(K^2) from kernel._diagonal_terms: linear
+      on F, the first separated term of every kernel, the others on each
+      kernel's terms.
     diagonal_mean: the scalar equation with effective coefficients for the
       deterministic mean, with (E u)^2 in the nonlinear terms.
     diagonal_expect: same linear part, with E(u^2) in the nonlinear terms.
@@ -523,31 +510,21 @@ def residual_suite(sol: SolutionField, *, collar: float | None = None,
     grid = sol.grid
     spec = sol.spec
     margin = _collar_cells(grid, collar)
-    t_rows = _t_margin_rows(grid, t_collar)
+    # at least the one-sided time stencil's 2 rows; pass the same t_collar
+    # at every level of a refinement ladder for a fixed slab of [0, T]
+    t_rows = _margin(2, t_collar, grid.tau, "t_collar")
     if grid.t_count < max(5, 2 * t_rows + 1):
         raise ValueError("too few time samples for the window")
     dirac = sol.kernels[0].config.dirac_spec()
 
-    # F = f(x) f(y), f = exp(kappa . x/2) with kappa shared by every atom
-    # (the first separated term of every kernel), so on the window S_0 F =
-    # a_1 (s2 f + 2 s s + f s2) + a_2 (s f + f s) + a_3 f f, with
-    # s = sigma^2 f and s2 = sigma^2 s; its max is taken one x_1 slab of
-    # the pair window at a time
-    f = GridField(grid, "x", sol.kernels[0].terms[0][0])
-    s = _sigma_sq(f, dirac, "x")
-    s2 = _sigma_sq(GridField(grid, "x", s), dirac, "x")
-    win = interior_slices(s.shape, range(grid.n), margin)
-    f, s, s2 = f.values[win], s[win], s2[win]
-    fx, sx, s2x = (u[(...,) + (None,) * grid.n] for u in (f, s, s2))
-    a1, a2, a3 = spec.base_a
-    s_norm = max(
-        float(np.max(np.abs(a1 * (s2x[i] * f + 2 * sx[i] * s + fx[i] * s2)
-                            + a2 * (sx[i] * f + fx[i] * s)
-                            + a3 * fx[i] * f)))
-        for i in range(len(f)))
+    # S_0 F = S_{2,a} F at a = base_a and q = 0
+    s0f = _aux_lhs(_diagonal_terms(sol.kernels[0].terms[:1], dirac, grid,
+                                   margin), spec.base_a)
+    s_norm = float(np.max(np.abs(s0f)))
     linear = 0.0
     pair = 0.0
-    terms = [_diagonal_terms(kf, grid, margin) for kf in sol.kernels]
+    terms = [_diagonal_terms(kf.terms, dirac, grid, margin)
+             for kf in sol.kernels]
     qphis = [_q_time_apply(phi, grid.tau, spec.c) for phi in sol._phi]
     for j, qphi in enumerate(qphis):
         q_norm = float(np.max(np.abs(qphi[t_rows:-t_rows])))

@@ -11,7 +11,8 @@ S_1 and S_{2,a} compose Dirac applications instead of using the sigma^2
 identity, the reference kernel operator and Picard solve sweep dense
 pair fields over all of V x V instead of carrying separated factors, and
 the reference linear residual applies S_{2,a} to the dense midpoint pair
-field F instead of to the factors of F = f(x) f(y), the reference
+field F and keeps the max over the whole pair window instead of applying it
+to the factors of F = f(x) f(y) and reading it at x = y, the reference
 auxiliary residual applies S_{2,a} and the Dirac operators to the dense,
 algebra-promoted K on all of V x V instead of to K's separated terms, and
 the reference pair moments form E u and E u^2 on all of V x V.  The
@@ -431,8 +432,9 @@ def reference_second_pair(sol, t_index):
 
 def reference_linear_residual(sol, margin, t_rows):
     """The linear residual max_j |xi_j p_j| max_t |Q(d/dt) phi_j(t)| times
-    the window max of |S_0 F|, with S_0 = S_{2,a} at a = (-1, -alpha, beta)
-    applied to the midpoint pair field F on all of V x V."""
+    the max of |S_0 F| over the whole pair window (not only x = y), with
+    S_0 = S_{2,a} at a = (-1, -alpha, beta) applied to the midpoint pair
+    field F on all of V x V."""
     spec, grid = sol.spec, sol.grid
     dirac = DiracSpec.standard(grid.n)
     fpair = midpoint_pair_field(sol.kernels[0].config, grid)

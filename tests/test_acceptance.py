@@ -374,8 +374,7 @@ def test_5_temporal_solver():
 
 def test_6_random_measure_identities():
     failures = []
-    part = Partition(reps=((1.0, 0.5, 0.3, 0.2), (2.0, -0.5, 0.1, 0.4)),
-                     diameter=1.0)
+    part = Partition(reps=((1.0, 0.5, 0.3, 0.2), (2.0, -0.5, 0.1, 0.4)))
     meas = AtomicRandomMeasure(partition=part, p=(0.25, 0.75),
                                xi=(1.5, 0.5), seed=11)
     atoms = meas.structural_cells()

@@ -313,9 +313,10 @@ def test_kernel_refuses_noncontractive_weight(tmp_path, capsys):
      "cannot convert float infinity to integer"),
     (dict(grid={**_KERNEL_CFG["grid"], "n": 0}, w0=[]),
      "grid needs at least one axis"),
+    (dict(kappa=[], w0=[]), "grid dimension does not match kappa"),
 ], ids=["max_iter-0", "r_inf-negative", "tol-negative", "tol-0", "tol-nan",
         "p-nan", "a-inf", "kappa-nan", "w0-inf", "r_inf-inf", "a1-0",
-        "estimate-huge", "hi-inf", "count-inf", "n-0"])
+        "estimate-huge", "hi-inf", "count-inf", "n-0", "kappa-empty"])
 def test_kernel_rejects_bad_inputs(extra, message, tmp_path, capsys):
     path = _write_cfg(tmp_path / "k.json", dict(_KERNEL_CFG, **extra))
     out = tmp_path / "run"

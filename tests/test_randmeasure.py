@@ -32,8 +32,7 @@ from cdburgers.randmeasure import (
 
 
 def _two_cell(xi=(1.0, 1.0), p=(0.5, 0.5), seed=42, multiplier=None):
-    part = Partition(reps=((1.0, 0.5, 0.3, 0.2), (2.0, -0.5, 0.1, 0.4)),
-                     diameter=1.0)
+    part = Partition(reps=((1.0, 0.5, 0.3, 0.2), (2.0, -0.5, 0.1, 0.4)))
     return AtomicRandomMeasure(partition=part, p=p, xi=xi,
                                multiplier=multiplier, seed=seed)
 
@@ -52,7 +51,7 @@ def _enumerated_moments(measure):
 
 
 def test_single_cell_is_deterministic():
-    part = Partition(reps=((1.0, 1.0, 1.0, 1.0),), diameter=0.5)
+    part = Partition(reps=((1.0, 1.0, 1.0, 1.0),))
     meas = AtomicRandomMeasure(partition=part, p=(1.0,), xi=(1.0,), seed=3)
     real = sample_H(meas, 50)
     c = real.coefficients()
@@ -176,7 +175,7 @@ def test_zero_step_function_integrates_to_zero():
 
 
 def test_single_cell_step_integral_is_deterministic():
-    part = Partition(reps=((1.0, 1.0, 1.0, 1.0),), diameter=0.5)
+    part = Partition(reps=((1.0, 1.0, 1.0, 1.0),))
     meas = AtomicRandomMeasure(partition=part, p=(1.0,), xi=(0.7,), seed=9)
     real = sample_H(meas, 25)
     a = np.array([2.0, 3.0])
@@ -281,7 +280,7 @@ def test_fubini_zero_weight():
 
 
 def test_fubini_single_cell_matches_scalar_quadrature():
-    part = Partition(reps=((1.0, 1.0, 1.0, 1.0),), diameter=0.5)
+    part = Partition(reps=((1.0, 1.0, 1.0, 1.0),))
     meas = AtomicRandomMeasure(partition=part, p=(1.0,), xi=(0.7,), seed=2)
     real = sample_H(meas, 8)
     tau = np.linspace(0.0, 1.0, 6)
@@ -331,7 +330,7 @@ def test_expectation_requires_samples():
 
 def _three_cell(seed=9):
     part = Partition(reps=((1.0, 0.5, 0.3, 0.2), (2.0, -0.5, 0.1, 0.4),
-                           (0.5, 1.5, -0.2, 0.3)), diameter=1.0)
+                           (0.5, 1.5, -0.2, 0.3)))
     return AtomicRandomMeasure(partition=part, p=(0.2, 0.3, 0.5),
                                xi=(1.0, -0.5j, 2.0), seed=seed)
 
@@ -358,7 +357,7 @@ def test_count_moments_of_one_draw_have_zero_error():
 
 @pytest.mark.parametrize("count", [1, 8191, 8192, 8193, 3 * 8192 + 5])
 @pytest.mark.parametrize("meas", [
-    AtomicRandomMeasure(partition=Partition(reps=((1.0,),), diameter=1.0),
+    AtomicRandomMeasure(partition=Partition(reps=((1.0,),)),
                         p=(1.0,), xi=(2.0,), seed=5),
     _two_cell(p=(0.0, 1.0), seed=11),
     _three_cell(),
@@ -440,15 +439,13 @@ def test_amplitude_rule_cases():
 
 def test_partition_validation():
     with pytest.raises(ValueError, match="at least one cell"):
-        Partition(reps=(), diameter=1.0)
+        Partition(reps=())
     with pytest.raises(ValueError, match="mixed dimensions"):
-        Partition(reps=((1.0, 2.0), (1.0,)), diameter=1.0)
-    with pytest.raises(ValueError, match="diameter"):
-        Partition(reps=((1.0,),), diameter=0.0)
+        Partition(reps=((1.0, 2.0), (1.0,)))
 
 
 def test_measure_validation():
-    part = Partition(reps=((1.0, 1.0), (2.0, 2.0)), diameter=1.0)
+    part = Partition(reps=((1.0, 1.0), (2.0, 2.0)))
     with pytest.raises(ValueError, match="sum to 1"):
         AtomicRandomMeasure(partition=part, p=(0.5, 0.6), xi=(1.0, 1.0))
     with pytest.raises(ValueError, match="sum to 1"):
@@ -467,13 +464,13 @@ def test_measure_validation():
 
 
 def test_refinement_chain_preserves_identities():
-    # structurally finer partitions with shrinking diameter bound; the
-    # atomic identities hold at every level
-    for cells, diam in ((2, 1.0), (4, 0.5), (8, 0.25)):
+    # structurally finer partitions; the atomic identities hold at every
+    # level
+    for cells in (2, 4, 8):
         reps = tuple((float(j), 1.0, 1.0, 1.0) for j in range(cells))
         p = tuple(1.0 / cells for _ in range(cells))
         meas = AtomicRandomMeasure(
-            partition=Partition(reps=reps, diameter=diam),
+            partition=Partition(reps=reps),
             p=p, xi=tuple(1.0 for _ in range(cells)), seed=7)
         real = sample_H(meas, 2000)
         c = real.coefficients()

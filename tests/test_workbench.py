@@ -6,6 +6,7 @@ sympy doing the calculus) before any test trusts the frozen constants in
 ``SobolevBurgersSpec.effective_coefficients``.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -533,7 +534,8 @@ def _time_residuals_of(sol, margin, t_rows):
     """_time_residuals with the inputs residual_suite gives it."""
     qphis = [_q_time_apply(phi, sol.grid.tau, sol.spec.c)
              for phi in sol._phi]
-    terms = [_diagonal_terms(kf, sol.grid, margin) for kf in sol.kernels]
+    terms = [_diagonal_terms(kf.terms, kf.config.dirac_spec(), sol.grid,
+                             margin) for kf in sol.kernels]
     return _time_residuals(sol, margin, t_rows, qphis, terms)
 
 
@@ -592,8 +594,8 @@ def test_residual_suite_peak_stays_flat_in_t_count(monkeypatch):
 
 
 def test_s0f_max_stays_below_one_pair_window_array():
-    # the S_0 F max runs one x_1 slab of the pair window at a time, so the
-    # suite's peak stays below one complex array on the window^{2n} nodes
+    # the S_0 F max is read at x = y, so the suite's peak stays below one
+    # complex array on the window^{2n} nodes
     point = SpectralPoint.matched(_SPEC, (1.0, -0.5))
     measure = measure_for_atoms([point], _SPEC, (1.0,))
     sol = assemble_u([point], measure, _SPEC.grid(41, 17), _SPEC, _W0)
@@ -601,6 +603,26 @@ def test_s0f_max_stays_below_one_pair_window_array():
     peak = _traced_peak(lambda: res.update(residual_suite(sol)))
     window = 41 - 2 * res["collar_cells"]
     assert peak < window ** 4 * 16
+
+
+@pytest.mark.parametrize("n, counts", [(2, (21, 41, 81)),
+                                       (3, (21, 31, 41))])
+def test_residual_suite_peak_scales_as_n_in_count(n, counts):
+    # at collar 0 the window spans all but 16 cells of each axis; every
+    # residual is read at x = y from N^n factors, so the first call's traced
+    # peak grows as N^n (measured slopes 1.9-2.1 at n = 2, 2.9-3.1 at
+    # n = 3), and a pair-window array (N^{2n-1} or more) fails the bound
+    spec = dataclasses.replace(_SPEC, n=n)
+    point = SpectralPoint.matched(spec, (1.0, -0.5))
+    measure = measure_for_atoms([point], spec, (1.0,))
+    peaks = []
+    for count in counts:
+        sol = assemble_u([point], measure, spec.grid(count, 9), spec,
+                         (0.0,) * n)
+        peaks.append(_traced_peak(lambda: residual_suite(sol, collar=0.0)))
+    slopes = [np.log(p1 / p0) / np.log(c1 / c0) for p0, p1, c0, c1
+              in zip(peaks, peaks[1:], counts, counts[1:])]
+    assert all(s <= n + 0.5 for s in slopes), slopes
 
 
 # -- residual suite ------------------------------------------------------------
@@ -653,7 +675,7 @@ def test_expectation_residual_matches_per_row_reference(request, fixture,
 
 def _factored_pair(kf, grid, margin):
     """aux_residual on a window of `margin` cells, any margin."""
-    d = _diagonal_terms(kf, grid, margin)
+    d = _diagonal_terms(kf.terms, kf.config.dirac_spec(), grid, margin)
     return float(np.max(np.abs(_aux_lhs(d, kf.config.a, kf.config.q))))
 
 
@@ -713,17 +735,32 @@ def test_factored_pair_residual_is_at_least_as_precise_as_dense(two_atoms):
     assert abs(fact - ext) <= abs(dense - ext)
 
 
-@pytest.mark.parametrize("atoms", [1, 2])
-def test_linear_residual_matches_dense_s0f_reference(single_atom, atoms):
-    # the suite forms S_0 F from the factors of F = f(x) f(y); the reference
-    # applies S_{2,a} to the dense midpoint pair field on all of V x V
+@pytest.mark.parametrize("atoms, collar, oblique", [
+    pytest.param(1, 2.0, False, id="1"),
+    pytest.param(2, 2.0, False, id="2"),
+    pytest.param(1, 0.0, False, id="1-collar0"),
+    pytest.param(1, 2.0, True, id="1-oblique"),
+    pytest.param(2, 0.0, True, id="2-collar0-oblique"),
+])
+def test_linear_residual_matches_dense_s0f_reference(single_atom, monkeypatch,
+                                                     atoms, collar, oblique):
+    # the suite reads S_0 F at x = y from the factors of F = f(x) f(y); the
+    # reference applies S_{2,a} to the dense midpoint pair field on all of
+    # V x V and takes the max over the whole pair window, also at collar 0
+    # (the widest window) and for an oblique kappa of the same length
     sol = single_atom
-    if atoms == 2:
+    if oblique:
+        k = -characteristic_kappa(_SPEC)[0] / np.sqrt(2.0)
+        monkeypatch.setattr(cdburgers.workbench, "characteristic_kappa",
+                            lambda spec: (-k, -k))
+    if atoms == 2 or oblique:
         points = [SpectralPoint.matched(_SPEC, lam)
-                  for lam in ((1.0, -0.5), (1.0, -1.0))]
-        measure = measure_for_atoms(points, _SPEC, (0.25, 0.75), seed=5)
+                  for lam in ((1.0, -0.5), (1.0, -1.0))[:atoms]]
+        probs = (1.0,) if atoms == 1 else (0.25, 0.75)
+        measure = measure_for_atoms(points, _SPEC, probs, seed=5)
         sol = assemble_u(points, measure, _SPEC.grid(21, 9), _SPEC, _W0)
-    res = residual_suite(sol, collar=2.0, t_collar=0.25)
+    assert (sol.kernels[0].config.kappa[1] != 0.0) == oblique
+    res = residual_suite(sol, collar=collar, t_collar=0.25)
     want = reference_linear_residual(sol, res["collar_cells"], res["t_rows"])
     assert want > 0.0
     assert abs(res["linear"] - want) <= 1e-8 * want
