@@ -25,8 +25,9 @@ u_t(x) v_t(y), f(x/2) f(y/2) and g_s(x) V_s(y); its ray is sum_t u_t(w)
 R_t(w), R_t tail-window integrals of f(z/2) v_t(z), free of K.  So the
 Picard solve builds the R_t once, every sweep acts on N^n nodes, none on
 N^{n+1} or N^{2n}, and the sup-norm certificate takes its algebra from
-the same _chain.  The K dump writes the terms, and the residual at x = y
-is evaluated from them one V factor at a time (Beylkin & Mohlenkamp, 2005).
+the same _chain.  The terms are K's only definition: the dump writes them,
+the dense K and its diagonal expand them, and the residual at x = y is
+evaluated from them one V factor at a time (Beylkin & Mohlenkamp, 2005).
 
 F comes from the closed family F(x, y) = exp(kappa . (x + y)/2).  Any
 function of the midpoint alone is annihilated by S_1, and membership in the
@@ -242,9 +243,9 @@ class KernelConfig:
 @dataclass
 class KernelField:
     """F (midpoint samples over V) and K's separated terms (u_t, v_t) on V,
-    K = sum_t u_t(x) v_t(y): (f(x/2), f(y/2)), then the solve's (g_s, V_s).
-    The terms are what dump_K writes; K and diagonal() evaluate them at
-    pair nodes."""
+    K = sum_t u_t(x) v_t(y): _f_term's (f(x/2), f(y/2)), then the solve's
+    (g_s, V_s).  The terms are K's one definition: dump_K writes them, and
+    K and diagonal() evaluate them at pair nodes by _separated."""
 
     F: GridField
     config: KernelConfig
@@ -254,28 +255,21 @@ class KernelField:
 
     @property
     def K(self) -> GridField:
-        """K on V x V (see _pair_values).  Allocates a V x V array on each
-        read, which only the tests make; dump_K writes the terms instead."""
-        grid, cfg = self.F.grid, self.config
-        pairs = np.ix_(*[np.arange(k) for k in grid.counts * 2])
-        vals = _pair_values(cfg, grid, pairs, self.terms[1:])
-        return GridField(grid, "xy", vals,
-                         None if cfg.scalar_closed() else cfg.level)
+        """K on V x V.  Allocates a V x V array on each read, which only the
+        tests make; dump_K writes the terms instead."""
+        return _pair_field(self.terms, self.config, self.F.grid)
 
     def dump_K(self, path: str) -> None:
-        """Write K as its terms (calculus.dump_terms), f(x/2) on coefficient
-        0 unless scalar-closed; load_field reads back K to rounding."""
+        """Write K as its terms (calculus.dump_terms), as stored; load_field
+        reads back K.values bit for bit."""
         cfg = self.config
-        level = None if cfg.scalar_closed() else cfg.level
-        (f, v), *rest = self.terms
-        u = f if level is None else f[..., None] * np.eye(1 << level)[0]
-        dump_terms(path, self.F.grid, level, [(u, v)] + rest)
+        dump_terms(path, self.F.grid,
+                   None if cfg.scalar_closed() else cfg.level, self.terms)
 
     def diagonal(self) -> np.ndarray:
         """K(x, x) on V, bit for bit the x = y entries of K.values."""
-        grid = self.F.grid
-        ix = np.ix_(*[np.arange(k) for k in grid.counts])
-        return _pair_values(self.config, grid, ix + ix, self.terms[1:])
+        ix = np.ix_(*[np.arange(k) for k in self.F.grid.counts])
+        return _separated(*zip(*self.terms), ix + ix)
 
 
 class PicardDivergence(RuntimeError):
@@ -316,12 +310,27 @@ def _f_half(config: KernelConfig, grid: Grid) -> np.ndarray:
     return config.f_midpoint(*np.ix_(*[0.5 * grid.axis(c) for c in range(n)]))
 
 
-def midpoint_pair_field(config: KernelConfig, grid: Grid) -> GridField:
-    """F as a pair field on V^2, F(x, y) = F((x + y)/2), sampled exactly:
-    the Picard start K_0, algebra-valued unless scalar-closed."""
+def _f_term(config: KernelConfig, grid: Grid) -> tuple:
+    """K's first term (f(x/2), f(y/2)), its x factor on i_0 unless
+    scalar-closed."""
+    f = _f_half(config, grid)
+    if config.scalar_closed():
+        return f, f
+    return f[..., None] * np.eye(1 << config.level)[0], f
+
+
+def _pair_field(terms, config: KernelConfig, grid: Grid) -> GridField:
+    """sum_t u_t(x) v_t(y) on V x V by _separated, algebra-valued unless
+    scalar-closed."""
     pairs = np.ix_(*[np.arange(k) for k in grid.counts * 2])
-    return GridField(grid, "xy", _pair_values(config, grid, pairs),
+    return GridField(grid, "xy", _separated(*zip(*terms), pairs),
                      None if config.scalar_closed() else config.level)
+
+
+def midpoint_pair_field(config: KernelConfig, grid: Grid) -> GridField:
+    """F as a pair field on V^2, F(x, y) = f(x/2) f(y/2) from _f_term: the
+    Picard start K_0, algebra-valued unless scalar-closed."""
+    return _pair_field([_f_term(config, grid)], config, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -528,19 +537,6 @@ def _separated(gs, V: np.ndarray, index):
     return out
 
 
-def _pair_values(config: KernelConfig, grid: Grid, index, terms=()):
-    """K(x, y) = F((x + y)/2) + sum_s g_s(x) V_s(y) on the pair nodes
-    index = (x indices, y indices), from K's factor terms (g_s, V_s); F is
-    exact (f_midpoint), on coefficient 0 unless scalar-closed; C order."""
-    n, ax = config.n, [grid.axis(j) for j in range(config.n)]
-    F = config.f_midpoint(*[(ax[j][index[j]] + ax[j][index[n + j]]) / 2.0
-                            for j in range(n)]).astype(np.complex128)
-    S = _separated([g for g, _ in terms], [v for _, v in terms], index)
-    if config.scalar_closed():
-        return F + S
-    return F[..., None] * np.eye(1 << config.level)[0] + S  # F on i_0
-
-
 def _separated_sup(ds, V: np.ndarray) -> float:
     """Sup norm of sum_s d_s(x) V_s(y) on V x V, without forming it.
 
@@ -665,8 +661,8 @@ def solve_K(config: KernelConfig, grid: Grid,
 
     Iterates on the x factors of K_m = F + sum_s g_s(x) V_s(y): K_m's tail
     ray comes from the _ray_tables of f(y/2) and the V_s, built once, so
-    no array reaches N^{n+1} nodes: kf.terms keeps K's terms (f(x/2),
-    f(y/2)), final (g_s, V_s).  Every norm is the sup norm over V x V and
+    no array reaches N^{n+1} nodes: kf.terms keeps K's terms, _f_term's,
+    then the final (g_s, V_s).  Every norm is the sup norm over V x V and
     coefficients, from the factors by _separated_sup: each step's diff and
     ratio, and final_residual, that of sum_s (g_s - (A K)_s) V_s.
 
@@ -684,10 +680,8 @@ def solve_K(config: KernelConfig, grid: Grid,
             f"operator norm estimate {est:.4g} is not below 1: Picard "
             "iteration is not a contraction (pass force=True to try anyway)"
         )
-    f, V = _f_half(config, grid), _y_factors(config, grid)
+    (f0, f), V = _f_term(config, grid), _y_factors(config, grid)
     tables = _ray_tables(np.stack([f, *V], axis=-1), config, grid)
-    f0 = (f if config.scalar_closed()
-          else f[..., None] * np.eye(1 << config.level)[0])
     gs, trace, prev, consec = [], [], None, 0
     for it in range(config.max_iter):
         new, _ = _x_factors(*_term_rays([f0] + gs, tables), config, grid)
@@ -710,7 +704,7 @@ def solve_K(config: KernelConfig, grid: Grid,
             f"(last diff {trace[-1]['diff']:.3e})", trace)
     AK, bound = _x_factors(*_term_rays([f0] + gs, tables), config, grid)
     residual = _separated_sup([u - w for u, w in zip(gs, AK)], V)
-    kf.terms = [(f, f)] + list(zip(gs, V))
+    kf.terms = [(f0, f)] + list(zip(gs, V))
     kf.trace = trace
     kf.report = {
         "characteristic_residual": abs(

@@ -304,9 +304,10 @@ class SolutionField:
 
 def assemble_u(atoms, measure: AtomicRandomMeasure, grid: Grid,
                spec: SobolevBurgersSpec, w0, *, tol=1e-10) -> SolutionField:
-    """Solve the temporal and kernel factors for every atom and bundle the
-    assembled random field.  The diagonal fields need scalar kernels, so
-    varsigma != 0 (p_2 != 0) is rejected before any solve."""
+    """Solve the temporal and kernel factors for every atom, each distinct
+    kernel config once, and bundle the assembled random field.  The
+    diagonal fields need scalar kernels, so varsigma != 0 (p_2 != 0) is
+    rejected before any solve."""
     atoms = tuple(atoms)
     if measure.size != len(atoms):
         raise ValueError("measure cells do not match the atom list")
@@ -320,8 +321,7 @@ def assemble_u(atoms, measure: AtomicRandomMeasure, grid: Grid,
     if not all(cfg.scalar_closed() for cfg in cfgs):
         raise ValueError("assembly of diagonal fields needs scalar kernels")
 
-    trajectories = []
-    kernels = []
+    trajectories, kernels = [], {}  # equal configs share one solve
     t_axis = grid.t_axis()
     for point, cfg in zip(atoms, cfgs):
         cs = CauchySpec(m=spec.m, c=spec.c, lam=point.lam_prime,
@@ -335,11 +335,12 @@ def assemble_u(atoms, measure: AtomicRandomMeasure, grid: Grid,
                 np.max(np.abs(tr.times - t_axis)) > 1e-9 * grid.t_max):
             raise RuntimeError("trajectory samples missed the time grid")
         trajectories.append(tr)
-        kernels.append(solve_K(cfg, grid))
+        if cfg not in kernels:
+            kernels[cfg] = solve_K(cfg, grid)
     return SolutionField(spec=spec, grid=grid, atoms=atoms,
                          measure=measure,
                          trajectories=tuple(trajectories),
-                         kernels=tuple(kernels))
+                         kernels=tuple(kernels[cfg] for cfg in cfgs))
 
 
 # ---------------------------------------------------------------------------

@@ -319,9 +319,10 @@ def reference_x_factors(ray, config, grid):
 
 def reference_solve_K(config, grid):
     """Dense Picard iteration K_0 = F, K_{m+1} = F + A K_m on all of
-    V x V with reference_apply_A, until the sup-norm step falls under
-    config.tol or max_iter runs out.  Returns K and the report entries
-    (iterations, converged, tail_bound, final_residual)."""
+    V x V with reference_apply_A, F = f(x/2) f(y/2) (midpoint_pair_field),
+    until the sup-norm step falls under config.tol or max_iter runs out.
+    Returns K and the report entries (iterations, converged, tail_bound,
+    final_residual)."""
     lev = None if config.scalar_closed() else config.level
     base = midpoint_pair_field(config, grid)
     base = (base if lev is None else base.as_algebra(lev)).values

@@ -128,6 +128,18 @@ def test_dirac_slots_on_two_point_field():
     np.testing.assert_allclose(out_y.values[..., 1], -1.0, atol=1e-12)
 
 
+def test_dirac_real_unit_is_not_conjugated():
+    # i_0^* = i_0: a weight on the real unit adds psi_0 df/dx on i_0,
+    # where a unit j >= 1 subtracts it on i_j
+    g = Grid.box(1, 0.0, 1.0, 9)
+    f = GridField.from_function(g, "x", lambda x: 2.0 * x)
+    for j, sign in ((0, 1.0), (1, -1.0)):
+        weights = tuple(0.5 * (k == j) for k in range(4))
+        out = dirac_apply(f, DiracSpec(2, weights, xi=(1, 1, 1, 1)))
+        np.testing.assert_allclose(out.values[..., j], sign, atol=1e-12)
+        assert not np.any(np.delete(out.values, j, axis=-1))
+
+
 def test_grid_too_coarse():
     g = Grid.box(1, 0.0, 1.0, 4)
     f = GridField.zeros(g, "x")
@@ -141,6 +153,15 @@ def test_laplace_polynomials_exact():
     np.testing.assert_allclose(laplace_apply(f).values, 2.0, atol=1e-11)
     harm = GridField.from_function(g, "x", lambda x1, x2: x1 ** 2 - x2 ** 2)
     np.testing.assert_allclose(laplace_apply(harm).values, 0.0, atol=1e-11)
+
+
+def test_diff_axis_composes_first_derivatives_above_order_two():
+    # order 3 applies the first-derivative stencil three times, exact on a
+    # cubic in every row that no one-sided boundary row reaches
+    x = np.linspace(-1.0, 1.0, 41)
+    d3 = diff_axis(x ** 3, 0, x[1] - x[0], 3)
+    np.testing.assert_allclose(d3[6:-6], 6.0, rtol=0, atol=1e-10)
+    assert np.max(np.abs(d3[:6] - 6.0)) > 1e-3
 
 
 def test_laplace_exponential_eigenvalue():

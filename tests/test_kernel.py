@@ -733,7 +733,8 @@ def test_K_terms_dump_round_trips_to_the_dense_K(kw, n, tmp_path):
     back = load_field(str(one))
     assert (back.arity, back.level) == ("xy", K.level)
     assert back.values.shape == K.values.shape
-    # F enters as f(x/2) f(y/2), not f_midpoint((x + y)/2): equal to rounding
+    # load_field sums the dumped terms in K's order, so the gap is 0.0
+    # (test_K_dump_loads_back_K_bit_for_bit)
     gap = np.max(np.abs(back.values - K.values)) / np.max(np.abs(K.values))
     assert gap <= 1e-15
     # a dense (version 1) dump still loads; an unknown version does not
@@ -744,6 +745,23 @@ def test_K_terms_dump_round_trips_to_the_dense_K(kw, n, tmp_path):
     two.write_bytes(bytes(data))
     with pytest.raises(ValueError, match="unsupported dump version 3"):
         load_field(str(two))
+
+
+@pytest.mark.parametrize("kw, n", [
+    (dict(p=(0.1, 0.0)), 1),
+    (dict(p=(0.2, 0.0)), 2),
+    (dict(p=(0.03, 0.015)), 1),
+    (dict(p=(0.1, 0.05), r_inf=1.3), 2),
+], ids=["n1", "n2", "n1-p2", "n2-p2"])
+def test_K_dump_loads_back_K_bit_for_bit(kw, n, tmp_path):
+    # K, diagonal() and the dump all read the one stored term list, whose
+    # first term already carries F's lift onto i_0
+    base, g = _SOLVE[n]
+    kf = solve_K(KernelConfig(**kw, **base), g)
+    kf.dump_K(str(tmp_path / "K.cdgf"))
+    back = load_field(str(tmp_path / "K.cdgf"))
+    assert np.array_equal(back.values, kf.K.values)
+    assert np.ndim(kf.terms[0][0]) == n + (not kf.config.scalar_closed())
 
 
 def _picard_steps(cfg, g):
@@ -1202,8 +1220,9 @@ def _numpy_name(node):
     return None
 
 
-def _blas_sites(tree):
-    """(enclosing qualified name, construct) of every BLAS-routed call."""
+def _sites(tree, label):
+    """(enclosing qualified name, label(node)) of every node that `label`
+    names (returns a truthy value for)."""
     sites = []
 
     def visit(node, scope):
@@ -1211,23 +1230,33 @@ def _blas_sites(tree):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            what = None
-            if isinstance(child, ast.Call):
-                name = _numpy_name(child.func)
-                if name in _BLAS_CALLS or (name or "").startswith("linalg."):
-                    what = f"np.{name}"
-                elif name == "einsum" and any(
-                        k.arg == "optimize" for k in child.keywords):
-                    what = "np.einsum(optimize=...)"
-            elif (isinstance(child, (ast.BinOp, ast.AugAssign))
-                  and isinstance(child.op, ast.MatMult)):
-                what = "@"
+            what = label(child)
             if what:
                 sites.append((".".join(scope) or "<module>", what))
             visit(child, scope)
 
     visit(tree, ())
     return sites
+
+
+def _blas_construct(node):
+    """The BLAS-routed construct that `node` is, or None."""
+    if isinstance(node, ast.Call):
+        name = _numpy_name(node.func)
+        if name in _BLAS_CALLS or (name or "").startswith("linalg."):
+            return f"np.{name}"
+        if name == "einsum" and any(k.arg == "optimize"
+                                    for k in node.keywords):
+            return "np.einsum(optimize=...)"
+    elif (isinstance(node, (ast.BinOp, ast.AugAssign))
+          and isinstance(node.op, ast.MatMult)):
+        return "@"
+    return None
+
+
+def _blas_sites(tree):
+    """(enclosing qualified name, construct) of every BLAS-routed call."""
+    return _sites(tree, _blas_construct)
 
 
 def test_blas_guard_flags_each_construct():
@@ -1261,6 +1290,18 @@ def test_no_blas_reductions_outside_the_audited_sites():
     assert not bad, f"BLAS or LAPACK calls outside the audited sites: {bad}"
     assert found == set(_BLAS_ALLOWED), (
         f"exceptions with no site left: {set(_BLAS_ALLOWED) - found}")
+
+
+def test_f_midpoint_has_one_route_per_job():
+    # F is sampled at the midpoint once (build_F), K's terms take its half
+    # argument factor (_f_half), and one diagnostic re-evaluates the closed
+    # form; every reader of K goes through the terms
+    found = {f"{path.stem}.{scope}"
+             for path in Path(cdburgers.__file__).parent.glob("*.py")
+             for scope, _ in _sites(ast.parse(path.read_text()),
+                                    lambda n: _ref_name(n) == "f_midpoint")}
+    assert found == {"kernel.build_F", "kernel._f_half",
+                     "kernel.aux_diagnostics"}
 
 
 # -- static guard: no unused module-level imports ----------------------------

@@ -16,7 +16,7 @@ import sympy as sp
 import cdburgers.calculus
 import cdburgers.kernel
 import cdburgers.workbench
-from cdburgers.calculus import Grid, _d1
+from cdburgers.calculus import Grid, _d1, interior_slices
 from cdburgers.cli import _csv_text
 from cdburgers.kernel import (
     _aux_lhs,
@@ -381,6 +381,28 @@ def two_atoms():
     return sol
 
 
+@pytest.mark.parametrize("lams, solves", [
+    (((1.0, -0.5), (1.0, -1.0)), 1),
+    (((1.0, -0.5), (2.0, -0.5)), 2),
+], ids=["equal-lambda1", "distinct-lambda1"])
+def test_assemble_solves_each_distinct_kernel_once(lams, solves,
+                                                   monkeypatch):
+    # atoms share kappa, w0 and the grid, so atoms with equal lambda_1 have
+    # equal kernel configs and share one solve
+    calls = []
+    solve = cdburgers.workbench.solve_K
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cdburgers.workbench, "solve_K", counted)
+    points = [SpectralPoint.matched(_SPEC, lam) for lam in lams]
+    measure = measure_for_atoms(points, _SPEC, (0.25, 0.75))
+    sol = assemble_u(points, measure, _SPEC.grid(11, 7), _SPEC, _W0)
+    assert len(calls) == len({id(kf) for kf in sol.kernels}) == solves
+
+
 def test_assemble_validations():
     point = SpectralPoint.matched(_SPEC, (1.0, -0.5))
     other = SpectralPoint.matched(_SPEC, (1.0, -1.0))
@@ -530,6 +552,17 @@ def test_monte_carlo_check_forms_no_sample_sized_value_array(single_atom):
     assert peak < samples
 
 
+def test_kernel_diagonal_is_the_residual_route_bit_for_bit(two_atoms):
+    # the moment identity reads _kdiag and the residuals read
+    # _diagonal_terms; both sum K's separated terms in order at x = y
+    sol, margin = two_atoms, 2
+    win = interior_slices(sol.grid.counts, range(sol.grid.n), margin)
+    for kf, kdiag in zip(sol.kernels, sol._kdiag):
+        d = _diagonal_terms(kf.terms, kf.config.dirac_spec(), sol.grid,
+                            margin)
+        assert np.array_equal(kdiag[win], d[0])
+
+
 def _time_residuals_of(sol, margin, t_rows):
     """_time_residuals with the inputs residual_suite gives it."""
     qphis = [_q_time_apply(phi, sol.grid.tau, sol.spec.c)
@@ -605,27 +638,55 @@ def test_s0f_max_stays_below_one_pair_window_array():
     assert peak < window ** 4 * 16
 
 
-@pytest.mark.parametrize("n, counts", [(2, (21, 41, 81)),
-                                       (3, (21, 31, 41))])
-def test_residual_suite_peak_scales_as_n_in_count(n, counts):
+@pytest.mark.parametrize("layer, n, counts", [
+    pytest.param(layer, n, counts, id=f"{n}-counts{n - 2}" if
+                 layer == "residual_suite" else f"{layer}-{n}")
+    for layer in ("residual_suite", "solve_K", "estimate_A_norm",
+                  "moment_identity")
+    for n, counts in ((2, (21, 41, 81)), (3, (21, 31, 41)))])
+def test_residual_suite_peak_scales_as_n_in_count(layer, n, counts):
     # at collar 0 the window spans all but 16 cells of each axis; every
     # residual is read at x = y from N^n factors, so the first call's traced
     # peak grows as N^n (measured slopes 1.9-2.1 at n = 2, 2.9-3.1 at
-    # n = 3), and a pair-window array (N^{2n-1} or more) fails the bound
+    # n = 3), and a pair-window array (N^{2n-1} or more) fails the bound;
+    # the kernel solve, its norm bound and the moment identity stay on V
+    # too (slopes 1.8-2.0 at n = 2, 2.6-3.0 at n = 3)
     spec = dataclasses.replace(_SPEC, n=n)
     point = SpectralPoint.matched(spec, (1.0, -0.5))
     measure = measure_for_atoms([point], spec, (1.0,))
+    cfg = atom_kernel_config(point, spec, (0.0,) * n)
     peaks = []
     for count in counts:
-        sol = assemble_u([point], measure, spec.grid(count, 9), spec,
-                         (0.0,) * n)
-        peaks.append(_traced_peak(lambda: residual_suite(sol, collar=0.0)))
+        grid = spec.grid(count, 9)
+        if layer in ("solve_K", "estimate_A_norm"):
+            call = getattr(cdburgers.kernel, layer)
+            peaks.append(_traced_peak(lambda: call(cfg, grid)))
+            continue
+        sol = assemble_u([point], measure, grid, spec, (0.0,) * n)
+        call = (moment_identity if layer == "moment_identity" else
+                lambda sol: residual_suite(sol, collar=0.0))
+        peaks.append(_traced_peak(lambda: call(sol)))
     slopes = [np.log(p1 / p0) / np.log(c1 / c0) for p0, p1, c0, c1
               in zip(peaks, peaks[1:], counts, counts[1:])]
     assert all(s <= n + 0.5 for s in slopes), slopes
 
 
 # -- residual suite ------------------------------------------------------------
+
+
+def test_q_time_apply_lower_coefficients_at_fourth_order():
+    # Q(d/dt) e^{mu t} = Q(mu) e^{mu t}, Q(s) = s^2 + c_2 s + c_1: the
+    # lower coefficients weigh the lower derivatives, and the rows that no
+    # one-sided stencil reaches converge at the stencil's order
+    mu, c = -0.7 + 0.5j, (0.3, -0.4)
+    errs = []
+    for t_count in (33, 65, 129):
+        t = np.linspace(0.0, 1.0, t_count)
+        got = _q_time_apply(np.exp(mu * t), t[1], c)
+        want = (mu * mu + c[1] * mu + c[0]) * np.exp(mu * t)
+        errs.append(np.max(np.abs(got - want)[4:-4]))
+    orders = [np.log2(e0 / e1) for e0, e1 in zip(errs, errs[1:])]
+    assert min(orders) >= 3.5, orders
 
 
 def test_residual_suite_window_errors(single_atom):
