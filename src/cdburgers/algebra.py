@@ -30,6 +30,12 @@ import numpy as np
 MAX_LEVEL = 6
 
 
+def level_for(slots: int) -> int:
+    """Smallest level with `slots` basis units (2^level >= slots), at least
+    the quaternions."""
+    return max(2, (slots - 1).bit_length())
+
+
 @lru_cache(maxsize=None)
 def _mul_tables(level: int) -> tuple[np.ndarray, np.ndarray]:
     """Basis product tables (index, sign) for A_level.
@@ -361,11 +367,10 @@ class EmbeddingMap:
         return len(self.indices)
 
     @classmethod
-    def default(cls, n: int, level: int | None = None) -> "EmbeddingMap":
-        """l_j = j - 1 (so the first coordinate sits on the real axis i_0)."""
-        if level is None:
-            level = max(2, (n - 1).bit_length())
-        return cls(tuple(range(n)), level)
+    def default(cls, n: int) -> "EmbeddingMap":
+        """l_j = j - 1 (the first coordinate on the real axis i_0), at the
+        smallest level holding the n slots."""
+        return cls(tuple(range(n)), level_for(n))
 
     def embed(self, x: Sequence[float]) -> CdElement:
         x = np.asarray(x, dtype=np.float64)

@@ -38,6 +38,7 @@ from cdburgers.algebra import (
     ComplexCdElement,
     MAX_LEVEL,
     basis_mul_coeffs,
+    level_for,
 )
 
 ARITIES = ("x", "xy", "txy")
@@ -319,16 +320,16 @@ class DiracSpec:
             raise ValueError("xi length must be 2^level")
 
     @classmethod
-    def standard(cls, n: int, level: int | None = None,
-                 weight: float = 2 ** -0.5) -> "DiracSpec":
-        """psi_j = weight for j = 1..n, zero otherwise, identity xi."""
+    def standard(cls, n: int, level: int | None = None) -> "DiracSpec":
+        """psi_j = 2^-1/2 for j = 1..n, zero otherwise, identity xi; by
+        default at the smallest level holding i_0..i_n."""
         if level is None:
-            level = max(2, n.bit_length())
+            level = level_for(n + 1)
         if (1 << level) <= n:
             raise ValueError(f"level {level} has too few units for n = {n}")
         w = [0.0] * (1 << level)
         for j in range(1, n + 1):
-            w[j] = weight
+            w[j] = 2 ** -0.5
         return cls(level, tuple(w))
 
     @property
@@ -658,10 +659,20 @@ def dump_terms(path: str, grid: Grid, level, terms) -> None:
         for term in terms for a in term])
 
 
+def _separated(gs, V, index):
+    """sum_s g_s(x) V_s(y) on the pair nodes index = (x indices, y indices),
+    elementwise in order of s with any coefficient axis kept last; 0.0
+    without factors."""
+    n = len(index) // 2
+    out = 0.0
+    for g, v in zip(gs, V):
+        out = out + g[index[:n]] * v[index[n:] + (None,) * (g.ndim - n)]
+    return out
+
+
 def load_field(path: str) -> GridField:
     """Read a GridField written by dump_field (version 1) or dump_terms
-    (version 2, expanded to the dense sum_t u_t(x) v_t(y), added in term
-    order from elementwise products)."""
+    (version 2, expanded to the dense sum_t u_t(x) v_t(y) by _separated)."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ValueError("not a field dump")
@@ -688,9 +699,7 @@ def load_field(path: str) -> GridField:
             return GridField(grid, arity, read(grid.shape(arity, lev)).copy(),
                              lev)
         (r,) = struct.unpack("<I", fh.read(4))
-        su, sv = grid.shape("x", lev), grid.shape("x")
-        values = np.zeros(grid.shape("xy", lev), dtype=np.complex128)
-        for _ in range(r):
-            u = read(su).reshape(su[:n] + (1,) * n + su[n:])
-            values += u * read(sv).reshape(sv + (1,) * (len(su) - n))
-        return GridField(grid, "xy", values, lev)
+        terms = [(read(grid.shape("x", lev)), read(grid.shape("x")))
+                 for _ in range(r)]
+    pairs = np.ix_(*[np.arange(k) for k in grid.counts * 2])
+    return GridField(grid, "xy", _separated(*zip(*terms), pairs), lev)

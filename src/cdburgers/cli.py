@@ -18,7 +18,7 @@ kernel
      "w0": [w, ...],                    (required)
      "grid": {"n": 2, "lo": 0.0, "hi": 1.0, "count": 9},       (required)
      "kappa": [...],        default: smallest admissible root
-     "r_inf": null, "tol": 1e-10, "max_iter": 40, "force": false}
+     "tol": 1e-10, "max_iter": 40, "force": false}
 ode
     {"lambda": [lambda_1, ..., lambda_{m+1}],                  (required)
      "c": [c_0, ..., c_{m-1}],  default: all 0
@@ -34,14 +34,14 @@ assemble
      "atoms": [[lam, ...], ...] or "matched": [[lam_prime], ...],
      "p": [...], "w0": [...],                                  (required)
      "grid": {"count": .., "t_count": ..},                     (required)
-     "seed": 0, "tol": 1e-10, "samples": 0}   (samples >= 0; 0 skips it)
+     "seed": 0, "samples": 0}           (samples >= 0; 0 skips it)
 verify
     {"problem": {...},                                         (required)
      "lam_prime": [...], "w0": [...],                          (required)
      "levels": [[count, t_count], ...],                        (required)
      "collar": 2.0,                                      (required, >= 0)
      "t_collar": null,                                  (>= 0 when given)
-     "seed": 0, "tol": 1e-10, "samples": 0}   (samples >= 0; 0 skips it)
+     "seed": 0, "samples": 0}           (samples >= 0; 0 skips it)
 
 Keys a stage does not read are ignored.  Two values are derived, not
 read: the Cayley-Dickson level of kernel, assemble and verify is the
@@ -286,7 +286,7 @@ def _run_kernel(args) -> int:
         a, grid.n)
     config = KernelConfig(
         a=a, p=tuple(cfg["p"]), kappa=kappa, w0=tuple(cfg["w0"]),
-        r_inf=cfg.get("r_inf"), max_iter=int(cfg.get("max_iter", 40)),
+        max_iter=int(cfg.get("max_iter", 40)),
         tol=float(cfg.get("tol", 1e-10)))
     try:
         kf = solve_K(config, grid, force=bool(cfg.get("force", False)))
@@ -457,8 +457,7 @@ def _run_assemble(args) -> int:
     grid = spec.grid(int(cfg["grid"]["count"]), int(cfg["grid"]["t_count"]))
     measure = measure_for_atoms(atoms, spec, tuple(cfg["p"]),
                                 seed=int(cfg.get("seed", 0)))
-    sol = assemble_u(atoms, measure, grid, spec, tuple(cfg["w0"]),
-                     tol=float(cfg.get("tol", 1e-10)))
+    sol = assemble_u(atoms, measure, grid, spec, tuple(cfg["w0"]))
     out = _outdir(args)
     report = {
         "atoms": [list(a.lam) for a in atoms],
@@ -494,8 +493,7 @@ def _run_verify(args) -> int:
         collar=float(cfg["collar"]),
         t_collar=(None if cfg.get("t_collar") is None
                   else float(cfg["t_collar"])),
-        seed=int(cfg.get("seed", 0)), tol=float(cfg.get("tol", 1e-10)),
-        samples=int(cfg.get("samples", 0)))
+        seed=int(cfg.get("seed", 0)), samples=int(cfg.get("samples", 0)))
     out = _outdir(args)
     csv_text = _csv_text(REFINEMENT_COLUMNS, (
         [row.get(k) for k in REFINEMENT_COLUMNS] for row in rows))

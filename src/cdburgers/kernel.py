@@ -22,7 +22,7 @@ under left units i_{b_c}, each integrated once (_segments): the y factors
 V_s are segments of f(v/2), and the x factors g_s signed permutations
 (_chain) of the segments of K's tail ray.  K is kept as its terms
 u_t(x) v_t(y), f(x/2) f(y/2) and g_s(x) V_s(y); its ray is sum_t u_t(w)
-R_t(w), R_t tail-window integrals of f(z/2) v_t(z), free of K.  So the
+R_t(w), R_t tail-ray integrals of f(z/2) v_t(z), free of K.  So the
 Picard solve builds the R_t once, every sweep acts on N^n nodes, none on
 N^{n+1} or N^{2n}, and the sup-norm certificate takes its algebra from
 the same _chain.  The terms are K's only definition: the dump writes them,
@@ -40,8 +40,8 @@ under the weight-2^{-1/2} Dirac spec.  build_F enforces the condition to
 this module.
 
 The ray of the innermost integral runs along the axis where kappa is most
-negative, truncated at the box edge (or earlier at r_inf) under an
-exponential decay certificate, mirroring calculus.tail_integral.
+negative, truncated at the box edge under an exponential decay
+certificate, mirroring calculus.tail_integral.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .algebra import _mul_tables, basis_mul_coeffs, mul_coeffs
+from .algebra import _mul_tables, basis_mul_coeffs, level_for, mul_coeffs
 from .calculus import (
     DiracSpec,
     Grid,
@@ -61,6 +61,7 @@ from .calculus import (
     interior_slices,
     _d1,
     _segment_factor,
+    _separated,
 )
 
 __all__ = [
@@ -150,15 +151,14 @@ def _p_coeffs(p_j, level: int) -> np.ndarray:
 @dataclass(frozen=True)
 class KernelConfig:
     """Data of one auxiliary problem: operator coefficients a, integral
-    weights p, kernel decay kappa, basepoint w0, and the solver's tail cap
-    r_inf, iteration cap max_iter, step tolerance tol and weight variant.
-    The algebra level is derived from n and p (see `level`)."""
+    weights p, kernel decay kappa, basepoint w0, and the solver's iteration
+    cap max_iter, step tolerance tol and weight variant.  The algebra level
+    is derived from n and p (see `level`)."""
 
     a: tuple  # (a_1, a_2, a_3), a_1 != 0
     p: tuple  # (p_1, p_2); entries scalar or coefficient tuples
     kappa: tuple  # decay vector of F, one entry per spatial axis
     w0: tuple  # basepoint, an interior lattice node of V
-    r_inf: float | None = None  # optional cap on the tail ray length
     max_iter: int = 40
     tol: float = 1e-10
     variant: str = "complex"  # "complex" or "quaternion"
@@ -166,7 +166,7 @@ class KernelConfig:
     def __post_init__(self):
         _check_length("a", self.a, 3)
         _check_length("p", self.p, 2)
-        for name in ("a", "p", "kappa", "w0", "r_inf"):
+        for name in ("a", "p", "kappa", "w0"):
             _check_finite(name, getattr(self, name))
         if self.a[0] == 0:
             raise ValueError("a_1 must be nonzero")
@@ -174,8 +174,6 @@ class KernelConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.r_inf is not None and not self.r_inf > 0:
-            raise ValueError(f"r_inf must be positive, got {self.r_inf}")
         if self.variant not in ("complex", "quaternion"):
             raise ValueError(f"unknown variant {self.variant!r}")
         if len(self.w0) != len(self.kappa):
@@ -199,10 +197,9 @@ class KernelConfig:
 
     @property
     def level(self) -> int:
-        """The smallest algebra holding the n coordinate units (the level
-        DiracSpec.standard picks) and every coefficient of p_1 and p_2."""
-        coeffs = max(np.size(w) for w in self.p)
-        return max(DiracSpec.standard(self.n).level, (coeffs - 1).bit_length())
+        """The smallest algebra holding i_0..i_n and every coefficient of
+        p_1 and p_2."""
+        return level_for(max(self.n + 1, *(np.size(w) for w in self.p)))
 
     @property
     def p_total(self) -> float:
@@ -410,31 +407,21 @@ def prefix_line_integrals(values: np.ndarray, grid: Grid, w0_idx, spec,
                 for c, seg in enumerate(segs)), np.zeros(values.shape))
 
 
-def _ray_ends(config: KernelConfig, grid: Grid):
-    """First and last node of each tail window along the tail axis a: the
-    box edge, or r_inf when it caps the ray earlier."""
-    a, m = config.tail_axis, grid.counts[config.tail_axis]
-    cap = (m - 1 if config.r_inf is None else
-           max(int(np.floor(config.r_inf / grid.spacings[a] + 1e-9)), 1))
-    return np.arange(m), np.minimum(np.arange(m) + cap, m - 1)
-
-
 def _ray_tables(h: np.ndarray, config: KernelConfig, grid: Grid):
-    """Window integrals R of f(z/2) h(z) along the tail axis a, on V.
+    """Ray integrals R of f(z/2) h(z) along the tail axis a, on V.
 
     Off axis a the ray z equals w, so for K = sum_t u_t(x) v_t(y) the
     innermost stage int_w^inf F(z, v) K(w, z) dz is ray(w) f(v/2), ray(w)
-    = sum_t u_t(w) R_t(w) with h = v_t: the prefix integral at the end of
-    w_a's tail window minus that at its start.  Trailing axes of h ride
-    along.  Also returns the edge slice f h at z_a = m - 1 (axis a kept),
-    which the tail certificate reads."""
+    = sum_t u_t(w) R_t(w) with h = v_t: the prefix integral at the box
+    edge minus that at w_a.  Trailing axes of h ride along.  Also returns
+    the edge slice f h at z_a = m - 1 (axis a kept), which the tail
+    certificate reads."""
     n, a = config.n, config.tail_axis
     f = _f_half(config, grid)
     g = f.reshape(f.shape + (1,) * (h.ndim - n)) * h
     cum = cumulative_integral(g, grid.spacings[a], axis=a)
-    starts, ends = _ray_ends(config, grid)
-    R = np.take(cum, ends, axis=a) - np.take(cum, starts, axis=a)
-    return R, g[(slice(None),) * a + (slice(-1, None),)]
+    edge = (slice(None),) * a + (slice(-1, None),)
+    return cum[edge] - cum, g[edge]
 
 
 def _weigh(T: np.ndarray, config: KernelConfig):
@@ -526,17 +513,6 @@ def _x_factors(ray: np.ndarray, edge: np.ndarray, config: KernelConfig,
     return _chain(segs, config, b if scalar else None), bound
 
 
-def _separated(gs, V: np.ndarray, index):
-    """sum_s g_s(x) V_s(y) on the pair nodes index = (x indices, y indices),
-    elementwise in order of s with any coefficient axis kept last; 0.0
-    without factors."""
-    n = len(index) // 2
-    out = 0.0
-    for g, v in zip(gs, V):
-        out = out + g[index[:n]] * v[index[n:] + (None,) * (g.ndim - n)]
-    return out
-
-
 def _separated_sup(ds, V: np.ndarray) -> float:
     """Sup norm of sum_s d_s(x) V_s(y) on V x V, without forming it.
 
@@ -615,9 +591,9 @@ def apply_A(K: GridField, F, config: KernelConfig, grid: Grid,
 def estimate_A_norm(config: KernelConfig, grid: Grid) -> float:
     """Certified bound on the sup-norm operator norm of the discretized A.
 
-    A = B R: the ray stage R reads K(w, z) along w's tail window with
-    weight scale W(w_a, z_a) f(z/2) (W the window rows of the cumulative
-    rule); B is separable, A K(x, y) = sum_{c, s} L_{c, s}[X_c[R K](x)]
+    A = B R: the ray stage R reads K(w, z) along w's tail ray with weight
+    scale W(w_a, z_a) f(z/2) (W the cumulative rule's rows from w_a to the
+    box edge); B is separable, A K(x, y) = sum_{c, s} L_{c, s}[X_c[R K](x)]
     V_s(y), X_c the x segment along axis c, V_s the y factors and L the
     solve's own _chain run once on unit segments (seg_j the unit at index j
     of a leading axis, k over the input slots).  X_c R is a Kronecker
@@ -635,14 +611,13 @@ def estimate_A_norm(config: KernelConfig, grid: Grid) -> float:
         return 0.0
     n, a, level = config.n, config.tail_axis, config.level
     spec, w0_idx = config.dirac_spec(), grid.node_index(config.w0)
-    starts, ends = _ray_ends(config, grid)
     b, scale = _segment_factor(spec, a, n)
     Sx = np.full(n, abs(scale))
     for ax, k in enumerate(grid.counts):
         d = np.abs(np.exp(0.5 * grid.axis(ax) * config.kappa[ax]))
         R = cumulative_integral(np.eye(k), grid.spacings[ax])
         if ax == a:
-            d = np.sum(np.abs(R[ends] - R[starts]) * d, axis=1)
+            d = np.sum(np.abs(R[-1] - R) * d, axis=1)
         X = np.abs(_segment_factor(spec, ax, n)[1] * (R - R[w0_idx[ax]]))
         Sx = Sx * [d[w0_idx[ax]] if ax > c else np.max(d) if ax < c else
                    np.max(np.sum(X * d, axis=1)) for c in range(n)]

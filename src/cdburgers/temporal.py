@@ -27,6 +27,8 @@ __all__ = [
     "solve_cauchy",
 ]
 
+CEILING = 1e12  # a state leaving the ball of this radius has blown up
+
 
 @dataclass(frozen=True)
 class CauchySpec:
@@ -37,7 +39,6 @@ class CauchySpec:
     lam: tuple  # (lambda_1, ..., lambda_{m+1}), lambda_1 != 0
     horizon: float
     tau: float | None = None
-    ceiling: float = 1e12
 
     def __post_init__(self):
         if self.m < 1:
@@ -48,12 +49,15 @@ class CauchySpec:
             raise ValueError(
                 f"parameter vector needs {self.m + 1} entries, got {len(self.lam)}"
             )
+        for name, v in (("c", self.c), ("lambda", self.lam)):
+            if not np.isfinite(np.asarray(v, dtype=complex)).all():
+                raise ValueError(f"{name} must be finite, got {v}")
         if self.lam[0] == 0:
             raise ValueError("lambda_1 must be nonzero")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
-        if self.step <= 0:
-            raise ValueError("step must be positive")
+        for name in ("horizon", "step"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got "
+                                 f"{getattr(self, name)}")
 
     @property
     def step(self) -> float:
@@ -117,7 +121,7 @@ def solve_cauchy(spec: CauchySpec) -> Trajectory:
 
     Classical fourth-order one-step scheme with the fixed step spec.step
     (one shorter final step closes any remainder).  Stops as soon as the
-    state leaves the finite ball of radius spec.ceiling and returns the
+    state leaves the finite ball of radius CEILING and returns the
     finite part with the blow-up flag set.
     """
     f = _rhs(spec)
@@ -141,7 +145,7 @@ def solve_cauchy(spec: CauchySpec) -> Trajectory:
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += h
         if not np.all(np.isfinite(y.view(np.float64))) or (
-            np.max(np.abs(y)) > spec.ceiling
+            np.max(np.abs(y)) > CEILING
         ):
             blew_up = True
             blowup_time = t

@@ -48,6 +48,7 @@ from .kernel import (
     KernelConfig,
     _collar_cells,
     _aux_lhs,
+    _check_finite,
     _diagonal_terms,
     _margin,
     admissible_kappa,
@@ -147,6 +148,7 @@ class SpectralPoint:
     def __post_init__(self):
         if len(self.lam) < 4:
             raise ValueError("lambda needs at least 4 entries (m >= 1)")
+        _check_finite("lambda", self.lam)
         if self.lam[0] == 0:
             raise ValueError("lambda_1 must be nonzero")
 
@@ -224,11 +226,10 @@ def characteristic_kappa(spec: SobolevBurgersSpec) -> tuple:
 
 
 def atom_kernel_config(point: SpectralPoint, spec: SobolevBurgersSpec,
-                       w0, *, tol=1e-10) -> KernelConfig:
+                       w0) -> KernelConfig:
     params = lambda_to_params(point, spec)
     return KernelConfig(a=params.a, p=params.p,
-                        kappa=characteristic_kappa(spec), w0=tuple(w0),
-                        tol=tol)
+                        kappa=characteristic_kappa(spec), w0=tuple(w0))
 
 
 def measure_for_atoms(atoms, spec: SobolevBurgersSpec, p, *,
@@ -303,7 +304,7 @@ class SolutionField:
 
 
 def assemble_u(atoms, measure: AtomicRandomMeasure, grid: Grid,
-               spec: SobolevBurgersSpec, w0, *, tol=1e-10) -> SolutionField:
+               spec: SobolevBurgersSpec, w0) -> SolutionField:
     """Solve the temporal and kernel factors for every atom, each distinct
     kernel config once, and bundle the assembled random field.  The
     diagonal fields need scalar kernels, so varsigma != 0 (p_2 != 0) is
@@ -317,7 +318,7 @@ def assemble_u(atoms, measure: AtomicRandomMeasure, grid: Grid,
         want = [complex(v).real for v in point.lam]
         if list(rep) != want:
             raise ValueError("measure cells do not match the atom list")
-    cfgs = [atom_kernel_config(point, spec, w0, tol=tol) for point in atoms]
+    cfgs = [atom_kernel_config(point, spec, w0) for point in atoms]
     if not all(cfg.scalar_closed() for cfg in cfgs):
         raise ValueError("assembly of diagonal fields needs scalar kernels")
 
@@ -560,8 +561,7 @@ REFINEMENT_COLUMNS = ("count", "t_count", "h", "tau", *_STUDY_KEYS,
 
 def refinement_study(spec: SobolevBurgersSpec, lam_prime, levels, w0, *,
                      collar: float, t_collar: float | None = None,
-                     seed: int = 0, tol: float = 1e-10,
-                     samples: int = 0) -> list:
+                     seed: int = 0, samples: int = 0) -> list:
     """Assemble a single-atom solution on a ladder of (count, t_count)
     grids and tabulate the residual suite on a fixed physical window.
 
@@ -574,7 +574,7 @@ def refinement_study(spec: SobolevBurgersSpec, lam_prime, levels, w0, *,
     prev = None
     for count, t_count in levels:
         grid = spec.grid(count, t_count)
-        sol = assemble_u([point], measure, grid, spec, w0, tol=tol)
+        sol = assemble_u([point], measure, grid, spec, w0)
         res = residual_suite(sol, collar=collar, t_collar=t_collar)
         row = {"count": count, "t_count": t_count, **res}
         mom = moment_identity(sol, samples=samples)

@@ -26,7 +26,8 @@ array one boolean mask per cell instead of gathering a per-cell table by
 the drawn indices.  The reference x and y factors of the kernel
 operator run one prefix_line_integrals sweep per axis on the dense
 coefficient axis, the same segments integrated n times, instead of
-integrating each staircase segment once.
+integrating each staircase segment once.  The symbolic quaternion Dirac
+operator reads a product table written out by hand.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+import sympy as sp
 
 from cdburgers.calculus import (
     DiracSpec,
@@ -156,6 +158,39 @@ def laplace_apply(f: GridField, slot: str = "x") -> GridField:
     return GridField(f.grid, f.arity, out, f.level)
 
 
+# Quaternion product table in the cyclic convention e1 e2 = e3, e2 e3 = e1,
+# e3 e1 = e2, written out by hand so it does not depend on the library's
+# doubling tables.
+
+_QTABLE = {
+    (0, 0): (0, 1), (0, 1): (1, 1), (0, 2): (2, 1), (0, 3): (3, 1),
+    (1, 0): (1, 1), (1, 1): (0, -1), (1, 2): (3, 1), (1, 3): (2, -1),
+    (2, 0): (2, 1), (2, 1): (3, -1), (2, 2): (0, -1), (2, 3): (1, 1),
+    (3, 0): (3, 1), (3, 1): (2, 1), (3, 2): (1, -1), (3, 3): (0, -1),
+}
+
+
+def _qmul(u, v):
+    out = [sp.Integer(0)] * 4
+    for i in range(4):
+        for j in range(4):
+            k, sign = _QTABLE[(i, j)]
+            out[k] += sign * u[i] * v[j]
+    return out
+
+
+def _symbolic_dirac(components, coords, psi):
+    """sigma f = sum_j conj(e_j) (df/dx_j) psi on quaternion components."""
+    out = [sp.Integer(0)] * 4
+    for j, xj in enumerate(coords, start=1):
+        ej_conj = [sp.Integer(0)] * 4
+        ej_conj[j] = sp.Integer(-1)
+        df = [sp.diff(c, xj) * psi for c in components]
+        term = _qmul(ej_conj, df)
+        out = [a + b for a, b in zip(out, term)]
+    return out
+
+
 def oracle_basis_product(level, j, k):
     """(index, sign) of i_j i_k at the given doubling level, or the raw
     coefficient list if the product is not a signed basis element."""
@@ -197,13 +232,12 @@ def reference_inner_tail(kvals, config, grid):
     K(w, z) dz, with F(z, v) = exp(kappa . (z + v)/2) left unfactored.
 
     The ray runs along the tail axis a of the config from z_a = w_a to the
-    box edge, or to the last node within r_inf (at least one cell); off
-    that axis z equals w.  The product F K is formed on the full broadcast
-    (w_1 .. w_n, zeta, v_1 .. v_n, coeff), each ray is integrated on its
-    own, and the segment factor i_b psi_b^-1 N^-1 comes from the pair
-    product.  Returns the table over (w, v) with a trailing coefficient
-    axis, and the tail bound |psi_b^-1 N^-1| max |F K| at the outgoing edge
-    divided by the decay rate -kappa_a / 2.
+    box edge; off that axis z equals w.  The product F K is formed on the
+    full broadcast (w_1 .. w_n, zeta, v_1 .. v_n, coeff), each ray is
+    integrated on its own, and the segment factor i_b psi_b^-1 N^-1 comes
+    from the pair product.  Returns the table over (w, v) with a trailing
+    coefficient axis, and the tail bound |psi_b^-1 N^-1| max |F K| at the
+    outgoing edge divided by the decay rate -kappa_a / 2.
     """
     n, a, level = config.n, config.tail_axis, config.level
     counts, m, h = grid.counts, grid.counts[a], grid.spacings[a]
@@ -234,11 +268,8 @@ def reference_inner_tail(kvals, config, grid):
 
     rays = np.zeros(counts + counts + kz.shape[-1:], dtype=np.complex128)
     for i in range(m):
-        end = m - 1
-        if config.r_inf is not None:
-            end = min(end, i + max(int(np.floor(config.r_inf / h + 1e-9)), 1))
         at_w = (slice(None),) * a + (slice(i, i + 1),)
-        rays[at_w] = segment_integral(fk[at_w], h, i, end, axis=n)
+        rays[at_w] = segment_integral(fk[at_w], h, i, m - 1, axis=n)
 
     out = np.zeros(rays.shape[:-1] + (1 << level,), dtype=np.complex128)
     for k in range(rays.shape[-1]):

@@ -109,7 +109,7 @@ def test_dirac_unit_weights_vs_laplace():
     f = GridField.from_function(
         g, "x", lambda x1, x2: np.exp(0.3 * x1) * np.cos(x2)
     )
-    spec = DiracSpec.standard(2, weight=1.0)
+    spec = DiracSpec(2, (0.0, 1.0, 1.0, 0.0))
     s2 = dirac_apply(dirac_apply(f, spec), spec)
     resid = s2.values[..., 0] + laplace_apply(f).values
     sl = interior_slices(resid.shape, (0, 1), 4)

@@ -193,6 +193,44 @@ def test_ode_requires_lambda(tmp_path, capsys):
     assert not out.exists()
 
 
+_ASSEMBLE_CFG = {"problem": _PROBLEM, "matched": [[1.0, -0.5]], "p": [1.0],
+                 "w0": [0.0, 0.0], "grid": {"count": 11, "t_count": 7}}
+
+
+@pytest.mark.parametrize("stage, cfg, message", [
+    ("ode", {"lambda": [1.0, 1.0], "tau": math.inf},
+     "step must be finite and positive, got inf"),
+    ("ode", {"lambda": [1.0, 1.0], "tau": math.nan},
+     "step must be finite and positive, got nan"),
+    ("ode", {"lambda": [1.0, 1.0], "horizon": math.inf},
+     "horizon must be finite and positive, got inf"),
+    ("ode", {"lambda": [1.0, 1.0], "c": [math.nan]},
+     "c must be finite, got (nan,)"),
+    ("ode", {"lambda": [math.nan, 1.0]},
+     "lambda must be finite, got (nan, 1.0)"),
+    ("assemble", dict(_ASSEMBLE_CFG, problem=dict(_PROBLEM, c=[math.nan])),
+     "c must be finite, got (nan,)"),
+    ("assemble", dict(_ASSEMBLE_CFG, matched=[[1.0, math.nan]]),
+     "lambda must be finite, got (1.0, nan, "),
+    ("verify", {"problem": _PROBLEM, "lam_prime": [1.0, math.inf],
+                "w0": [0.0, 0.0], "levels": [[11, 7]], "collar": 0.0},
+     "lambda must be finite, got (1.0, inf, "),
+], ids=["ode-tau-inf", "ode-tau-nan", "ode-horizon-inf", "ode-c-nan",
+        "ode-lambda-nan", "assemble-c-nan", "assemble-matched-nan",
+        "verify-lam_prime-inf"])
+def test_non_finite_temporal_inputs_exit_one(stage, cfg, message, tmp_path,
+                                              capsys):
+    # JSON NaN and Infinity parse as floats; the temporal factor refuses
+    # them before it integrates, so nothing is written
+    path = _write_cfg(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "run"
+    assert cli_run([stage, "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 _MEASURE_CFG = {
     "reps": [[1.0, 0.5, 0.3, 0.2], [2.0, -0.5, 0.1, 0.4]],
     "p": [0.25, 0.75], "gamma": 1.0, "seed": 4, "samples": 4000,
@@ -293,7 +331,6 @@ def test_kernel_refuses_noncontractive_weight(tmp_path, capsys):
 
 @pytest.mark.parametrize("extra, message", [
     (dict(max_iter=0), "max_iter must be >= 1, got 0"),
-    (dict(r_inf=-3.0), "r_inf must be positive, got -3.0"),
     (dict(tol=-1.0), "tol must be positive, got -1.0"),
     (dict(tol=0), "tol must be positive, got 0.0"),
     (dict(tol=math.nan), "tol must be positive, got nan"),
@@ -301,7 +338,6 @@ def test_kernel_refuses_noncontractive_weight(tmp_path, capsys):
     (dict(a=[-1.0, math.inf, 0.0]), "a must be finite"),
     (dict(kappa=[math.nan, 0.0]), "kappa must be finite"),
     (dict(w0=[0.0, -math.inf]), "w0 must be finite"),
-    (dict(r_inf=math.inf), "r_inf must be finite, got inf"),
     (dict(a=[0, -1, 0]), "a_1 must be nonzero"),
     # a bound far above 1 prints in exponent form, not as 300 digits
     (dict(kappa=[-2.0, 0.0],
@@ -314,8 +350,8 @@ def test_kernel_refuses_noncontractive_weight(tmp_path, capsys):
     (dict(grid={**_KERNEL_CFG["grid"], "n": 0}, w0=[]),
      "grid needs at least one axis"),
     (dict(kappa=[], w0=[]), "grid dimension does not match kappa"),
-], ids=["max_iter-0", "r_inf-negative", "tol-negative", "tol-0", "tol-nan",
-        "p-nan", "a-inf", "kappa-nan", "w0-inf", "r_inf-inf", "a1-0",
+], ids=["max_iter-0", "tol-negative", "tol-0", "tol-nan", "p-nan", "a-inf",
+        "kappa-nan", "w0-inf", "a1-0",
         "estimate-huge", "hi-inf", "count-inf", "n-0", "kappa-empty"])
 def test_kernel_rejects_bad_inputs(extra, message, tmp_path, capsys):
     path = _write_cfg(tmp_path / "k.json", dict(_KERNEL_CFG, **extra))

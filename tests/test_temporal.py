@@ -15,6 +15,7 @@ import sympy as sp
 
 from cdburgers.cli import cli_run
 from cdburgers.temporal import (
+    CEILING,
     CauchySpec,
     Trajectory,
     solve_cauchy,
@@ -86,7 +87,7 @@ def test_blowup_is_flagged_and_trajectory_stays_finite():
     assert traj.blowup_time == pytest.approx(1.0, abs=0.2)
     assert traj.times[-1] < 2.0
     assert np.all(np.isfinite(traj.states.view(np.float64)))
-    assert np.max(np.abs(traj.values)) <= spec.ceiling
+    assert np.max(np.abs(traj.values)) <= CEILING
 
 
 def test_real_parameters_give_real_trajectories():

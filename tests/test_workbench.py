@@ -43,6 +43,7 @@ from cdburgers.workbench import (
 )
 from cdburgers.workbench import _q_time_apply, _time_residuals
 from oracles import (
+    _symbolic_dirac,
     reference_atom_diag,
     reference_aux_residual,
     reference_expectation_residual,
@@ -58,37 +59,6 @@ from oracles import (
 
 
 # -- symbolic oracle for the diagonal-restriction scaling chain ----------------
-#
-# Quaternion product table in the cyclic convention e1 e2 = e3, written out
-# by hand so the derivation does not depend on the library's doubling tables.
-
-_QTABLE = {
-    (0, 0): (0, 1), (0, 1): (1, 1), (0, 2): (2, 1), (0, 3): (3, 1),
-    (1, 0): (1, 1), (1, 1): (0, -1), (1, 2): (3, 1), (1, 3): (2, -1),
-    (2, 0): (2, 1), (2, 1): (3, -1), (2, 2): (0, -1), (2, 3): (1, 1),
-    (3, 0): (3, 1), (3, 1): (2, 1), (3, 2): (1, -1), (3, 3): (0, -1),
-}
-
-
-def _qmul(u, v):
-    out = [sp.Integer(0)] * 4
-    for i in range(4):
-        for j in range(4):
-            k, sign = _QTABLE[(i, j)]
-            out[k] += sign * u[i] * v[j]
-    return out
-
-
-def _symbolic_dirac(components, coords, psi):
-    """sigma f = sum_j conj(e_j) (df/dx_j) psi on quaternion components."""
-    out = [sp.Integer(0)] * 4
-    for j, xj in enumerate(coords, start=1):
-        ej_conj = [sp.Integer(0)] * 4
-        ej_conj[j] = sp.Integer(-1)
-        df = [sp.diff(c, xj) * psi for c in components]
-        term = _qmul(ej_conj, df)
-        out = [a + b for a, b in zip(out, term)]
-    return out
 
 
 def _midpoint_chain():
