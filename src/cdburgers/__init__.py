@@ -7,9 +7,11 @@ integral equation, solve a nonlinear temporal Cauchy problem, and assemble
 candidate solutions as integrals against finite atomic random operator
 valued measures, then verify everything with grid residuals.
 
-The algebra names in __all__ are served from cdburgers.algebra on first use,
-so importing the package (or the CLI) loads no numpy.
+The algebra names in __all__ are served from cdburgers.algebra_ext on first
+use, so importing the package (or the CLI) loads no numpy.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
@@ -18,9 +20,16 @@ __all__ = ["CdElement", "ComplexCdElement", "EmbeddingMap", "cd_conj",
            "__version__"]
 
 
-def __getattr__(name):
-    if name in __all__:
-        from cdburgers import algebra
+def _served_by(module: str, sibling: str, names):
+    """A PEP 562 module __getattr__ for `module`: each of `names` is read
+    from the module `sibling`, which is imported on the first such read."""
 
-        return getattr(algebra, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    def __getattr__(name):
+        if name in names:
+            return getattr(importlib.import_module(sibling), name)
+        raise AttributeError(f"module {module!r} has no attribute {name!r}")
+
+    return __getattr__
+
+
+__getattr__ = _served_by(__name__, "cdburgers.algebra_ext", __all__)

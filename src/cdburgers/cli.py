@@ -34,14 +34,14 @@ assemble
      "atoms": [[lam, ...], ...] or "matched": [[lam_prime], ...],
      "p": [...], "w0": [...],                                  (required)
      "grid": {"count": .., "t_count": ..},                     (required)
-     "seed": 0, "samples": 0}           (samples >= 0; 0 skips it)
+     "seed": 0, "samples": 0}       (both >= 0; samples 0 skips it)
 verify
     {"problem": {...},                                         (required)
      "lam_prime": [...], "w0": [...],                          (required)
      "levels": [[count, t_count], ...],                        (required)
      "collar": 2.0,                                      (required, >= 0)
      "t_collar": null,                                  (>= 0 when given)
-     "seed": 0, "samples": 0}           (samples >= 0; 0 skips it)
+     "seed": 0, "samples": 0}       (both >= 0; samples 0 skips it)
 
 Keys a stage does not read are ignored.  Two values are derived, not
 read: the Cayley-Dickson level of kernel, assemble and verify is the
@@ -63,12 +63,18 @@ config value of the wrong type or a non-finite integer, missing file), 2
 numerical failure (divergence, blow-up, or a failed check).
 
 Each stage imports numpy and the numeric modules it uses only when it
-runs, so --help and usage errors load no numeric module.
+runs, so --help and usage errors load no numeric module.  The handlers of
+algebra-check, translate, ode and measure-check live in cli_ext, which the
+dispatcher imports only when one of those stages runs.  After cli_run,
+main freezes the heap (gc.freeze), so interpreter shutdown leaves it to
+the OS instead of freeing it object by object; every --out file is closed
+by then, and cli_run, which tests run in-process, changes no GC state.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -146,121 +152,6 @@ def _finish(ok: bool, what: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# algebra-check
-# ---------------------------------------------------------------------------
-
-
-def _run_algebra_check(args) -> int:
-    import numpy as np
-
-    from .algebra import MAX_LEVEL, CdElement, cd_mul, pi_project
-
-    cfg = _load_config(args)
-    levels = cfg.get("levels", [2, 3, 4])
-    trials = int(cfg.get("trials", 200))
-    if trials < 1:
-        raise ValueError(f"algebra-check 'trials' must be >= 1, got {trials}")
-    if not levels or not all(0 <= int(r) <= MAX_LEVEL for r in levels):
-        raise ValueError("algebra-check 'levels' must be a non-empty list "
-                         f"of levels in [0, {MAX_LEVEL}], got {levels}")
-    seed = int(cfg.get("seed", 0))
-    rng = np.random.default_rng(seed)
-
-    anticommutation_exact = True
-    squares_exact = True
-    for r in levels:
-        dim = 1 << int(r)
-        for j in range(1, dim):
-            ij = CdElement.basis(r, j)
-            sq = cd_mul(ij, ij)
-            if not np.array_equal(sq.coeffs, -CdElement.basis(r, 0).coeffs):
-                squares_exact = False
-            for k in range(j + 1, dim):
-                ik = CdElement.basis(r, k)
-                anti = cd_mul(ij, ik).coeffs + cd_mul(ik, ij).coeffs
-                if np.any(anti != 0.0):
-                    anticommutation_exact = False
-
-    alternativity_max = 0.0
-    for r in (2, 3):
-        for _ in range(trials):
-            x = CdElement(r, rng.standard_normal(1 << r))
-            y = CdElement(r, rng.standard_normal(1 << r))
-            left = cd_mul(cd_mul(x, x), y).coeffs - cd_mul(
-                x, cd_mul(x, y)).coeffs
-            right = cd_mul(y, cd_mul(x, x)).coeffs - cd_mul(
-                cd_mul(y, x), x).coeffs
-            alternativity_max = max(
-                alternativity_max,
-                float(np.max(np.abs(left))), float(np.max(np.abs(right))))
-
-    power_max = 0.0
-    for r in (2, 3, 4, 5):
-        for _ in range(trials):
-            x = CdElement(r, rng.standard_normal(1 << r))
-            x2 = cd_mul(x, x)
-            x3a = cd_mul(x2, x)
-            gap4 = cd_mul(x3a, x).coeffs - cd_mul(x2, x2).coeffs
-            gap3 = x3a.coeffs - cd_mul(x, x2).coeffs
-            power_max = max(power_max, float(np.max(np.abs(gap3))),
-                            float(np.max(np.abs(gap4))))
-
-    projection_max = 0.0
-    for r in levels:
-        dim = 1 << int(r)
-        for _ in range(trials):
-            z = CdElement(r, rng.standard_normal(dim))
-            for j in range(dim):
-                projection_max = max(
-                    projection_max,
-                    float(abs(pi_project(j, z) - z.coeffs[j])))
-
-    ok = bool(anticommutation_exact and squares_exact
-              and alternativity_max <= 1e-10 and power_max <= 1e-10
-              and projection_max <= 1e-12)
-    _emit(_outdir(args), "algebra_report.json", {
-        "levels": [int(r) for r in levels],
-        "trials": trials,
-        "seed": seed,
-        "anticommutation_exact": anticommutation_exact,
-        "squares_exact": squares_exact,
-        "alternativity_max": alternativity_max,
-        "power_associativity_max": power_max,
-        "projection_max": projection_max,
-        "pass": ok,
-    })
-    return _finish(ok, "algebra-check")
-
-
-# ---------------------------------------------------------------------------
-# translate
-# ---------------------------------------------------------------------------
-
-
-def _run_translate(args) -> int:
-    cfg = _load_config(args)
-    _require(cfg, "translate", ("source",))
-    source = cfg["source"]
-    if not isinstance(source, str):
-        raise ValueError(f"translate source must be a string, got {source!r}")
-    from .pdelang import parse_pde
-    from .translate import translate_system  # sympy: only this stage
-
-    program = parse_pde(source)
-    tp = translate_system(program)
-    _emit(_outdir(args), "translate_report.json", {
-        "source": source,
-        "dim": program.dim,
-        "unknown_components": program.unknown[1],
-        "level": tp.level,
-        "pretty": tp.pretty(),
-        "tree": tp.to_tree(),
-    })
-    print(tp.pretty())
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # kernel
 # ---------------------------------------------------------------------------
 
@@ -304,124 +195,6 @@ def _run_kernel(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# ode
-# ---------------------------------------------------------------------------
-
-
-def _run_ode(args) -> int:
-    cfg = _load_config(args)
-    _require(cfg, "ode", ("lambda",))
-    lam = tuple(float(v) for v in cfg["lambda"])
-    m = len(lam) - 1
-    c = tuple(float(v) for v in cfg.get("c", [0.0] * m))
-    horizon = float(cfg.get("horizon", 0.5))
-    tau = cfg.get("tau")
-    from .temporal import CauchySpec, solve_cauchy
-
-    spec = CauchySpec(m=m, c=c, lam=lam, horizon=horizon,
-                      tau=None if tau is None else float(tau))
-    traj = solve_cauchy(spec)
-    out = _outdir(args)
-    _write_text(out, "trajectory.csv", _csv_text(
-        ("t", "re_phi", "im_phi", "residual"),
-        ((float(t), float(v.real), float(v.imag), float(r))
-         for t, v, r in zip(traj.times, traj.values, traj.residuals))))
-    _emit(out, "ode_report.json", {
-        "m": m, "c": list(c), "lambda": list(lam),
-        "horizon": horizon, "tau": spec.step,
-        "samples": len(traj.times),
-        "blew_up": traj.blew_up,
-        "blowup_time": traj.blowup_time,
-        "max_residual": float(traj.residuals.max()),
-    })
-    if traj.blew_up:
-        print(f"numerical failure: trajectory blew up at "
-              f"t = {traj.blowup_time:.6g}", file=sys.stderr)
-        return 2
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# measure-check
-# ---------------------------------------------------------------------------
-
-
-def _run_measure_check(args) -> int:
-    import numpy as np
-
-    from .randmeasure import (AtomicRandomMeasure, Partition, moments,
-                              sample_counts, structural_function,
-                              xi_from_rule)
-
-    cfg = _load_config(args)
-    _require(cfg, "measure-check", ("reps", "p"))
-    reps = tuple(tuple(float(v) for v in row) for row in cfg["reps"])
-    partition = Partition(reps=reps)
-    if "xi" in cfg:
-        xi = tuple(complex(v) for v in cfg["xi"])
-    else:
-        m = len(reps[0]) - 3
-        xi = tuple(
-            xi_from_rule(rep, m, gamma=complex(cfg.get("gamma", 0.0)),
-                         varsigma=complex(cfg.get("varsigma", 0.0)))
-            for rep in reps)
-    measure = AtomicRandomMeasure(partition=partition,
-                                  p=tuple(float(v) for v in cfg["p"]),
-                                  xi=xi, seed=int(cfg.get("seed", 0)))
-    samples = int(cfg.get("samples", 100_000))
-    counts = sample_counts(measure, samples)
-    size = measure.size
-    p = np.asarray(measure.p)
-    xi_arr = np.asarray(measure.xi, dtype=np.complex128)
-    # c_j is a function of the drawn cell: row j of diag(xi)
-    coeff = np.diag(xi_arr)
-
-    # per-sample orthogonality of distinct cells is structural: at most one
-    # coefficient is nonzero per draw
-    cross_max = 0.0
-    for i in range(size):
-        for j in range(i + 1, size):
-            cross_max = max(cross_max, float(np.max(np.abs(
-                coeff[i] * coeff[j]))))
-
-    # first and second moments against the closed forms xi p and xi^2 p,
-    # reduced over the per-cell draw counts
-    mean_gap = delta_gap = 0.0
-    mean_pass = delta_pass = True
-    for j in range(size):
-        m1, se1 = moments(counts, coeff[j])
-        m2, se2 = moments(counts, coeff[j] * coeff[j])
-        want1 = xi_arr[j] * p[j]
-        want2 = xi_arr[j] ** 2 * p[j]
-        mean_gap = max(mean_gap, float(abs(m1 - want1)))
-        delta_gap = max(delta_gap, float(abs(m2 - want2)))
-        mean_pass &= bool(
-            abs(m1 - want1) <= 3.0 * float(abs(se1)) + 1e-12)
-        delta_pass &= bool(
-            abs(m2 - want2) <= 3.0 * float(abs(se2)) + 1e-12)
-
-    # structural function: whole-space diagonal atom sum vs |xi|^2 p
-    whole = list(range(size))
-    struct_gap = float(abs(structural_function(measure, whole, whole)
-                           - float(np.sum(np.abs(xi_arr) ** 2 * p))))
-    ok = bool(cross_max == 0.0 and mean_pass and delta_pass
-              and struct_gap <= 1e-12)
-    _emit(_outdir(args), "measure_report.json", {
-        "cells": size,
-        "samples": samples,
-        "seed": measure.seed,
-        "cross_moment_max": cross_max,
-        "mean_gap": mean_gap,
-        "mean_within_3se": bool(mean_pass),
-        "second_moment_gap": delta_gap,
-        "second_moment_within_3se": bool(delta_pass),
-        "structural_gap": struct_gap,
-        "pass": ok,
-    })
-    return _finish(ok, "measure-check")
-
-
-# ---------------------------------------------------------------------------
 # assemble / verify
 # ---------------------------------------------------------------------------
 
@@ -439,6 +212,21 @@ def _problem(cfg: dict):
         horizon=float(pr.get("horizon", 1.0)))
 
 
+def _samples_seed(cfg: dict) -> list:
+    """samples and seed (default 0) as ints >= 0, read before any solve or
+    write, so that a bad value leaves no --out behind."""
+    counts = []
+    for key, what in (("samples", "0 or a positive sample count"),
+                      ("seed", "an integer >= 0")):
+        try:
+            counts.append(int(cfg.get(key, 0)))
+        except (TypeError, ValueError, OverflowError):
+            counts.append(-1)
+        if counts[-1] < 0:
+            raise ValueError(f"{key} must be {what}, got {cfg[key]!r}")
+    return counts
+
+
 def _run_assemble(args) -> int:
     from .kernel import run_report
     from .workbench import (SpectralPoint, assemble_u, measure_for_atoms,
@@ -454,9 +242,9 @@ def _run_assemble(args) -> int:
     else:
         raise ValueError("config needs 'atoms' or 'matched'")
     _require(cfg, "assemble", ("p", "w0", "grid"))
+    samples, seed = _samples_seed(cfg)
     grid = spec.grid(int(cfg["grid"]["count"]), int(cfg["grid"]["t_count"]))
-    measure = measure_for_atoms(atoms, spec, tuple(cfg["p"]),
-                                seed=int(cfg.get("seed", 0)))
+    measure = measure_for_atoms(atoms, spec, tuple(cfg["p"]), seed=seed)
     sol = assemble_u(atoms, measure, grid, spec, tuple(cfg["w0"]))
     out = _outdir(args)
     report = {
@@ -465,8 +253,7 @@ def _run_assemble(args) -> int:
         "xi": list(measure.xi),
         "grid": {"count": grid.counts[0], "t_count": grid.t_count},
         "kernels": [run_report(kf, grid) for kf in sol.kernels],
-        "moment_identity": moment_identity(
-            sol, samples=int(cfg.get("samples", 0))),
+        "moment_identity": moment_identity(sol, samples=samples),
     }
     _emit(out, "assemble_report.json", report)
     for j, kf in enumerate(sol.kernels):
@@ -488,12 +275,13 @@ def _run_verify(args) -> int:
                              "[count, t_count]")
     if not levels:
         raise ValueError("verify config needs at least one level")
+    samples, seed = _samples_seed(cfg)
     rows = refinement_study(
         spec, tuple(cfg["lam_prime"]), levels, tuple(cfg["w0"]),
         collar=float(cfg["collar"]),
         t_collar=(None if cfg.get("t_collar") is None
                   else float(cfg["t_collar"])),
-        seed=int(cfg.get("seed", 0)), samples=int(cfg.get("samples", 0)))
+        seed=seed, samples=samples)
     out = _outdir(args)
     csv_text = _csv_text(REFINEMENT_COLUMNS, (
         [row.get(k) for k in REFINEMENT_COLUMNS] for row in rows))
@@ -519,6 +307,12 @@ def _run_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _run_ext(args) -> int:
+    from .cli_ext import HANDLERS
+
+    return HANDLERS[args.subcommand](args)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cdburgers",
                      description="Sobolev-Burgers solution workbench")
@@ -531,13 +325,11 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", default=".", help="artifact directory")
         p.set_defaults(handler=handler)
 
-    stage("algebra-check", _run_algebra_check,
-          "doubling-algebra property sweep")
-    stage("translate", _run_translate,
-          "lower a PDE over the doubling algebra")
+    stage("algebra-check", _run_ext, "doubling-algebra property sweep")
+    stage("translate", _run_ext, "lower a PDE over the doubling algebra")
     stage("kernel", _run_kernel, "solve the auxiliary kernel equation")
-    stage("ode", _run_ode, "integrate the temporal Cauchy problem")
-    stage("measure-check", _run_measure_check,
+    stage("ode", _run_ext, "integrate the temporal Cauchy problem")
+    stage("measure-check", _run_ext,
           "atomic random measure identity checks")
     stage("assemble", _run_assemble,
           "assemble a stochastic solution field")
@@ -577,8 +369,12 @@ def cli_run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_run())
+    code = cli_run()
+    gc.freeze()  # shutdown then leaves the heap to the OS (module docstring)
+    sys.exit(code)
 
 
 if __name__ == "__main__":
+    # so that cli_ext's import of cdburgers.cli reuses this module
+    sys.modules.setdefault("cdburgers.cli", sys.modules[__name__])
     main()

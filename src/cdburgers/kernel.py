@@ -50,7 +50,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .algebra import _mul_tables, basis_mul_coeffs, level_for, mul_coeffs
+from .algebra import _mul_tables, basis_mul_coeffs, level_for
 from .calculus import (
     DiracSpec,
     Grid,
@@ -429,6 +429,7 @@ def _weigh(T: np.ndarray, config: KernelConfig):
     complex variant, right multiplication by p_1 in the quaternion one."""
     p1, level = config.p[0], config.level
     if config.variant == "quaternion":
+        from .algebra_ext import mul_coeffs  # no CLI stage runs this variant
         return mul_coeffs(T, _p_coeffs(p1, level), level)
     out = np.zeros_like(T)
     out[..., 0] = _scalar_weight(p1) * T[..., 1]
@@ -439,6 +440,7 @@ def _weigh_q(Q: np.ndarray, config: KernelConfig) -> np.ndarray:
     """The p_2 term of A K from the Q sweep, under the variant's weight."""
     if config.variant == "complex":
         return _scalar_weight(config.p[1]) * Q
+    from .algebra_ext import mul_coeffs  # no CLI stage runs this variant
     return mul_coeffs(Q, _p_coeffs(config.p[1], config.level), config.level)
 
 

@@ -44,8 +44,8 @@ from functools import reduce
 import numpy as np
 import sympy as sp
 
-from .algebra import (MAX_LEVEL, EmbeddingMap, basis_mul_coeffs, conj_coeffs,
-                      level_for, mul_coeffs)
+from .algebra import MAX_LEVEL, basis_mul_coeffs, level_for
+from .algebra_ext import EmbeddingMap, conj_coeffs, mul_coeffs
 from .calculus import GridField, diff_axis
 from .pdelang import (
     Add,

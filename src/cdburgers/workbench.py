@@ -99,6 +99,9 @@ class SobolevBurgersSpec:
     horizon: float = 1.0
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "gamma", "varsigma", "c", "lo", "hi",
+                     "horizon"):
+            _check_finite(name, getattr(self, name))
         if self.alpha == 0:
             raise ValueError("alpha must be nonzero")
         if abs(self.gamma) + abs(self.varsigma) == 0:

@@ -4,6 +4,7 @@ byte determinism of written reports."""
 import argparse
 import ast
 import csv
+import gc
 import json
 import math
 import subprocess
@@ -231,6 +232,51 @@ def test_non_finite_temporal_inputs_exit_one(stage, cfg, message, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("alpha", math.nan), ("beta", math.inf), ("gamma", math.nan),
+    ("varsigma", -math.inf), ("c", [0.5, math.nan]), ("lo", -math.inf),
+    ("hi", math.nan), ("horizon", math.inf),
+])
+def test_problem_refuses_non_finite_fields(field, value, tmp_path, capsys):
+    # SobolevBurgersSpec names the field, before any derived value (the
+    # box, a matched lambda, the time axis) fails under another name
+    cfg = dict(_ASSEMBLE_CFG, problem=dict(_PROBLEM, **{field: value}))
+    path = _write_cfg(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "run"
+    assert cli_run(["assemble", "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {field} must be finite, got " in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+_VERIFY_CFG = {"problem": _PROBLEM, "lam_prime": [1.0, -0.5],
+               "w0": [0.0, 0.0], "levels": [[21, 9]], "collar": 2.0,
+               "t_collar": 0.25}
+
+
+@pytest.mark.parametrize("stage", ["assemble", "verify"])
+@pytest.mark.parametrize("key, value", [
+    ("samples", math.nan), ("samples", math.inf), ("samples", -1),
+    ("samples", "x"), ("seed", -1),
+])
+def test_samples_and_seed_are_read_before_any_solve(stage, key, value,
+                                                    tmp_path, capsys,
+                                                    monkeypatch):
+    def solved(*args, **kwargs):
+        raise AssertionError(f"{stage} solved a kernel with a bad {key}")
+
+    monkeypatch.setattr(cdburgers.workbench, "solve_K", solved)
+    base = _ASSEMBLE_CFG if stage == "assemble" else _VERIFY_CFG
+    path = _write_cfg(tmp_path / "cfg.json", dict(base, **{key: value}))
+    out = tmp_path / "run"
+    assert cli_run([stage, "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {key} must be " in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 _MEASURE_CFG = {
     "reps": [[1.0, 0.5, 0.3, 0.2], [2.0, -0.5, 0.1, 0.4]],
     "p": [0.25, 0.75], "gamma": 1.0, "seed": 4, "samples": 4000,
@@ -275,6 +321,25 @@ def _traced_peak(call):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("gamma", math.nan), ("gamma", -math.inf), ("varsigma", math.nan),
+    ("varsigma", math.inf), ("varsigma", -math.inf),
+])
+def test_measure_check_refuses_non_finite_rule_inputs(key, value, tmp_path,
+                                                      capsys):
+    # the amplitude rule reads both keys, even where gamma != 0 leaves
+    # varsigma out of xi
+    path = _write_cfg(tmp_path / "meas.json", dict(_MEASURE_CFG,
+                                                   **{key: value}))
+    out = tmp_path / "run"
+    assert cli_run(["measure-check", "--config", path,
+                    "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {key} must be finite, got " in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_measure_check_forms_no_sample_sized_array(tmp_path, capsys):
@@ -619,7 +684,8 @@ def test_cli_import_leaves_sympy_unloaded():
          "import sys\n"
          "lazy = {'numpy', 'sympy'} | {'cdburgers.' + m for m in\n"
          "    ('algebra', 'calculus', 'kernel', 'pdelang', 'workbench',\n"
-         "     'randmeasure', 'temporal')}\n"
+         "     'randmeasure', 'temporal', 'algebra_ext', 'calculus_ext',\n"
+         "     'randmeasure_ext', 'cli_ext')}\n"
          "def check(when):\n"
          "    assert not lazy & set(sys.modules), (when, sorted(sys.modules))\n"
          "import cdburgers\n"
@@ -671,6 +737,75 @@ def test_stages_that_solve_no_kernel_load_no_kernel(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "translate" / "translate_report.json").exists()
+
+
+_MODULE_PROBE = """
+import json, sys
+from cdburgers.cli import cli_run
+
+assert cli_run(sys.argv[1:]) == 0, sys.argv[1:]
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.partition('.')[0] in ('cdburgers', 'sympy'))))
+"""
+
+# Summed AST nodes of the cdburgers modules that each numeric stage loads.
+# Without cached bytecode a stage child compiles all of them (ROADMAP item
+# 22); a change that raises a ceiling says why in CHANGES.md.
+_NODE_CEILINGS = {"kernel": 12646, "assemble": 18423, "verify": 18423}
+
+
+@pytest.mark.parametrize("stage", sorted(_NODE_CEILINGS))
+def test_numeric_stage_compiles_only_the_code_it_runs(stage, tmp_path):
+    # a fresh process per stage: what it loads is what a stage child
+    # compiles; the paper-facing siblings (*_ext), the PDE parser,
+    # translate and sympy stay off every numeric stage's path
+    cfg = {"kernel": _KERNEL_CFG, "assemble": _ASSEMBLE_CFG,
+           "verify": _VERIFY_CFG}[stage]
+    path = _write_cfg(tmp_path / "cfg.json", cfg)
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULE_PROBE, stage, "--config", path,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    off_path = [m for m in loaded if m.endswith("_ext") or m in (
+        "cdburgers.pdelang", "cdburgers.translate") or m.startswith("sympy")]
+    assert not off_path
+    root = Path(cdburgers.kernel.__file__).parent
+    nodes = sum(len(list(ast.walk(ast.parse(
+        (root / f"{m.partition('.')[2] or '__init__'}.py").read_text()))))
+        for m in loaded)
+    assert nodes <= _NODE_CEILINGS[stage], (loaded, nodes)
+
+
+def test_exit_path_keeps_codes_messages_and_gc_state(tmp_path):
+    # main freezes the heap after cli_run returns, so that shutdown skips
+    # the teardown; cli_run itself, as run in-process here, changes no GC
+    # state, and a module child keeps its exit codes and messages
+    before = gc.get_freeze_count()
+    path = _write_cfg(tmp_path / "k.json", _KERNEL_CFG)
+    assert cli_run(["kernel", "--config", path,
+                    "--out", str(tmp_path / "k")]) == 0
+    assert gc.get_freeze_count() == before
+    for cfg, code, line in [
+        (dict(_KERNEL_CFG, p=[math.nan, 0.0]), 1,
+         "error: p must be finite, got (nan, 0.0)"),
+        (dict(_KERNEL_CFG, p=[50.0, 0.0], force=True), 2,
+         "numerical failure: "),
+    ]:
+        path = _write_cfg(tmp_path / f"bad{code}.json", cfg)
+        out = tmp_path / f"run{code}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "cdburgers.cli", "kernel", "--config",
+             path, "--out", str(out)],
+            capture_output=True, text=True)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith(line), proc.stderr
+        assert "Traceback" not in proc.stderr
+    # the divergent child's trace reached the disk whole
+    rows = (tmp_path / "run2" / "kernel_trace.csv").read_text()
+    assert rows.startswith("iter,diff,ratio\n") and rows.endswith("\n")
+    assert len(rows.splitlines()) >= 2
 
 
 def test_only_cli_imports_json_or_csv():

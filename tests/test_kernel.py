@@ -1176,10 +1176,11 @@ _BLAS_CALLS = {"roots", "polyfit", "dot", "vdot", "inner", "tensordot",
                "matmul"}
 
 _BLAS_ALLOWED = {
-    ("algebra", "CdElement.norm_sq"): "one element, at most 64 entries; "
-                                      "no CLI stage calls it",
-    ("calculus", "_box_integral"): "sobolev_norm, which no CLI stage calls",
-    ("randmeasure", "fubini_check"): "a check that no CLI stage calls",
+    ("algebra_ext", "CdElement.norm_sq"): "one element, at most 64 entries; "
+                                          "no CLI stage calls it",
+    ("calculus_ext", "_box_integral"): "sobolev_norm, which no CLI stage "
+                                       "calls",
+    ("randmeasure_ext", "fubini_check"): "a check that no CLI stage calls",
 }
 
 
