@@ -16,8 +16,9 @@ kernel
     {"a": [a1, a2, a3],                 (required)
      "p": [p1, p2],                     (required)
      "w0": [w, ...],                    (required)
-     "grid": {"n": 2, "lo": 0.0, "hi": 1.0, "count": 9},       (required)
-     "kappa": [...],        default: smallest admissible root
+     "grid": {"n": 2, "lo": lo, "hi": hi, "count": count},
+                                 (lo, hi, count required; n >= 1, count >= 2)
+     "kappa": null,         default: smallest admissible root
      "tol": 1e-10, "max_iter": 40, "force": false}
 ode
     {"lambda": [lambda_1, ..., lambda_{m+1}],                  (required)
@@ -26,22 +27,38 @@ ode
 measure-check
     {"reps": [[...], ...], "p": [...],  (required)
      "gamma": 0.0, "varsigma": 0.0,     (or explicit "xi": [...])
-     "seed": 0, "samples": 100000}      (samples > 0)
+     "seed": 0, "samples": 100000}      (seed >= 0, samples >= 1)
 assemble
     {"problem": {"alpha": .., "beta": .., "gamma": .., "varsigma": ..,
-                 "c": [..], "n": 2, "lo": .., "hi": .., "horizon": ..},
-                                                               (required)
+                 "c": [..],                                    (required)
+                 "n": 2, "lo": 0.0, "hi": 1.0, "horizon": 1.0},  (n >= 2)
      "atoms": [[lam, ...], ...] or "matched": [[lam_prime], ...],
      "p": [...], "w0": [...],                                  (required)
-     "grid": {"count": .., "t_count": ..},                     (required)
+     "grid": {"count": .., "t_count": ..},             (required, both >= 2)
      "seed": 0, "samples": 0}       (both >= 0; samples 0 skips it)
 verify
     {"problem": {...},                                         (required)
      "lam_prime": [...], "w0": [...],                          (required)
-     "levels": [[count, t_count], ...],                        (required)
+     "levels": [[count, t_count], ...],                (required, all >= 2)
      "collar": 2.0,                                      (required, >= 0)
-     "t_collar": null,                                  (>= 0 when given)
-     "seed": 0, "samples": 0}       (both >= 0; samples 0 skips it)
+     "t_collar": null}                                  (>= 0 when given)
+
+One reader (_load_config) reads every key, before --out is created and
+before any solve, and names the key by its path (grid.count, problem.gamma,
+levels[0][1]) in each refusal (exit 1):
+- a real is a JSON number, not true or false, and finite; it reads as a
+  float;
+- an integer is a JSON number with an integral value of magnitude at most
+  2**53 (a float beyond that names no single integer);
+- a list is a non-empty JSON list, a pair is a list of two entries, and
+  the reader checks each entry; lists read as tuples;
+- force is true or false, source a string, grid and problem JSON objects;
+- a key with a simple range of its own (the >= bounds above) is checked
+  against it;
+- an absent key takes its default, and a key whose default is null (tau,
+  t_collar, kappa, xi) also takes an explicit null.
+The layers keep the checks of their own API, including every check that
+ties one key to another.
 
 Keys a stage does not read are ignored.  Two values are derived, not
 read: the Cayley-Dickson level of kernel, assemble and verify is the
@@ -58,9 +75,8 @@ empty field, "\n" after every line) are the only encoders of --out text.
 The kernel dumps (K.cdgf, atom*_K.cdgf) hold K's separated terms (layout
 version 2), not its N^{2n} pair values; calculus.load_field expands them.
 
-Exit codes: 0 success, 1 validation error (bad flags, bad config, a
-config value of the wrong type or a non-finite integer, missing file), 2
-numerical failure (divergence, blow-up, or a failed check).
+Exit codes: 0 success, 1 validation error (bad flags, bad config, missing
+file), 2 numerical failure (divergence, blow-up, or a failed check).
 
 Each stage imports numpy and the numeric modules it uses only when it
 runs, so --help and usage errors load no numeric module.  The handlers of
@@ -91,14 +107,51 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _load_config(args) -> dict:
-    if args.config is None:
-        return {}
-    text = Path(args.config).read_text()
-    data = json.loads(text)
+def _load_config(args):
+    """The stage's one reader of its --config keys, read(path, kind,
+    default=..., low=None), under the rules of the module docstring; a
+    default of ... marks a key that the stage needs."""
+    data = {} if args.config is None else json.loads(
+        Path(args.config).read_text())
     if not isinstance(data, dict):
         raise ValueError("config must be a JSON object")
-    return data
+
+    def bad(name, what, value):
+        raise ValueError(
+            f"{args.subcommand} '{name}' must be {what}, got {value!r}")
+
+    def typed(value, kind, name, low):
+        if type(kind) is list:  # [k]: a non-empty list; [k, k]: a pair
+            if type(value) is not list or not value or (
+                    len(value) != len(kind) > 1):
+                bad(name, f"a list of {len(kind)} entries" if len(kind) > 1
+                    else "a non-empty list", value)
+            return tuple(typed(v, kind[0], f"{name}[{i}]", low)
+                         for i, v in enumerate(value))
+        # bool and str by type; a number finite, and an int integral too
+        if not (type(value) is kind if kind in (bool, str) else
+                type(value) in (int, float)
+                and abs(value) <= sys.float_info.max
+                and (kind is float or -2**53 <= value == int(value) <= 2**53)):
+            bad(name, {bool: "true or false", str: "a string",
+                       int: "an integer within 2**53",
+                       float: "a finite number"}[kind], value)
+        value = kind(value)
+        if low is not None and value < low:
+            bad(name, f">= {low}", value)
+        return value
+
+    def read(path, kind, default=..., low=None):
+        section, _, key = path.rpartition(".")
+        node = data.get(section, {}) if section else data
+        if type(node) is not dict:
+            bad(section, "a JSON object", node)
+        value = node.get(key, default)
+        if value is ...:
+            raise ValueError(f"{args.subcommand} config needs '{path}'")
+        return value if value is default else typed(value, kind, path, low)
+
+    return read
 
 
 def _outdir(args) -> Path:
@@ -140,12 +193,6 @@ def _emit(out: Path, name: str, report: dict) -> None:
     _write_text(out, name, _json_text(report))
 
 
-def _require(cfg: dict, stage: str, keys) -> None:
-    for key in keys:
-        if key not in cfg:
-            raise ValueError(f"{stage} config needs '{key}'")
-
-
 def _finish(ok: bool, what: str) -> int:
     print(f"{what}: {'pass' if ok else 'FAIL'}")
     return 0 if ok else 2
@@ -167,29 +214,26 @@ def _run_kernel(args) -> int:
     from .kernel import (KernelConfig, PicardDivergence, admissible_kappa,
                          run_report, solve_K)
 
-    cfg = _load_config(args)
-    _require(cfg, "kernel", ("a", "p", "w0", "grid"))
-    g = cfg["grid"]
-    grid = Grid.box(int(g.get("n", 2)), float(g["lo"]), float(g["hi"]),
-                    int(g["count"]))
-    a = tuple(cfg["a"])
-    kappa = tuple(cfg["kappa"]) if "kappa" in cfg else admissible_kappa(
-        a, grid.n)
+    read = _load_config(args)
+    grid = Grid.box(read("grid.n", int, 2, low=1), read("grid.lo", float),
+                    read("grid.hi", float), read("grid.count", int, low=2))
+    a = read("a", [float])
     config = KernelConfig(
-        a=a, p=tuple(cfg["p"]), kappa=kappa, w0=tuple(cfg["w0"]),
-        max_iter=int(cfg.get("max_iter", 40)),
-        tol=float(cfg.get("tol", 1e-10)))
+        a=a, p=read("p", [float]),
+        kappa=read("kappa", [float], None) or admissible_kappa(a, grid.n),
+        w0=read("w0", [float]),
+        max_iter=read("max_iter", int, 40), tol=read("tol", float, 1e-10))
     try:
-        kf = solve_K(config, grid, force=bool(cfg.get("force", False)))
+        kf = solve_K(config, grid, force=read("force", bool, False))
     except PicardDivergence as exc:
         _write_trace(_outdir(args), exc.trace)
         raise
     out = _outdir(args)
     _emit(out, "kernel_report.json", run_report(kf, grid))
     _write_trace(out, kf.trace)
-    dump_field(kf.F, str(out / "F.cdgf"))
+    dump_field(kf.F, out / "F.cdgf")
     print(f"wrote {out / 'F.cdgf'}")
-    kf.dump_K(str(out / "K.cdgf"))
+    kf.dump_K(out / "K.cdgf")
     print(f"wrote {out / 'K.cdgf'}")
     return 0
 
@@ -199,32 +243,15 @@ def _run_kernel(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _problem(cfg: dict):
+def _problem(read):
     from .workbench import SobolevBurgersSpec
 
-    if "problem" not in cfg:
-        raise ValueError("config needs a 'problem' section")
-    pr = cfg["problem"]
     return SobolevBurgersSpec(
-        alpha=pr["alpha"], beta=pr["beta"], gamma=pr["gamma"],
-        varsigma=pr["varsigma"], c=tuple(pr["c"]), n=int(pr.get("n", 2)),
-        lo=float(pr.get("lo", 0.0)), hi=float(pr.get("hi", 1.0)),
-        horizon=float(pr.get("horizon", 1.0)))
-
-
-def _samples_seed(cfg: dict) -> list:
-    """samples and seed (default 0) as ints >= 0, read before any solve or
-    write, so that a bad value leaves no --out behind."""
-    counts = []
-    for key, what in (("samples", "0 or a positive sample count"),
-                      ("seed", "an integer >= 0")):
-        try:
-            counts.append(int(cfg.get(key, 0)))
-        except (TypeError, ValueError, OverflowError):
-            counts.append(-1)
-        if counts[-1] < 0:
-            raise ValueError(f"{key} must be {what}, got {cfg[key]!r}")
-    return counts
+        **{key: read(f"problem.{key}", float)
+           for key in ("alpha", "beta", "gamma", "varsigma")},
+        c=read("problem.c", [float]), n=read("problem.n", int, 2, low=2),
+        lo=read("problem.lo", float, 0.0), hi=read("problem.hi", float, 1.0),
+        horizon=read("problem.horizon", float, 1.0))
 
 
 def _run_assemble(args) -> int:
@@ -232,32 +259,28 @@ def _run_assemble(args) -> int:
     from .workbench import (SpectralPoint, assemble_u, measure_for_atoms,
                             moment_identity)
 
-    cfg = _load_config(args)
-    spec = _problem(cfg)
-    if "atoms" in cfg:
-        atoms = [SpectralPoint(tuple(row)) for row in cfg["atoms"]]
-    elif "matched" in cfg:
-        atoms = [SpectralPoint.matched(spec, tuple(row))
-                 for row in cfg["matched"]]
-    else:
-        raise ValueError("config needs 'atoms' or 'matched'")
-    _require(cfg, "assemble", ("p", "w0", "grid"))
-    samples, seed = _samples_seed(cfg)
-    grid = spec.grid(int(cfg["grid"]["count"]), int(cfg["grid"]["t_count"]))
-    measure = measure_for_atoms(atoms, spec, tuple(cfg["p"]), seed=seed)
-    sol = assemble_u(atoms, measure, grid, spec, tuple(cfg["w0"]))
+    read = _load_config(args)
+    spec = _problem(read)
+    atoms = [SpectralPoint(row) for row in read("atoms", [[float]], ())] or [
+        SpectralPoint.matched(spec, row) for row in read("matched", [[float]])]
+    samples = read("samples", int, 0, low=0)
+    grid = spec.grid(read("grid.count", int, low=2),
+                     read("grid.t_count", int, low=2))
+    measure = measure_for_atoms(atoms, spec, read("p", [float]),
+                                seed=read("seed", int, 0, low=0))
+    sol = assemble_u(atoms, measure, grid, spec, read("w0", [float]))
     out = _outdir(args)
     report = {
-        "atoms": [list(a.lam) for a in atoms],
-        "p": list(measure.p),
-        "xi": list(measure.xi),
+        "atoms": [a.lam for a in atoms],
+        "p": measure.p,
+        "xi": measure.xi,
         "grid": {"count": grid.counts[0], "t_count": grid.t_count},
         "kernels": [run_report(kf, grid) for kf in sol.kernels],
         "moment_identity": moment_identity(sol, samples=samples),
     }
     _emit(out, "assemble_report.json", report)
     for j, kf in enumerate(sol.kernels):
-        kf.dump_K(str(out / f"atom{j}_K.cdgf"))
+        kf.dump_K(out / f"atom{j}_K.cdgf")
         print(f"wrote {out / f'atom{j}_K.cdgf'}")
     return 0
 
@@ -265,34 +288,23 @@ def _run_assemble(args) -> int:
 def _run_verify(args) -> int:
     from .workbench import REFINEMENT_COLUMNS, refinement_study
 
-    cfg = _load_config(args)
-    spec = _problem(cfg)
-    _require(cfg, "verify", ("lam_prime", "w0", "levels", "collar"))
-    levels = [tuple(int(v) for v in row) for row in cfg["levels"]]
-    for row in levels:
-        if len(row) != 2:
-            raise ValueError(f"verify level {list(row)} is not "
-                             "[count, t_count]")
-    if not levels:
-        raise ValueError("verify config needs at least one level")
-    samples, seed = _samples_seed(cfg)
-    rows = refinement_study(
-        spec, tuple(cfg["lam_prime"]), levels, tuple(cfg["w0"]),
-        collar=float(cfg["collar"]),
-        t_collar=(None if cfg.get("t_collar") is None
-                  else float(cfg["t_collar"])),
-        seed=seed, samples=samples)
+    read = _load_config(args)
+    spec = _problem(read)
+    levels = read("levels", [[int, int]], low=2)
+    collar, t_collar = read("collar", float), read("t_collar", float, None)
+    rows = refinement_study(spec, read("lam_prime", [float]), levels,
+                            read("w0", [float]), collar=collar,
+                            t_collar=t_collar)
     out = _outdir(args)
     csv_text = _csv_text(REFINEMENT_COLUMNS, (
         [row.get(k) for k in REFINEMENT_COLUMNS] for row in rows))
     _write_text(out, "refinement.csv", csv_text)
-    ratios = [row[key] for row in rows for key in row
-              if key.endswith("_ratio")]
-    monotone = all(r < 1.0 for r in ratios)
+    monotone = all(row[key] < 1.0 for row in rows for key in row
+                   if key.endswith("_ratio"))
     _emit(out, "verify_report.json", {
-        "levels": [list(l) for l in levels],
-        "collar": float(cfg["collar"]),
-        "t_collar": cfg.get("t_collar"),
+        "levels": levels,
+        "collar": collar,
+        "t_collar": t_collar,
         "rows": rows,
         "monotone": monotone,
     })
@@ -321,7 +333,7 @@ def _build_parser() -> _Parser:
 
     def stage(name, handler, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", default=None, help="JSON config file")
+        p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", default=".", help="artifact directory")
         p.set_defaults(handler=handler)
 
@@ -341,21 +353,14 @@ def _build_parser() -> _Parser:
 def cli_run(argv=None) -> int:
     """Entry point returning the exit code (0 ok, 1 validation error,
     2 numerical failure)."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return int(args.handler(args))
+        return args.handler(args)
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except KeyError as exc:
-        print(f"error: missing config key '{exc.args[0]}'", file=sys.stderr)
-        return 1
-    except (TypeError, AttributeError) as exc:
-        print(f"error: config value of the wrong type: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)

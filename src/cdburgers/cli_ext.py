@@ -6,8 +6,7 @@ from __future__ import annotations
 
 import sys
 
-from .cli import (_csv_text, _emit, _finish, _load_config, _outdir, _require,
-                  _write_text)
+from .cli import _csv_text, _emit, _finish, _load_config, _outdir, _write_text
 
 
 def _run_algebra_check(args) -> int:
@@ -16,21 +15,19 @@ def _run_algebra_check(args) -> int:
     from .algebra import MAX_LEVEL
     from .algebra_ext import CdElement, cd_mul, pi_project
 
-    cfg = _load_config(args)
-    levels = cfg.get("levels", [2, 3, 4])
-    trials = int(cfg.get("trials", 200))
-    if trials < 1:
-        raise ValueError(f"algebra-check 'trials' must be >= 1, got {trials}")
-    if not levels or not all(0 <= int(r) <= MAX_LEVEL for r in levels):
+    read = _load_config(args)
+    levels = read("levels", [int], (2, 3, 4))
+    trials = read("trials", int, 200, low=1)
+    if not all(0 <= r <= MAX_LEVEL for r in levels):
         raise ValueError("algebra-check 'levels' must be a non-empty list "
-                         f"of levels in [0, {MAX_LEVEL}], got {levels}")
-    seed = int(cfg.get("seed", 0))
+                         f"of levels in [0, {MAX_LEVEL}], got {list(levels)}")
+    seed = read("seed", int, 0, low=0)
     rng = np.random.default_rng(seed)
 
     anticommutation_exact = True
     squares_exact = True
     for r in levels:
-        dim = 1 << int(r)
+        dim = 1 << r
         for j in range(1, dim):
             ij = CdElement.basis(r, j)
             sq = cd_mul(ij, ij)
@@ -68,7 +65,7 @@ def _run_algebra_check(args) -> int:
 
     projection_max = 0.0
     for r in levels:
-        dim = 1 << int(r)
+        dim = 1 << r
         for _ in range(trials):
             z = CdElement(r, rng.standard_normal(dim))
             for j in range(dim):
@@ -80,7 +77,7 @@ def _run_algebra_check(args) -> int:
               and alternativity_max <= 1e-10 and power_max <= 1e-10
               and projection_max <= 1e-12)
     _emit(_outdir(args), "algebra_report.json", {
-        "levels": [int(r) for r in levels],
+        "levels": levels,
         "trials": trials,
         "seed": seed,
         "anticommutation_exact": anticommutation_exact,
@@ -94,11 +91,7 @@ def _run_algebra_check(args) -> int:
 
 
 def _run_translate(args) -> int:
-    cfg = _load_config(args)
-    _require(cfg, "translate", ("source",))
-    source = cfg["source"]
-    if not isinstance(source, str):
-        raise ValueError(f"translate source must be a string, got {source!r}")
+    source = _load_config(args)("source", str)
     from .pdelang import parse_pde
     from .translate import translate_system  # sympy: only this stage
 
@@ -117,17 +110,14 @@ def _run_translate(args) -> int:
 
 
 def _run_ode(args) -> int:
-    cfg = _load_config(args)
-    _require(cfg, "ode", ("lambda",))
-    lam = tuple(float(v) for v in cfg["lambda"])
+    read = _load_config(args)
+    lam = read("lambda", [float])
     m = len(lam) - 1
-    c = tuple(float(v) for v in cfg.get("c", [0.0] * m))
-    horizon = float(cfg.get("horizon", 0.5))
-    tau = cfg.get("tau")
     from .temporal import CauchySpec, solve_cauchy
 
-    spec = CauchySpec(m=m, c=c, lam=lam, horizon=horizon,
-                      tau=None if tau is None else float(tau))
+    spec = CauchySpec(m=m, c=read("c", [float], (0.0,) * m), lam=lam,
+                      horizon=read("horizon", float, 0.5),
+                      tau=read("tau", float, None))
     traj = solve_cauchy(spec)
     out = _outdir(args)
     _write_text(out, "trajectory.csv", _csv_text(
@@ -135,8 +125,8 @@ def _run_ode(args) -> int:
         ((float(t), float(v.real), float(v.imag), float(r))
          for t, v, r in zip(traj.times, traj.values, traj.residuals))))
     _emit(out, "ode_report.json", {
-        "m": m, "c": list(c), "lambda": list(lam),
-        "horizon": horizon, "tau": spec.step,
+        "m": m, "c": spec.c, "lambda": lam,
+        "horizon": spec.horizon, "tau": spec.step,
         "samples": len(traj.times),
         "blew_up": traj.blew_up,
         "blowup_time": traj.blowup_time,
@@ -156,24 +146,17 @@ def _run_measure_check(args) -> int:
                               sample_counts, xi_from_rule)
     from .randmeasure_ext import structural_function
 
-    cfg = _load_config(args)
-    _require(cfg, "measure-check", ("reps", "p"))
-    reps = tuple(tuple(float(v) for v in row) for row in cfg["reps"])
-    partition = Partition(reps=reps)
-    if "xi" in cfg:
-        xi = tuple(complex(v) for v in cfg["xi"])
-    else:
-        m = len(reps[0]) - 3
-        rule = {key: complex(cfg.get(key, 0.0))
-                for key in ("gamma", "varsigma")}
-        for key, value in rule.items():
-            if not np.isfinite(value):
-                raise ValueError(f"{key} must be finite, got {cfg[key]}")
-        xi = tuple(xi_from_rule(rep, m, **rule) for rep in reps)
-    measure = AtomicRandomMeasure(partition=partition,
-                                  p=tuple(float(v) for v in cfg["p"]),
-                                  xi=xi, seed=int(cfg.get("seed", 0)))
-    samples = int(cfg.get("samples", 100_000))
+    read = _load_config(args)
+    reps = read("reps", [[float]])
+    xi = read("xi", [float], None)
+    if xi is None:
+        rule = {key: read(key, float, 0.0) for key in ("gamma", "varsigma")}
+        xi = tuple(xi_from_rule(rep, len(reps[0]) - 3, **rule)
+                   for rep in reps)
+    measure = AtomicRandomMeasure(partition=Partition(reps=reps),
+                                  p=read("p", [float]), xi=xi,
+                                  seed=read("seed", int, 0, low=0))
+    samples = read("samples", int, 100_000, low=1)
     counts = sample_counts(measure, samples)
     size = measure.size
     p = np.asarray(measure.p)

@@ -78,7 +78,6 @@ __all__ = [
     "estimate_A_norm",
     "solve_K",
     "aux_residual",
-    "aux_diagnostics",
     "run_report",
     "prefix_line_integrals",
 ]
@@ -799,40 +798,6 @@ def aux_residual(kf: KernelField, grid: Grid,
     d = _diagonal_terms(kf.terms, kf.config.dirac_spec(), grid,
                         _collar_cells(grid, collar))
     return float(np.max(np.abs(_aux_lhs(d, kf.config.a, kf.config.q))))
-
-
-def aux_diagnostics(kf: KernelField, grid: Grid,
-                    collar: float | None = None) -> dict:
-    """Residual plus the first-order consistency diagnostic, whose right
-    side is -2 F(x, y) K(x, x).
-
-    The diagnostic is computed two ways on pairs whose midpoint is a
-    lattice node: looking F up in its stored midpoint samples, and
-    re-evaluating the closed form at the same node coordinates.  Both
-    routes feed identical floats to exp, so they agree exactly.
-    """
-    config = kf.config
-    n = config.n
-    counts = grid.counts
-    resid = aux_residual(kf, grid, collar=collar)  # K is scalar past here
-
-    ix = np.ix_(*[np.arange(c) for c in counts * 2])
-    sums = [ix[c] + ix[n + c] for c in range(n)]
-    mid_ok = np.all(np.broadcast_arrays(*[s % 2 == 0 for s in sums]), axis=0)
-    mids = np.broadcast_arrays(*[s // 2 for s in sums])
-    lookup = kf.F.values[tuple(mids)]
-    formula = config.f_midpoint(*[grid.axis(c)[mids[c]] for c in range(n)])
-
-    kx = kf.diagonal().reshape(tuple(counts) + (1,) * n)
-    route_lookup = -2.0 * lookup * kx
-    route_formula = -2.0 * formula * kx
-    mask = np.broadcast_to(mid_ok, route_lookup.shape)
-    gap = float(np.max(np.abs(route_lookup[mask] - route_formula[mask])))
-    return {
-        "diagonal_residual": resid,
-        "first_order_rhs_gap": gap,
-        "first_order_rhs_max": float(np.max(np.abs(route_lookup[mask]))),
-    }
 
 
 # ---------------------------------------------------------------------------

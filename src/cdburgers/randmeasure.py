@@ -104,8 +104,11 @@ class AtomicRandomMeasure:
         if len(self.p) != J or len(self.xi) != J:
             raise ValueError("weights and amplitudes must match the cells")
         p = np.asarray(self.p, dtype=float)
-        if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-12:
-            raise ValueError("cell probabilities must be >= 0 and sum to 1")
+        if np.any(p < 0) or not abs(float(p.sum()) - 1.0) <= 1e-12:  # or NaN
+            raise ValueError("cell probabilities p must be >= 0 and sum to 1")
+        if not np.isfinite(np.asarray(self.xi, dtype=complex)).all():
+            raise ValueError(f"cell amplitudes xi must be finite, got "
+                             f"{self.xi}")
         if self.multiplier is not None:
             if len(self.multiplier) != J:
                 raise ValueError("multipliers must match the cells")

@@ -54,10 +54,10 @@ class CauchySpec:
                 raise ValueError(f"{name} must be finite, got {v}")
         if self.lam[0] == 0:
             raise ValueError("lambda_1 must be nonzero")
-        for name in ("horizon", "step"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and positive, got "
-                                 f"{getattr(self, name)}")
+        for name, value in (("horizon", self.horizon), ("tau", self.step)):
+            if not 0 < value < np.inf:
+                raise ValueError(
+                    f"{name} must be finite and positive, got {value}")
 
     @property
     def step(self) -> float:

@@ -563,8 +563,7 @@ REFINEMENT_COLUMNS = ("count", "t_count", "h", "tau", *_STUDY_KEYS,
 
 
 def refinement_study(spec: SobolevBurgersSpec, lam_prime, levels, w0, *,
-                     collar: float, t_collar: float | None = None,
-                     seed: int = 0, samples: int = 0) -> list:
+                     collar: float, t_collar: float | None = None) -> list:
     """Assemble a single-atom solution on a ladder of (count, t_count)
     grids and tabulate the residual suite on a fixed physical window.
 
@@ -572,7 +571,7 @@ def refinement_study(spec: SobolevBurgersSpec, lam_prime, levels, w0, *,
     ratios relative to the previous level.
     """
     point = SpectralPoint.matched(spec, lam_prime)
-    measure = measure_for_atoms([point], spec, (1.0,), seed=seed)
+    measure = measure_for_atoms([point], spec, (1.0,))
     rows = []
     prev = None
     for count, t_count in levels:
@@ -580,7 +579,7 @@ def refinement_study(spec: SobolevBurgersSpec, lam_prime, levels, w0, *,
         sol = assemble_u([point], measure, grid, spec, w0)
         res = residual_suite(sol, collar=collar, t_collar=t_collar)
         row = {"count": count, "t_count": t_count, **res}
-        mom = moment_identity(sol, samples=samples)
+        mom = moment_identity(sol)
         row["mean_square_exact"] = mom["mean_square_exact"]
         row["structure_gap"] = mom["structure_gap"]
         if prev is not None:

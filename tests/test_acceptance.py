@@ -495,7 +495,7 @@ def test_7_end_to_end_refinement_study():
     failures = []
     rows = refinement_study(BURGERS, (1.0, -0.5),
                             [(21, 9), (31, 13), (41, 17)], (0.0, 0.0),
-                            collar=2.0, t_collar=0.25, seed=0)
+                            collar=2.0, t_collar=0.25)
     hs = [row["h"] for row in rows]
     for i in (1, 2):
         order = _order(rows[i - 1]["linear"], rows[i]["linear"],

@@ -91,8 +91,7 @@ def test_algebra_check_report(tmp_path):
 @pytest.mark.parametrize("extra, message", [
     ({"trials": 0}, "'trials' must be >= 1, got 0"),
     ({"trials": -1}, "'trials' must be >= 1, got -1"),
-    ({"levels": []}, "'levels' must be a non-empty list of levels in "
-                     "[0, 6], got []"),
+    ({"levels": []}, "'levels' must be a non-empty list, got []"),
     ({"levels": [-1]}, "'levels' must be a non-empty list of levels in "
                        "[0, 6], got [-1]"),
     ({"levels": [2, 7]}, "'levels' must be a non-empty list of levels in "
@@ -200,29 +199,29 @@ _ASSEMBLE_CFG = {"problem": _PROBLEM, "matched": [[1.0, -0.5]], "p": [1.0],
 
 @pytest.mark.parametrize("stage, cfg, message", [
     ("ode", {"lambda": [1.0, 1.0], "tau": math.inf},
-     "step must be finite and positive, got inf"),
+     "ode 'tau' must be a finite number, got inf"),
     ("ode", {"lambda": [1.0, 1.0], "tau": math.nan},
-     "step must be finite and positive, got nan"),
+     "ode 'tau' must be a finite number, got nan"),
     ("ode", {"lambda": [1.0, 1.0], "horizon": math.inf},
-     "horizon must be finite and positive, got inf"),
+     "ode 'horizon' must be a finite number, got inf"),
     ("ode", {"lambda": [1.0, 1.0], "c": [math.nan]},
-     "c must be finite, got (nan,)"),
+     "ode 'c[0]' must be a finite number, got nan"),
     ("ode", {"lambda": [math.nan, 1.0]},
-     "lambda must be finite, got (nan, 1.0)"),
+     "ode 'lambda[0]' must be a finite number, got nan"),
     ("assemble", dict(_ASSEMBLE_CFG, problem=dict(_PROBLEM, c=[math.nan])),
-     "c must be finite, got (nan,)"),
+     "assemble 'problem.c[0]' must be a finite number, got nan"),
     ("assemble", dict(_ASSEMBLE_CFG, matched=[[1.0, math.nan]]),
-     "lambda must be finite, got (1.0, nan, "),
+     "assemble 'matched[0][1]' must be a finite number, got nan"),
     ("verify", {"problem": _PROBLEM, "lam_prime": [1.0, math.inf],
                 "w0": [0.0, 0.0], "levels": [[11, 7]], "collar": 0.0},
-     "lambda must be finite, got (1.0, inf, "),
+     "verify 'lam_prime[1]' must be a finite number, got inf"),
 ], ids=["ode-tau-inf", "ode-tau-nan", "ode-horizon-inf", "ode-c-nan",
         "ode-lambda-nan", "assemble-c-nan", "assemble-matched-nan",
         "verify-lam_prime-inf"])
 def test_non_finite_temporal_inputs_exit_one(stage, cfg, message, tmp_path,
                                               capsys):
-    # JSON NaN and Infinity parse as floats; the temporal factor refuses
-    # them before it integrates, so nothing is written
+    # JSON NaN and Infinity parse as floats; the config reader refuses them
+    # by their key path before any stage work, so nothing is written
     path = _write_cfg(tmp_path / "cfg.json", cfg)
     out = tmp_path / "run"
     assert cli_run([stage, "--config", path, "--out", str(out)]) == 1
@@ -238,14 +237,16 @@ def test_non_finite_temporal_inputs_exit_one(stage, cfg, message, tmp_path,
     ("hi", math.nan), ("horizon", math.inf),
 ])
 def test_problem_refuses_non_finite_fields(field, value, tmp_path, capsys):
-    # SobolevBurgersSpec names the field, before any derived value (the
-    # box, a matched lambda, the time axis) fails under another name
+    # the config reader names the field by its path, before any derived
+    # value (the box, a matched lambda, the time axis) fails under another
+    # name
     cfg = dict(_ASSEMBLE_CFG, problem=dict(_PROBLEM, **{field: value}))
     path = _write_cfg(tmp_path / "cfg.json", cfg)
     out = tmp_path / "run"
     assert cli_run(["assemble", "--config", path, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert f"error: {field} must be finite, got " in err
+    assert f"error: assemble 'problem.{field}" in err
+    assert "' must be a finite number, got " in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -255,7 +256,7 @@ _VERIFY_CFG = {"problem": _PROBLEM, "lam_prime": [1.0, -0.5],
                "t_collar": 0.25}
 
 
-@pytest.mark.parametrize("stage", ["assemble", "verify"])
+@pytest.mark.parametrize("stage", ["assemble"])
 @pytest.mark.parametrize("key, value", [
     ("samples", math.nan), ("samples", math.inf), ("samples", -1),
     ("samples", "x"), ("seed", -1),
@@ -267,12 +268,12 @@ def test_samples_and_seed_are_read_before_any_solve(stage, key, value,
         raise AssertionError(f"{stage} solved a kernel with a bad {key}")
 
     monkeypatch.setattr(cdburgers.workbench, "solve_K", solved)
-    base = _ASSEMBLE_CFG if stage == "assemble" else _VERIFY_CFG
-    path = _write_cfg(tmp_path / "cfg.json", dict(base, **{key: value}))
+    path = _write_cfg(tmp_path / "cfg.json",
+                      dict(_ASSEMBLE_CFG, **{key: value}))
     out = tmp_path / "run"
     assert cli_run([stage, "--config", path, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert f"error: {key} must be " in err
+    assert f"error: {stage} '{key}' must be " in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -337,7 +338,7 @@ def test_measure_check_refuses_non_finite_rule_inputs(key, value, tmp_path,
     assert cli_run(["measure-check", "--config", path,
                     "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert f"error: {key} must be finite, got " in err
+    assert f"error: measure-check '{key}' must be a finite number, got " in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -398,26 +399,31 @@ def test_kernel_refuses_noncontractive_weight(tmp_path, capsys):
     (dict(max_iter=0), "max_iter must be >= 1, got 0"),
     (dict(tol=-1.0), "tol must be positive, got -1.0"),
     (dict(tol=0), "tol must be positive, got 0.0"),
-    (dict(tol=math.nan), "tol must be positive, got nan"),
-    (dict(p=[math.nan, 0.0]), "p must be finite, got (nan, 0.0)"),
-    (dict(a=[-1.0, math.inf, 0.0]), "a must be finite"),
-    (dict(kappa=[math.nan, 0.0]), "kappa must be finite"),
-    (dict(w0=[0.0, -math.inf]), "w0 must be finite"),
+    (dict(tol=math.nan), "kernel 'tol' must be a finite number, got nan"),
+    (dict(p=[math.nan, 0.0]), "kernel 'p[0]' must be a finite number, got nan"),
+    (dict(a=[-1.0, math.inf, 0.0]),
+     "kernel 'a[1]' must be a finite number, got inf"),
+    (dict(kappa=[math.nan, 0.0]),
+     "kernel 'kappa[0]' must be a finite number, got nan"),
+    (dict(w0=[0.0, -math.inf]),
+     "kernel 'w0[1]' must be a finite number, got -inf"),
     (dict(a=[0, -1, 0]), "a_1 must be nonzero"),
     # a bound far above 1 prints in exponent form, not as 300 digits
     (dict(kappa=[-2.0, 0.0],
           grid={"n": 2, "lo": -354.0, "hi": 354.0, "count": 11}),
      "operator norm estimate 1.617e+308 is not below 1"),
     (dict(grid={**_KERNEL_CFG["grid"], "hi": math.inf}),
-     "axis bounds must be finite, got (-0.5, inf)"),
+     "kernel 'grid.hi' must be a finite number, got inf"),
     (dict(grid={**_KERNEL_CFG["grid"], "count": math.inf}),
-     "cannot convert float infinity to integer"),
+     "kernel 'grid.count' must be an integer within 2**53, got inf"),
     (dict(grid={**_KERNEL_CFG["grid"], "n": 0}, w0=[]),
-     "grid needs at least one axis"),
-    (dict(kappa=[], w0=[]), "grid dimension does not match kappa"),
+     "kernel 'grid.n' must be >= 1, got 0"),
+    (dict(kappa=[], w0=[]), "kernel 'kappa' must be a non-empty list, got []"),
+    (dict(kappa=[-2.0], w0=[0.0]), "grid dimension does not match kappa"),
 ], ids=["max_iter-0", "tol-negative", "tol-0", "tol-nan", "p-nan", "a-inf",
         "kappa-nan", "w0-inf", "a1-0",
-        "estimate-huge", "hi-inf", "count-inf", "n-0", "kappa-empty"])
+        "estimate-huge", "hi-inf", "count-inf", "n-0", "kappa-empty",
+        "kappa-short"])
 def test_kernel_rejects_bad_inputs(extra, message, tmp_path, capsys):
     path = _write_cfg(tmp_path / "k.json", dict(_KERNEL_CFG, **extra))
     out = tmp_path / "run"
@@ -493,20 +499,21 @@ def test_assemble_rejects_algebra_valued_kernels(tmp_path, capsys):
 
 @pytest.mark.parametrize("stage, cfg, key", [
     ("kernel", dict(_KERNEL_CFG, grid={"n": 2, "lo": -0.5, "hi": 4.5}),
-     "count"),
+     "grid.count"),
     ("assemble", {"problem": {k: v for k, v in _PROBLEM.items()
                               if k != "alpha"},
                   "matched": [[1.0, -0.5]], "p": [1.0], "w0": [0.0, 0.0],
-                  "grid": {"count": 11, "t_count": 7}}, "alpha"),
+                  "grid": {"count": 11, "t_count": 7}}, "problem.alpha"),
     ("assemble", {"problem": _PROBLEM, "matched": [[1.0, -0.5]], "p": [1.0],
-                  "w0": [0.0, 0.0], "grid": {"count": 11}}, "t_count"),
+                  "w0": [0.0, 0.0], "grid": {"count": 11}}, "grid.t_count"),
 ], ids=["kernel-grid-count", "assemble-problem-alpha",
         "assemble-grid-t_count"])
 def test_missing_nested_config_key_exits_one(stage, cfg, key, tmp_path,
                                              capsys):
     path = _write_cfg(tmp_path / "cfg.json", cfg)
     assert cli_run([stage, "--config", path, "--out", str(tmp_path)]) == 1
-    assert f"error: missing config key '{key}'" in capsys.readouterr().err
+    assert (f"error: {stage} config needs '{key}'\n"
+            == capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("stage, cfg", [
@@ -558,7 +565,8 @@ def test_assemble_rejects_negative_samples(tmp_path, capsys):
     })
     out = tmp_path / "asm"
     assert cli_run(["assemble", "--config", cfg, "--out", str(out)]) == 1
-    assert "positive sample count, got -5" in capsys.readouterr().err
+    assert ("error: assemble 'samples' must be >= 0, got -5"
+            in capsys.readouterr().err)
     assert not (out / "assemble_report.json").exists()
 
 
@@ -624,7 +632,7 @@ def test_verify_rejects_an_empty_ladder(tmp_path, capsys, monkeypatch):
     out = tmp_path / "run"
     assert cli_run(["verify", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "error: verify config needs at least one level" in err
+    assert "error: verify 'levels' must be a non-empty list, got []" in err
     assert not list(out.glob("*"))
 
 
@@ -641,12 +649,14 @@ def test_verify_requires_a_collar(tmp_path, capsys):
 
 @pytest.mark.parametrize("extra, message", [
     (dict(collar=-1.0), "collar must be finite and >= 0, got -1.0"),
-    (dict(collar=math.inf), "collar must be finite and >= 0, got inf"),
+    (dict(collar=math.inf), "verify 'collar' must be a finite number, got inf"),
     (dict(t_collar=-3), "t_collar must be finite and >= 0, got -3.0"),
-    (dict(t_collar=math.inf), "t_collar must be finite and >= 0, got inf"),
-    (dict(levels=[[21]]), "verify level [21] is not [count, t_count]"),
+    (dict(t_collar=math.inf),
+     "verify 't_collar' must be a finite number, got inf"),
+    (dict(levels=[[21]]), "verify 'levels[0]' must be a list of 2 entries, "
+                          "got [21]"),
     (dict(levels=[[21, 9, 5]]),
-     "verify level [21, 9, 5] is not [count, t_count]"),
+     "verify 'levels[0]' must be a list of 2 entries, got [21, 9, 5]"),
 ], ids=["collar-negative", "collar-inf", "t_collar-negative", "t_collar-inf",
         "levels-row-1", "levels-row-3"])
 def test_verify_rejects_bad_window_inputs(extra, message, tmp_path, capsys):
@@ -751,7 +761,7 @@ print(json.dumps(sorted(m for m in sys.modules
 # Summed AST nodes of the cdburgers modules that each numeric stage loads.
 # Without cached bytecode a stage child compiles all of them (ROADMAP item
 # 22); a change that raises a ceiling says why in CHANGES.md.
-_NODE_CEILINGS = {"kernel": 12646, "assemble": 18423, "verify": 18423}
+_NODE_CEILINGS = {"kernel": 12278, "assemble": 18083, "verify": 18083}
 
 
 @pytest.mark.parametrize("stage", sorted(_NODE_CEILINGS))
@@ -789,7 +799,7 @@ def test_exit_path_keeps_codes_messages_and_gc_state(tmp_path):
     assert gc.get_freeze_count() == before
     for cfg, code, line in [
         (dict(_KERNEL_CFG, p=[math.nan, 0.0]), 1,
-         "error: p must be finite, got (nan, 0.0)"),
+         "error: kernel 'p[0]' must be a finite number, got nan"),
         (dict(_KERNEL_CFG, p=[50.0, 0.0], force=True), 2,
          "numerical failure: "),
     ]:

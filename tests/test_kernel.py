@@ -33,7 +33,6 @@ from cdburgers.kernel import (
     _y_factors,
     admissible_kappa,
     apply_A,
-    aux_diagnostics,
     aux_residual,
     build_F,
     characteristic_lhs,
@@ -1058,9 +1057,6 @@ def test_residual_is_exactly_zero_for_the_flat_configuration():
     g = Grid.box(1, -0.4, 3.4, 20)
     kf = solve_K(cfg, g)
     assert aux_residual(kf, g) == 0.0
-    diag = aux_diagnostics(kf, g)
-    assert diag["first_order_rhs_gap"] == 0.0
-    assert diag["first_order_rhs_max"] == 2.0
 
 
 def test_residual_refines_at_stencil_order_without_coupling():
@@ -1100,16 +1096,6 @@ def test_residual_rejects_grids_thinner_than_the_stencil():
     kf = solve_K(cfg, g)
     with pytest.raises(ValueError, match="too coarse"):
         aux_residual(kf, g)
-
-
-def test_diagnostic_routes_agree_exactly():
-    cfg = KernelConfig(a=(1.0, 0.0, -1.0), p=(0.04, 0.0), kappa=(-2.0,),
-                       w0=(0.0,))
-    g = Grid.box(1, -0.5, 7.5, 33)
-    kf = solve_K(cfg, g)
-    diag = aux_diagnostics(kf, g)
-    assert diag["first_order_rhs_gap"] == 0.0
-    assert diag["first_order_rhs_max"] > 0.0
 
 
 @pytest.mark.parametrize("a, p, kappa, box, collar", [
@@ -1268,15 +1254,14 @@ def test_no_blas_reductions_outside_the_audited_sites():
 
 
 def test_f_midpoint_has_one_route_per_job():
-    # F is sampled at the midpoint once (build_F), K's terms take its half
-    # argument factor (_f_half), and one diagnostic re-evaluates the closed
-    # form; every reader of K goes through the terms
+    # F is sampled at the midpoint once (build_F) and K's terms take its
+    # half argument factor (_f_half); every reader of K goes through the
+    # terms
     found = {f"{path.stem}.{scope}"
              for path in Path(cdburgers.__file__).parent.glob("*.py")
              for scope, _ in _sites(ast.parse(path.read_text()),
                                     lambda n: _ref_name(n) == "f_midpoint")}
-    assert found == {"kernel.build_F", "kernel._f_half",
-                     "kernel.aux_diagnostics"}
+    assert found == {"kernel.build_F", "kernel._f_half"}
 
 
 # -- static guard: no unused module-level imports ----------------------------
@@ -1453,8 +1438,6 @@ _UNSET_ALLOWED = {
     "kernel.KernelField.trace": "filled by solve_K",
     "kernel.KernelField.report": "filled by solve_K",
     "kernel.KernelField.terms": "filled by solve_K",
-    "kernel.aux_diagnostics.collar": "ROADMAP item 7 reserves "
-                                     "aux_diagnostics",
     "translate.apply_pdo_on_grid.coeff_fields": "the coefficient-operator "
                                                 "path of a paper-facing "
                                                 "evaluator",

@@ -463,6 +463,22 @@ def test_measure_validation():
             sample_counts(meas, count)
 
 
+@pytest.mark.parametrize("p, xi, message", [
+    ((np.nan, 0.5), (1.0, 1.0), "probabilities p must be >= 0 and sum to 1"),
+    ((0.5, np.nan), (1.0, 1.0), "probabilities p must be >= 0 and sum to 1"),
+    ((np.inf, 0.5), (1.0, 1.0), "probabilities p must be >= 0 and sum to 1"),
+    ((0.5, 0.5), (1.0, np.nan), r"amplitudes xi must be finite, got \(1.0, "),
+    ((0.5, 0.5), (-np.inf, 1.0), r"amplitudes xi must be finite, got \(-inf"),
+    ((0.5, 0.5), (complex(1.0, np.nan), 1.0), "amplitudes xi must be finite"),
+], ids=["p-nan", "p-nan-last", "p-inf", "xi-nan", "xi-inf", "xi-complex-nan"])
+def test_measure_refuses_non_finite_weights_by_name(p, xi, message):
+    # a NaN probability compares False both to 0 and to the sum tolerance,
+    # so the sum check is written to fail on it; the field is named
+    part = Partition(reps=((1.0, 1.0), (2.0, 2.0)))
+    with pytest.raises(ValueError, match=message):
+        AtomicRandomMeasure(partition=part, p=p, xi=xi)
+
+
 def test_refinement_chain_preserves_identities():
     # structurally finer partitions; the atomic identities hold at every
     # level

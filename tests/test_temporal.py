@@ -116,7 +116,7 @@ def test_spec_validation():
         CauchySpec(m=1, c=(0.0,), lam=(0.0, 1.0), horizon=1.0)
     with pytest.raises(ValueError, match="horizon"):
         CauchySpec(m=1, c=(0.0,), lam=(1.0, 1.0), horizon=-1.0)
-    with pytest.raises(ValueError, match="step"):
+    with pytest.raises(ValueError, match="tau must be finite and positive"):
         CauchySpec(m=1, c=(0.0,), lam=(1.0, 1.0), horizon=1.0, tau=0.0)
 
 
