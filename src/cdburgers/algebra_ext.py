@@ -3,9 +3,8 @@ of the Cayley-Dickson algebras (cdburgers.algebra).  mul_coeffs rearranges
 the basis product table as a gather table, so every product is one einsum,
 on real, complex or object (sympy) coefficients alike.
 
-Only the paper-facing API, the quaternion kernel variant, algebra-check,
-translate and the tests use this module; cdburgers.algebra serves its
-names on first use.
+Only the paper-facing API, algebra-check, translate and the tests use this
+module; cdburgers.algebra serves its names on first use.
 """
 
 from __future__ import annotations

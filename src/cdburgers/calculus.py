@@ -192,9 +192,6 @@ class GridField:
         vals = np.asarray(fn(*coords), dtype=np.complex128)
         return cls(grid, arity, np.broadcast_to(vals, grid.shape(arity)).copy())
 
-    def copy(self) -> "GridField":
-        return GridField(self.grid, self.arity, self.values.copy(), self.level)
-
     def as_algebra(self, level: int) -> "GridField":
         """View a scalar field as algebra-valued (coefficient on i_0)."""
         if self.is_algebra_valued:
@@ -216,9 +213,6 @@ class GridField:
                 raise ValueError('arity-"x" field has no y slot')
             return tuple(range(off + n, off + 2 * n))
         raise ValueError(f"unknown slot {slot!r}")
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
 
 # ---------------------------------------------------------------------------

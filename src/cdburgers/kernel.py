@@ -12,9 +12,8 @@ its weighted terms factor through the same triple integral
     T(x, e) = int_{w0}^x [ int_{w0}^e [ int_w^inf F(z, v) K(w, z) dz ] dv ] dw,
 
 the first term being p_1 pi_1(T(x, y)) and the second p_2 times one more
-line-integral prefix of T(x, .) in the second slot, taken up to y.  In the
-quaternion variant p_1 and p_2 multiply on the right and no projection is
-taken.
+line-integral prefix of T(x, .) in the second slot, taken up to y.  The
+weights p_1, p_2 are complex numbers.
 
 F(z, v) = f(z/2) f(v/2), f(s) = exp(kappa . s), so A K(x, y) = sum_s
 g_s(x) V_s(y).  A line integral from w0 is a sum of n staircase segments
@@ -46,6 +45,7 @@ certificate, mirroring calculus.tail_integral.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -133,38 +133,25 @@ def _check_finite(name: str, values) -> None:
         raise ValueError(f"{name} must be finite, got {values}")
 
 
-def _pnorm(p_j) -> float:
-    """Largest coefficient modulus of a weight (callers test it against 0)."""
-    return float(np.max(np.abs(np.asarray(p_j, dtype=complex)), initial=0.0))
-
-
-def _p_coeffs(p_j, level: int) -> np.ndarray:
-    """Coefficient vector of a weight: a scalar, or an explicit coefficient
-    tuple, embedded in the level-`level` algebra."""
-    arr = np.atleast_1d(np.asarray(p_j, dtype=np.complex128))
-    out = np.zeros(1 << level, dtype=np.complex128)
-    out[: arr.size] = arr
-    return out
-
-
 @dataclass(frozen=True)
 class KernelConfig:
     """Data of one auxiliary problem: operator coefficients a, integral
     weights p, kernel decay kappa, basepoint w0, and the solver's iteration
-    cap max_iter, step tolerance tol and weight variant.  The algebra level
-    is derived from n and p (see `level`)."""
+    cap max_iter and step tolerance tol.  The algebra level is derived from
+    n (see `level`)."""
 
     a: tuple  # (a_1, a_2, a_3), a_1 != 0
-    p: tuple  # (p_1, p_2); entries scalar or coefficient tuples
+    p: tuple  # (p_1, p_2), complex numbers
     kappa: tuple  # decay vector of F, one entry per spatial axis
     w0: tuple  # basepoint, an interior lattice node of V
     max_iter: int = 40
     tol: float = 1e-10
-    variant: str = "complex"  # "complex" or "quaternion"
 
     def __post_init__(self):
         _check_length("a", self.a, 3)
         _check_length("p", self.p, 2)
+        if not all(isinstance(w, numbers.Number) for w in self.p):
+            raise ValueError(f"p entries must be numbers, got {self.p}")
         for name in ("a", "p", "kappa", "w0"):
             _check_finite(name, getattr(self, name))
         if self.a[0] == 0:
@@ -173,22 +160,14 @@ class KernelConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.variant not in ("complex", "quaternion"):
-            raise ValueError(f"unknown variant {self.variant!r}")
         if len(self.w0) != len(self.kappa):
             raise ValueError("w0 and kappa dimensions differ")
-        if self.variant == "complex" and any(np.size(w) != 1 for w in self.p):
-            raise ValueError("complex-scalar variant takes scalar weights p")
 
     @property
     def q(self) -> tuple:
-        """Nonlinearity weights, tied to p exactly."""
-        out = []
-        for p_j in self.p:
-            arr = np.atleast_1d(np.asarray(p_j, dtype=complex))
-            scaled = (-2 * self.a[0] * arr).tolist()
-            out.append(scaled[0] if arr.size == 1 else tuple(scaled))
-        return tuple(out)
+        """Nonlinearity weights q_j = -2 a_1 p_j, complex numbers."""
+        return tuple(complex(-2 * self.a[0] * np.complex128(w))
+                     for w in self.p)
 
     @property
     def n(self) -> int:
@@ -196,13 +175,12 @@ class KernelConfig:
 
     @property
     def level(self) -> int:
-        """The smallest algebra holding i_0..i_n and every coefficient of
-        p_1 and p_2."""
-        return level_for(max(self.n + 1, *(np.size(w) for w in self.p)))
+        """The smallest algebra holding i_0..i_n."""
+        return level_for(self.n + 1)
 
     @property
     def p_total(self) -> float:
-        return _pnorm(self.p[0]) + _pnorm(self.p[1])
+        return abs(self.p[0]) + abs(self.p[1])
 
     @property
     def ksq(self) -> float:
@@ -230,10 +208,10 @@ class KernelConfig:
     def scalar_closed(self) -> bool:
         """Whether the operator maps scalar pair fields to scalar ones.
 
-        The projected first term is scalar; only the second term (or the
-        quaternion right weights) leaves the scalar line.
+        The projected first term is scalar; only the second term leaves the
+        scalar line.
         """
-        return self.variant == "complex" and _pnorm(self.p[1]) == 0.0
+        return self.p[1] == 0
 
 
 @dataclass
@@ -277,8 +255,13 @@ class PicardDivergence(RuntimeError):
 
 
 def build_F(config: KernelConfig, grid: Grid) -> KernelField:
-    """Midpoint samples of F on V, gated by the characteristic condition;
-    a box where exp(kappa . x) overflows is refused before any exp."""
+    """Midpoint samples of F on V, gated by the characteristic condition.
+
+    Before any exp, a box is refused where exp(kappa . x) overflows, or
+    where the quadrature's weights do: the triple integral of A runs over
+    V x V and the tail ray, so vol(V)^2 (hi - lo on the tail axis), the
+    product of spans that the certificate forms, must be a float64
+    number."""
     resid = abs(characteristic_lhs(config.a, config.ksq))
     if resid > 1e-10:
         raise ValueError(
@@ -292,10 +275,15 @@ def build_F(config: KernelConfig, grid: Grid) -> KernelField:
     for c, (lo, hi) in zip(config.w0, grid.bounds):
         if not (lo < c < hi):
             raise ValueError("w0 must lie in the interior of V")
+    log_max = np.log(np.finfo(float).max)
     top = sum(max(k * lo, k * hi) for k, (lo, hi) in zip(config.kappa,
                                                          grid.bounds))
-    if top > np.log(np.finfo(float).max):
+    if top > log_max:
         raise ValueError("exp(kappa . x) overflows on this box")
+    log_spans = np.log([hi - lo for lo, hi in grid.bounds])
+    if 2 * np.sum(log_spans) + log_spans[config.tail_axis] > log_max:
+        raise ValueError("the quadrature weights overflow on this box: its "
+                         f"spans hi - lo are too wide, bounds {grid.bounds}")
     F = GridField.from_function(grid, "x", config.f_midpoint)
     return KernelField(F=F, config=config)
 
@@ -424,23 +412,10 @@ def _ray_tables(h: np.ndarray, config: KernelConfig, grid: Grid):
 
 
 def _weigh(T: np.ndarray, config: KernelConfig):
-    """The p_1 term of A K from the T sweep: p_1 pi_1(T) on i_0 in the
-    complex variant, right multiplication by p_1 in the quaternion one."""
-    p1, level = config.p[0], config.level
-    if config.variant == "quaternion":
-        from .algebra_ext import mul_coeffs  # no CLI stage runs this variant
-        return mul_coeffs(T, _p_coeffs(p1, level), level)
+    """The p_1 term of A K from the T sweep: p_1 pi_1(T) on i_0."""
     out = np.zeros_like(T)
-    out[..., 0] = _scalar_weight(p1) * T[..., 1]
+    out[..., 0] = complex(config.p[0]) * T[..., 1]
     return out
-
-
-def _weigh_q(Q: np.ndarray, config: KernelConfig) -> np.ndarray:
-    """The p_2 term of A K from the Q sweep, under the variant's weight."""
-    if config.variant == "complex":
-        return _scalar_weight(config.p[1]) * Q
-    from .algebra_ext import mul_coeffs  # no CLI stage runs this variant
-    return mul_coeffs(Q, _p_coeffs(config.p[1], config.level), config.level)
 
 
 def _y_factors(config: KernelConfig, grid: Grid) -> np.ndarray:
@@ -452,7 +427,7 @@ def _y_factors(config: KernelConfig, grid: Grid) -> np.ndarray:
     w0_idx = grid.node_index(config.w0)
     Y = _segments(_f_half(config, grid), grid, w0_idx, spec, 0)
     Y = np.stack(np.broadcast_arrays(*Y))
-    if _pnorm(config.p[1]) == 0:
+    if config.p[1] == 0:
         return Y
     Q = np.stack(np.broadcast_arrays(*_segments(Y, grid, w0_idx, spec, 1)))
     return np.concatenate([Y, Q.reshape((n * n,) + Y.shape[1:])])
@@ -461,13 +436,13 @@ def _y_factors(config: KernelConfig, grid: Grid) -> np.ndarray:
 def _chain(segs, config: KernelConfig, unit: int | None = None) -> list:
     """The x factors g_s, in _y_factors' order, from the x segments seg_c'
     of i_b scale ray, coefficients last or scalars on i_unit: G_c = sum_c'
-    i_{b_c'} i_{b_c} seg_c' (from +0.0 zeros) pairs with Y_c under _weigh
-    or p_1 pi_1, and when p_2 != 0 _weigh_q(i_{b_c''} G_c) with Q_{c'' c}."""
+    i_{b_c'} i_{b_c} seg_c' (from +0.0 zeros) pairs with Y_c under p_1 pi_1
+    (_weigh), and when p_2 != 0 p_2 i_{b_c''} G_c with Q_{c'' c}."""
     n, level, spec = config.n, config.level, config.dirac_spec()
     bs = [spec.basis_for_axis(c, n) for c in range(n)]
     if unit is not None:  # units permute signed: one seg_c' lands on i_1
         idx, sgn = _mul_tables(level)
-        return [_scalar_weight(config.p[0]) * sum(
+        return [complex(config.p[0]) * sum(
             (sgn[b, unit] * sgn[b2, k] * seg
              for b2, seg in zip(bs, segs) if idx[b2, k] == 1),
             np.zeros(segs[-1].shape)) for b, k in zip(bs, idx[bs, unit])]
@@ -475,8 +450,8 @@ def _chain(segs, config: KernelConfig, unit: int | None = None) -> list:
               for b2, seg in zip(bs, segs)), np.zeros(segs[-1].shape))
          for b in bs]
     gs = [_weigh(Gc, config) for Gc in G]
-    if _pnorm(config.p[1]) > 0:
-        gs += [_weigh_q(basis_mul_coeffs(b, Gc, level), config)
+    if config.p[1] != 0:
+        gs += [complex(config.p[1]) * basis_mul_coeffs(b, Gc, level)
                for b in bs for Gc in G]
     return gs
 
@@ -558,8 +533,8 @@ def apply_A(K: GridField, F, config: KernelConfig, grid: Grid,
     K is dense, so _ray_tables integrates H(z, j) = K((z with z_a -> j), z)
     along z_a (N^n x N nodes); the diagonal j = w_a is K's ray at w.  Forms
     the x factors and expands sum_s g_s(x) V_s(y) on V x V.  A scalar K
-    is put on i_0 unless the operator is scalar-closed (complex variant
-    with p_2 = 0), so only a scalar-closed one maps it to a scalar field.
+    is put on i_0 unless the operator is scalar-closed (p_2 = 0), so only
+    a scalar-closed one maps it to a scalar field.
     The `info` dict, when given, receives the tail truncation bound.
     """
     if K.arity != "xy":
@@ -708,11 +683,6 @@ def _diagonal_pair(values, n: int, margin: int, counts) -> np.ndarray:
     return values[ix + ix]
 
 
-def _scalar_weight(q_j) -> complex:
-    arr = np.atleast_1d(np.asarray(q_j, dtype=complex))
-    return complex(arr.reshape(-1)[0])
-
-
 def _diagonal_terms(terms, spec: DiracSpec, grid: Grid, margin: int) -> tuple:
     """K, L K, L^2 K and pi_1 (sigma_x + sigma_y)(K^2) at x = y on the
     window, L = sigma_x^2 + sigma_y^2, from K = sum_t u_t(x) v_t(y) given
@@ -756,7 +726,7 @@ def _aux_lhs(d: tuple, a, q=(0.0, 0.0)) -> np.ndarray:
     """S_{2,a} K + q_1 pi_1 (sigma_x + sigma_y)(K^2) + q_2 K^2 on the
     window, from the _diagonal_terms d."""
     k, lk, l2k, sk2 = d
-    q1, q2 = (_scalar_weight(w) for w in q)
+    q1, q2 = map(complex, q)
     return a[0] * l2k + a[1] * lk + a[2] * k + q1 * sk2 + q2 * (k * k)
 
 

@@ -70,23 +70,30 @@ class Partition:
 def xi_from_rule(rep, m: int, gamma: complex = 0.0,
                  varsigma: complex = 0.0) -> complex:
     """Amplitude at a representative: gamma/(2 lambda_1 lambda_{m+2}) when
-    gamma != 0, else varsigma/(2 lambda_1 lambda_{m+3})."""
+    gamma != 0, else varsigma/(2 lambda_1 lambda_{m+3}).  The second
+    moments xi^2 p must be float64 numbers, so an amplitude whose square
+    overflows is refused, naming gamma or varsigma."""
     if m < 1:
         raise ValueError(f"need m >= 1, got m = {m}")
     lam = tuple(rep)
     if len(lam) != m + 3:
         raise ValueError(f"representative needs {m + 3} entries")
     if gamma != 0:
-        den = 2.0 * lam[0] * lam[m + 1]
+        name, weight, den = "gamma", gamma, 2.0 * lam[0] * lam[m + 1]
         if den == 0:
             raise ZeroDivisionError("lambda_1 lambda_{m+2} vanishes")
-        return gamma / den
-    if varsigma != 0:
-        den = 2.0 * lam[0] * lam[m + 2]
+    elif varsigma != 0:
+        name, weight, den = "varsigma", varsigma, 2.0 * lam[0] * lam[m + 2]
         if den == 0:
             raise ZeroDivisionError("lambda_1 lambda_{m+3} vanishes")
-        return varsigma / den
-    raise ValueError("need gamma != 0 or varsigma != 0")
+    else:
+        raise ValueError("need gamma != 0 or varsigma != 0")
+    xi = weight / den
+    size = float(abs(xi))
+    if not size * size < float("inf"):
+        raise ValueError(f"{name} = {weight} gives the amplitude xi = {xi}, "
+                         "whose square overflows")
+    return xi
 
 
 @dataclass(frozen=True)

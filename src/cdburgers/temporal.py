@@ -32,7 +32,15 @@ CEILING = 1e12  # a state leaving the ball of this radius has blown up
 
 @dataclass(frozen=True)
 class CauchySpec:
-    """One Cauchy problem: Q coefficients, parameter vector, horizon, step."""
+    """One Cauchy problem: Q coefficients, parameter vector, horizon, step.
+
+    Every step starts inside the ball |y| <= s, s = max(CEILING, |y(0)|),
+    where |y'| <= F(r) = |lambda_1| r^2 + (sum_j |c_j| + 1) r, so the
+    RK4 stages stay within r_2 = s + h F(s)/2, r_3 = s + h F(r_2)/2 and
+    r_4 = s + h F(r_3), and the update within h F(r_4).  A step h for which
+    F(r_4) max(h, 1) overflows float64 is refused, naming tau and the
+    horizon: its stages could overflow where the solution stays finite.
+    """
 
     m: int
     c: tuple  # (c_0, ..., c_{m-1}); Q is monic
@@ -58,6 +66,17 @@ class CauchySpec:
             if not 0 < value < np.inf:
                 raise ValueError(
                     f"{name} must be finite and positive, got {value}")
+        # Python floats, which overflow to inf without a warning
+        lam1 = abs(complex(self.lam[0]))
+        lin = sum(abs(complex(c)) for c in self.c) + 1.0
+        s = max(CEILING, *(abs(complex(v)) for v in self.lam[1:]))
+        h, r = min(self.step, self.horizon), s
+        for frac in (0.5, 0.5, 1.0):
+            r = s + frac * h * (lam1 * r * r + lin * r)
+        if not (lam1 * r * r + lin * r) * max(h, 1.0) < np.inf:
+            raise ValueError(
+                f"step {h:.6g} overflows: the RK4 stages of a step from "
+                f"|y| <= {s:g} leave float64; shorten tau or the horizon")
 
     @property
     def step(self) -> float:
@@ -82,11 +101,6 @@ class Trajectory:
     @property
     def values(self) -> np.ndarray:
         return self.states[:, 0]
-
-    def at(self, t: float) -> np.ndarray:
-        """State at the sample nearest to t."""
-        k = int(np.argmin(np.abs(self.times - t)))
-        return self.states[k]
 
 
 def _rhs(spec: CauchySpec):

@@ -50,11 +50,6 @@ from cdburgers.algebra import _mul_tables, basis_mul_coeffs, mul_coeffs
 from cdburgers.kernel import (
     _diagonal_pair,
     _f_half,
-    _p_coeffs,
-    _pnorm,
-    _scalar_weight,
-    _weigh,
-    _weigh_q,
     midpoint_pair_field,
     prefix_line_integrals,
     s2a_apply,
@@ -280,11 +275,23 @@ def reference_inner_tail(kvals, config, grid):
     return out, float(bound)
 
 
+def _p1_pi1(T, config, scalar_out):
+    """p_1 pi_1(T): p_1 times the i_1 coefficient of T, alone when
+    scalar_out, else on i_0."""
+    weighted = complex(config.p[0]) * T[..., 1]
+    if scalar_out:
+        return weighted
+    out = np.zeros_like(T)
+    out[..., 0] = weighted
+    return out
+
+
 def reference_apply_A(K, config, grid, info=None):
     """The kernel operator on dense pair fields: reference_inner_tail's
     table over (w, v), then the line-integral prefix sweeps over all of
-    V x V, in the y slot, the x slot and (p_2 != 0) the y slot again, each
-    weighted as in the library.  `info` receives the tail bound."""
+    V x V, in the y slot, the x slot (weighted p_1 pi_1) and, when
+    p_2 != 0, the y slot again (weighted p_2).  `info` receives the tail
+    bound."""
     n, level = config.n, config.level
     scalar_out = config.scalar_closed() and not K.is_algebra_valued
     lev = None if scalar_out else level
@@ -297,11 +304,10 @@ def reference_apply_A(K, config, grid, info=None):
         info["tail_bound"] = bound
     mid = prefix_line_integrals(inner, grid, w0_idx, spec, group_offset=n)
     T = prefix_line_integrals(mid, grid, w0_idx, spec, group_offset=0)
-    out = (_scalar_weight(config.p[0]) * T[..., 1] if scalar_out
-           else _weigh(T, config))
-    if _pnorm(config.p[1]) > 0:
-        out = out + _weigh_q(prefix_line_integrals(
-            T, grid, w0_idx, spec, group_offset=n), config)
+    out = _p1_pi1(T, config, scalar_out)
+    if config.p[1] != 0:
+        out = out + complex(config.p[1]) * prefix_line_integrals(
+            T, grid, w0_idx, spec, group_offset=n)
     return GridField(grid, "xy", out, level=lev)
 
 
@@ -315,7 +321,7 @@ def reference_y_factors(config, grid):
     Y = prefix_line_integrals(_f_half(config, grid), grid, w0_idx, spec,
                               group_offset=0)
     Y = np.moveaxis(Y[..., bs], -1, 0)
-    if _pnorm(config.p[1]) == 0:
+    if config.p[1] == 0:
         return Y
     Q = prefix_line_integrals(Y, grid, w0_idx, spec, group_offset=1)
     Q = np.moveaxis(Q[..., bs], -1, 0).reshape((n * n,) + Y.shape[1:])
@@ -326,9 +332,9 @@ def reference_x_factors(ray, config, grid):
     """The x factors g_s of the separated operator, per axis: the scaled
     ray, on coefficient 0 when scalar, under the tail axis's unit i_b; then
     G_c = prefix_line_integrals(i_{b_c} i_b (scale ray)) for each c,
-    weighed as p_1 pi_1(G_c) for a scalar ray (scalar-closed configs only)
-    and by the library's _weigh otherwise, and when p_2 != 0 _weigh_q of
-    i_{b_c''} G_c, in the order of reference_y_factors."""
+    weighed as p_1 pi_1(G_c), a scalar for a scalar ray (scalar-closed
+    configs only) and on i_0 otherwise, and when p_2 != 0 p_2 i_{b_c''}
+    G_c, in the order of reference_y_factors."""
     n, level = config.n, config.level
     spec = config.dirac_spec()
     w0_idx = grid.node_index(config.w0)
@@ -340,10 +346,9 @@ def reference_x_factors(ray, config, grid):
     bs = [spec.basis_for_axis(c, n) for c in range(n)]
     G = [prefix_line_integrals(basis_mul_coeffs(j, ray, level), grid,
                                w0_idx, spec, group_offset=0) for j in bs]
-    gs = [_scalar_weight(config.p[0]) * Gc[..., 1] if scalar_out
-          else _weigh(Gc, config) for Gc in G]
-    if _pnorm(config.p[1]) > 0:
-        gs += [_weigh_q(basis_mul_coeffs(j, Gc, level), config)
+    gs = [_p1_pi1(Gc, config, scalar_out) for Gc in G]
+    if config.p[1] != 0:
+        gs += [complex(config.p[1]) * basis_mul_coeffs(j, Gc, level)
                for j in bs for Gc in G]
     return gs
 
@@ -428,8 +433,9 @@ def reference_lhs_field(K, config):
     out = s2a_apply(K, spec, config.a).values
     sig = (dirac_apply(v2f, spec, slot="x").values
            + dirac_apply(v2f, spec, slot="y").values)
-    out[..., 0] += _scalar_weight(config.q[0]) * sig[..., 1]
-    out += mul_coeffs(v2f.values, _p_coeffs(config.q[1], level), level)
+    q1, q2 = config.q
+    out[..., 0] += q1 * sig[..., 1]
+    out += q2 * v2f.values
     return out
 
 

@@ -6,9 +6,9 @@ cli_run with warnings raised as errors.  A case must exit 1, name the key on
 the last stderr line and leave --out uncreated.  The config reader names a
 key by its dotted path (grid.count, problem.gamma, levels[0]); a layer that
 refuses a value names its own field, which is the path's last part.  The
-exceptions are listed with their reasons: VALID values exit 0,
+exceptions are listed with their reasons: VALID values exit 0, and
 REFUSED_WHOLE values are fine on their own but a layer refuses the config
-they make, and KNOWN_OPEN magnitudes still overflow inside a layer.
+they make.
 """
 
 import json
@@ -116,18 +116,6 @@ REFUSED_WHOLE = {
     ("verify", "t_collar", "1e300"): "too few time samples for the window",
 }
 
-# (stage, key path) -> the exit code of a finite 1e300 that overflows inside
-# a layer (numpy warns) before any check names it: the product of the box's
-# per-axis weights in kernel.estimate_A_norm, the Cauchy right side over the
-# default step in temporal.solve_cauchy, and xi^2 in randmeasure.moments
-KNOWN_OPEN = {
-    ("kernel", "grid.hi"): 1,
-    **{(s, "problem.hi"): 1 for s in _SPECTRAL},
-    ("ode", "horizon"): 2,
-    **{(s, "problem.horizon"): 2 for s in _SPECTRAL},
-    ("measure-check", "gamma"): 1,
-}
-
 
 def _with(cfg: dict, path: str, value) -> dict:
     out = json.loads(json.dumps(cfg))
@@ -147,7 +135,7 @@ def _raise_hung(signum, frame):
     raise _Hung
 
 
-def _run(stage, cfg, tmp_path, capsys, warn="error"):
+def _run(stage, cfg, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
@@ -155,7 +143,7 @@ def _run(stage, cfg, tmp_path, capsys, warn="error"):
     signal.alarm(30)  # a loop over a huge count fails here, not the suite
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter(warn)
+            warnings.simplefilter("error")
             code = cli_run([stage, "--config", str(path), "--out", str(out)])
     finally:
         signal.alarm(0)
@@ -171,8 +159,6 @@ def test_lists_name_only_swept_cases():
     for stage, path, name in [*VALID, *REFUSED_WHOLE]:
         assert (stage, path, name) in CASES
     assert not set(VALID) & set(REFUSED_WHOLE)
-    for stage, path in KNOWN_OPEN:
-        assert (stage, path, "1e300") in CASES
 
 
 def test_every_base_config_runs(tmp_path, capsys):
@@ -187,12 +173,6 @@ def test_every_base_config_runs(tmp_path, capsys):
 def test_hostile_value_is_refused_by_name(stage, path, name, tmp_path,
                                           capsys):
     cfg = _with(STAGES[stage][0], path, HOSTILE[name])
-    if name == "1e300" and (stage, path) in KNOWN_OPEN:
-        with pytest.warns(RuntimeWarning):
-            code, err, _ = _run(stage, cfg, tmp_path, capsys, "always")
-        assert code == KNOWN_OPEN[stage, path], err
-        assert "Traceback" not in err
-        return
     code, err, out = _run(stage, cfg, tmp_path, capsys)
     assert "Traceback" not in err
     if (stage, path, name) in VALID:

@@ -194,6 +194,14 @@ def test_build_f_requires_decay_when_coupled():
         build_F(cfg, Grid.box(1, -0.4, 3.4, 20))
 
 
+@pytest.mark.parametrize("p", [((0.01, 0.0, 0.0, 0.002), 0.0), (0.1, "x"),
+                               (None, 0.0)], ids=["tuple", "str", "none"])
+def test_config_refuses_a_weight_that_is_not_a_number(p):
+    # the weights are complex numbers; anything else is refused by name
+    with pytest.raises(ValueError, match=r"^p entries must be numbers"):
+        KernelConfig(a=(1.0, 0.0, -1.0), p=p, kappa=(-2.0,), w0=(0.0,))
+
+
 def test_build_f_requires_lattice_basepoint():
     cfg = KernelConfig(a=(1.0, 0.0, -1.0), p=(0.0, 0.0), kappa=(-2.0,), w0=(0.03,))
     with pytest.raises(ValueError):
@@ -448,33 +456,8 @@ def test_apply_a_rejects_exhausted_quadrature():
         apply_A(K, None, cfg, g)
 
 
-def test_quaternion_variant_overlaps_complex_routes():
-    # For real scalar weights the two variants share their second term
-    # exactly, and the projected first term of the complex route equals
-    # slot 1 of the unprojected quaternion one.
-    for n, box in ((1, (-0.5, 3.0, 8)), (2, (-0.5, 2.25, 12))):
-        kap = tuple([-2.0] + [0.0] * (n - 1))
-        g = Grid.box(n, *box)
-        K = GridField.from_function(
-            g, "xy",
-            lambda *cs: np.exp(sum(cs) * -1.0),
-        ).as_algebra(2)
-        base = dict(a=(1.0, 0.0, -1.0), kappa=kap, w0=(0.0,) * n)
-
-        c1 = apply_A(K, None, KernelConfig(p=(0.3, 0.0), **base), g).values
-        q1 = apply_A(K, None, KernelConfig(p=(0.3, 0.0), variant="quaternion",
-                                           **base), g).values
-        assert np.max(np.abs(c1[..., 0] - q1[..., 1])) <= 1e-10
-
-        c2 = apply_A(K, None, KernelConfig(p=(0.0, 0.2), **base), g).values
-        q2 = apply_A(K, None, KernelConfig(p=(0.0, 0.2), variant="quaternion",
-                                           **base), g).values
-        assert np.max(np.abs(c2 - q2)) <= 1e-10
-
-
 # -- the separated operator against the dense oracles --------------------------
 
-_QS = ((0.015, 0.005, -0.01, 0.0025), (0.005, 0.0, 0.01, -0.005))
 # admissible kappa for these grids; in 2-D the tail runs along axis 1
 _SOLVE = {1: (dict(a=(1.0, 0.0, -1.0), kappa=(-2.0,), w0=(0.0,)),
               Grid.box(1, -0.5, 4.5, 11)),
@@ -485,12 +468,9 @@ _SOLVE = {1: (dict(a=(1.0, 0.0, -1.0), kappa=(-2.0,), w0=(0.0,)),
 _PARITY = pytest.mark.parametrize("kw, n", [
     (dict(p=(0.1, 0.0)), 1),
     (dict(p=(0.03, 0.015)), 1),
-    (dict(p=_QS, variant="quaternion"), 1),
     (dict(p=(0.1, 0.05)), 2),
     (dict(p=(0.2, 0.0)), 2),
-    (dict(p=_QS, variant="quaternion"), 2),
-], ids=["scalar", "p2", "quaternion", "n2-p2", "n2-tail-axis1",
-        "n2-quaternion"])
+], ids=["scalar", "p2", "n2-p2", "n2-tail-axis1"])
 # n = 4 derives level 3, the octonions, whose units do not associate; the
 # dense oracles nest the unit products as the code does, so this checks
 # the factoring, not the product order
@@ -589,10 +569,9 @@ def test_x_factors_match_the_per_axis_prefix_sweeps(kw, n, algebra):
 @pytest.mark.parametrize("kw, n", [
     (dict(p=(0.1, 0.0)), 1),
     (dict(p=(0.03, 0.015)), 1),
-    (dict(p=_QS, variant="quaternion"), 2),
     (dict(p=(0.1, 0.05)), 2),
     (dict(p=(0.2, 0.0)), 2),
-], ids=["scalar", "p2", "quaternion", "n2-p2", "n2-tail-axis1"])
+], ids=["scalar", "p2", "n2-p2", "n2-tail-axis1"])
 def test_separated_ray_matches_unfactored_reference(kw, n, monkeypatch):
     # the table ray of the solved terms: solve_K's last _x_factors call
     base, g = _SOLVE[n]
@@ -693,9 +672,8 @@ def test_diagonal_is_the_dense_diagonal_bit_for_bit(kw, n):
     (dict(p=(0.1, 0.0)), 1),
     (dict(p=(0.2, 0.0)), 2),
     (dict(p=(0.03, 0.015)), 1),
-    (dict(p=_QS, variant="quaternion"), 2),
     (dict(p=(0.1, 0.05)), 2),
-], ids=["scalar", "n2-tail-axis1", "p2", "quaternion", "n2-p2"])
+], ids=["scalar", "n2-tail-axis1", "p2", "n2-p2"])
 def test_K_terms_dump_round_trips_to_the_dense_K(kw, n, tmp_path):
     base, g = _SOLVE[n]
     kf = solve_K(KernelConfig(**kw, **base), g)
@@ -759,9 +737,8 @@ def _picard_steps(cfg, g):
 @pytest.mark.parametrize("kw, n", [
     (dict(p=(0.1, 0.0)), 1),
     (dict(p=(0.03, 0.015)), 1),
-    (dict(p=_QS, variant="quaternion"), 2),
     (dict(p=(0.1, 0.05)), 2),
-], ids=["scalar", "p2", "quaternion", "n2-p2"])
+], ids=["scalar", "p2", "n2-p2"])
 def test_separated_norms_match_the_dense_expansion(kw, n):
     base = _SOLVE[n][0]
     g = Grid.box(1, -0.5, 4.5, 11) if n == 1 else Grid.box(2, -0.5, 2.0, 11)
@@ -883,7 +860,6 @@ def test_norm_estimate_scales_linearly_in_the_weights():
     assert vals[1] == pytest.approx(2.0 * vals[0], rel=1e-12)
 
 
-_QP = ((0.3, 0.1, -0.2, 0.05), (0.1, 0.0, 0.2, -0.1))
 _N1 = dict(a=(1.0, 0.0, -1.0), kappa=(-2.0,), w0=(0.0,))
 _N2 = dict(a=(1.0, 0.0, -1.0), kappa=(-0.5, -2.0), w0=(0.0, 0.0))
 
@@ -895,14 +871,11 @@ _G2 = Grid.box(2, -0.5, 1.5, 5)
 @pytest.mark.parametrize("kw, g", [
     (dict(p=(0.35, 0.0)), _G1),
     (dict(p=(0.35, 0.2)), _G1),
-    (dict(p=_QP, variant="quaternion"), _G1),
     (dict(p=(0.35, 0.0)), _G2),
     (dict(p=(0.35, 0.2)), _G2),
-    (dict(p=_QP, variant="quaternion"), _G2),
     # a count equal to 2^level, the algebra dimension
     (dict(p=(0.35, 0.2)), Grid.box(1, -0.5, 1.0, 4)),
-], ids=["scalar", "p2", "quaternion", "n2-tail-axis1", "n2-p2",
-        "n2-quaternion", "count4"])
+], ids=["scalar", "p2", "n2-tail-axis1", "n2-p2", "count4"])
 def test_norm_estimate_dominates_the_dense_sup_norm(kw, g):
     # the estimate must dominate ||A||_inf, the max row sum of |M|, which
     # is what bounds every Picard step ratio; it is exact, to rounding,
@@ -1118,13 +1091,9 @@ def test_residual_matches_dense_reference_in_one_dimension(a, p, kappa, box,
         assert abs(got - want) <= 1e-8 * want
 
 
-@pytest.mark.parametrize("p, variant", [
-    ((0.01, 0.005), "complex"),
-    (((0.01, 0.0, 0.0, 0.002), 0.0), "quaternion"),
-], ids=["p2", "quaternion"])
-def test_residual_rejects_algebra_valued_factors(p, variant):
-    cfg = KernelConfig(a=(1.0, 0.0, -1.0), p=p, kappa=(-2.0,), w0=(0.0,),
-                       variant=variant)
+@pytest.mark.parametrize("p", [(0.01, 0.005)], ids=["p2"])
+def test_residual_rejects_algebra_valued_factors(p):
+    cfg = KernelConfig(a=(1.0, 0.0, -1.0), p=p, kappa=(-2.0,), w0=(0.0,))
     g = Grid.box(1, -0.5, 7.5, 33)
     kf = solve_K(cfg, g)
     assert kf.K.is_algebra_valued
@@ -1349,8 +1318,9 @@ def test_every_private_function_has_a_caller():
 
 # -- static guard: no default that nothing sets ------------------------------
 #
-# A defaulted parameter or dataclass field that no call in the repository
-# passes is a settable value with one value in use: a constant.
+# A defaulted parameter or dataclass field that no call in src/, demos/ or
+# bench/ passes is a settable value with one value in use: a constant.  A
+# call in a test does not make it a setting.
 
 _ROOT = Path(cdburgers.__file__).resolve().parents[2]
 
@@ -1433,14 +1403,41 @@ def test_default_guard_flags_only_unset_values():
         "a.f.z", "a.C.__init__.u", "a.C.m.w", "a.D.q"}
 
 
-# the defaults no call sets, each with its reason to stay settable
+# the defaults no call outside the tests sets, each with its reason to stay
+# settable
 _UNSET_ALLOWED = {
     "kernel.KernelField.trace": "filled by solve_K",
     "kernel.KernelField.report": "filled by solve_K",
     "kernel.KernelField.terms": "filled by solve_K",
+    "kernel.apply_A.info": "the dense operator's tail bound, which the "
+                           "oracle parity tests read",
+    "kernel.aux_residual.collar": "the physical window of a paper-facing "
+                                  "residual, which refinement checks fix",
     "translate.apply_pdo_on_grid.coeff_fields": "the coefficient-operator "
                                                 "path of a paper-facing "
                                                 "evaluator",
+    "translate.apply_pdo_on_grid.maps": "the translated-form route of the "
+                                        "same evaluator",
+    "translate.lower_function.emb": "the embedding check of the paper's "
+                                    "lowering map",
+    **{f"translate.translate_system.{k}": "the paper's free choice of "
+       "algebra level and index sets; the default is the standard one"
+       for k in ("level", "q_indices", "l_indices")},
+    "algebra_ext.euclid_products.cross": "the paper's n = 3 cross product "
+                                         "through the algebra",
+    "calculus.DiracSpec.xi": "the paper's sigma takes any basis-to-axis "
+                             "map; the default is the identity",
+    "calculus_ext.dirac_apply.slot": "sigma_y of the paper's pair "
+                                     "operators, which the oracles apply",
+    "calculus_ext.segment_integral.axis": "a paper-facing quadrature along "
+                                          "any array axis",
+    "calculus_ext.sobolev_norm.s": "the exponent s of the paper's "
+                                   "W_{s,m,k} norm",
+    "calculus_ext.tail_integral.r_inf": "the truncation radius of the "
+                                        "paper-facing ray integral",
+    "randmeasure.AtomicRandomMeasure.multiplier": "the paper's "
+                                                  "multiplication operators; "
+                                                  "1 on every stage's path",
 }
 
 
@@ -1448,6 +1445,6 @@ def test_every_default_is_set_somewhere():
     src = {path.stem: ast.parse(path.read_text()) for path in
            sorted(Path(cdburgers.__file__).parent.glob("*.py"))}
     callers = [ast.parse(path.read_text())
-               for top in ("src", "tests", "demos", "bench")
+               for top in ("src", "demos", "bench")
                for path in sorted((_ROOT / top).rglob("*.py"))]
     assert _unset_defaults(src, callers) == set(_UNSET_ALLOWED)

@@ -140,16 +140,6 @@ def test_interior_residual_tracks_the_integrator():
     assert np.all(traj.residuals >= 0.0)
 
 
-def test_nearest_state_lookup():
-    spec = CauchySpec(m=2, c=(0.0, 0.0), lam=(1.0, 0.2, 0.1), horizon=1.0,
-                      tau=1e-2)
-    traj = solve_cauchy(spec)
-    state = traj.at(0.5)
-    k = int(np.argmin(np.abs(traj.times - 0.5)))
-    assert np.array_equal(state, traj.states[k])
-    assert state.shape == (2,)
-
-
 def test_trajectory_csv_round_trip(tmp_path, capsys):
     spec = CauchySpec(m=1, c=(0.0,), lam=(1.0, 1.0), horizon=0.1, tau=1e-2)
     traj = solve_cauchy(spec)

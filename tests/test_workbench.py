@@ -22,7 +22,6 @@ from cdburgers.kernel import (
     _aux_lhs,
     _diagonal_pair,
     _diagonal_terms,
-    _scalar_weight,
     admissible_kappa,
     aux_residual,
 )
@@ -745,7 +744,7 @@ def _extended_lhs(kf, grid, margin):
     k2 = K * K
     psi = spec.weights[spec.basis_for_axis(0, n)]
     sig = -psi * (_d1(k2, 0, h[0]) + _d1(k2, n, h[0]))
-    q1, q2 = (_scalar_weight(q) for q in cfg.q)
+    q1, q2 = cfg.q
     lhs = (cfg.a[0] * lap(lk) + cfg.a[1] * lk + cfg.a[2] * K + q1 * sig
            + q2 * k2)
     return _diagonal_pair(lhs, n, margin, grid.counts)
